@@ -11,9 +11,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 from .dicke_witness import (
@@ -30,7 +28,8 @@ from .observables import plan_settings
 from .ppt import compare_with_witness_bracket
 from .reproduce import SEED, run_all
 from .states import (
-    DensityMatrix,
+    ElementSource,
+    NoisyPureState,
     PureState,
     embed_pure,
     load_state_json,
@@ -38,7 +37,6 @@ from .states import (
     make_ghz_state,
     make_singlet4,
     make_w_state,
-    white_noise_mix,
 )
 from .witness import (
     NRVariant,
@@ -50,19 +48,6 @@ from .witness import (
 )
 
 PRESETS = ("w", "ghz", "dicke", "singlet4", "isotropic")
-
-
-def _thread_count() -> int:
-    env = os.environ.get("GMEBOUND_THREADS", "").strip()
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise InvalidInputError(f"GMEBOUND_THREADS must be an integer, got {env!r}")
-        if count < 1:
-            raise InvalidInputError(f"GMEBOUND_THREADS must be positive, got {env!r}")
-        return count
-    return min(8, os.cpu_count() or 1)
 
 
 def _round12(obj: Any) -> Any:
@@ -77,7 +62,7 @@ def _round12(obj: Any) -> Any:
 
 
 def _emit_json(payload: dict[str, Any], output: str | None) -> None:
-    text = json.dumps(_round12(payload), indent=2)
+    text = json.dumps(_round12(payload), indent=2, allow_nan=False)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -124,21 +109,19 @@ def _build_preset(args: argparse.Namespace) -> PureState:
     raise InvalidInputError(f"unknown preset {name!r}")
 
 
-def _load_target(args: argparse.Namespace) -> tuple[PureState | None, DensityMatrix]:
+def _load_target(args: argparse.Namespace) -> tuple[PureState | None, ElementSource]:
     """Resolve --state/--preset (+ --p white-noise mixing) to a target.
 
     Returns the pure state when one is available (file of kind "pure" or a
-    preset) alongside the density matrix actually analyzed.
+    preset) alongside the state actually analyzed.
     """
     if args.state and args.preset:
         raise InvalidInputError("give either --state or --preset, not both")
     if args.state:
-        loaded = load_state_json(args.state)
-        pure = loaded if isinstance(loaded, PureState) else None
-        rho = loaded.density() if isinstance(loaded, PureState) else loaded
+        rho = load_state_json(args.state)
+        pure = rho if isinstance(rho, PureState) else None
     elif args.preset:
-        pure = _build_preset(args)
-        rho = pure.density()
+        pure = rho = _build_preset(args)
     else:
         raise InvalidInputError("no input state: give --state FILE or --preset NAME")
 
@@ -146,9 +129,7 @@ def _load_target(args: argparse.Namespace) -> tuple[PureState | None, DensityMat
     if p != 1.0:
         if pure is None:
             raise InvalidInputError("--p mixes white noise into a pure state; input is mixed")
-        if not 0.0 <= p <= 1.0:
-            raise InvalidInputError(f"--p must lie in [0, 1], got {p}")
-        rho = white_noise_mix(pure, p)
+        rho = NoisyPureState(pure, p)
     return pure, rho
 
 
@@ -241,17 +222,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         spec = DickeWitnessSpec(pure.n, pure.d, args.m, delta_subsets=args.delta)
 
     if args.p_grid:
-        grid = _parse_grid(args.p_grid)
-
-        def point(p: float) -> list[float]:
-            rho = white_noise_mix(pure, p)
+        rows = []
+        for p in _parse_grid(args.p_grid):
+            rho = NoisyPureState(pure, p)
             row = [p, evaluate(w, rho)]
             if spec is not None:
                 row.append(q_witness(spec, rho))
-            return row
-
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            rows = list(pool.map(point, grid))
+            rows.append(row)
         header = ["p", "witness"] + (["q"] if spec is not None else [])
         _emit_csv(header, rows, args.output)
         return 0
@@ -283,7 +260,7 @@ def cmd_dicke(args: argparse.Namespace) -> int:
     else:
         target = make_dicke_state(args.n, args.d, args.m)
         p = getattr(args, "p", 1.0)
-        rho = white_noise_mix(target, p) if p != 1.0 else target.density()
+        rho = NoisyPureState(target, p) if p != 1.0 else target
     q = q_witness(spec, rho)
     bound = em_bound_from_q(spec, q, _variant(args))
     payload = {
@@ -369,7 +346,7 @@ def cmd_dimensionality(args: argparse.Namespace) -> int:
             state = PureState(args.n, args.d, {MultiIndex((0,) * args.n, args.d): 1.0})
         else:
             state = embed_pure(make_dicke_state(args.n, f, args.m), args.d)
-        q = q_witness(spec, state.density())
+        q = q_witness(spec, state)
         rows.append({"f": f, "q": q, "certificate": dimensionality_certificate(q, tol=args.tol)})
     payload = {"n": args.n, "d": args.d, "m": args.m, "rows": rows}
     _emit_json(payload, args.output)

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-from scipy.optimize import brentq
-
-from .errors import InvalidInputError, NotDetectingError
+from .errors import InvalidInputError
 from .indices import Bipartition, IndexPair, MultiIndex, differing_positions, permute_pair
-from .states import DensityMatrix, PureState, white_noise_mix
-from .witness import NRVariant, PairSet, compile_witness
+from .states import ElementSource, NoisyPureState, PureState
+from .witness import NRVariant, PairSet, _noise_root, compile_witness
+
+# one coherence of Q: the pattern pair (s1, s2) and its diagonal noise images
+QTerm = tuple[MultiIndex, MultiIndex, tuple[tuple[MultiIndex, MultiIndex], ...]]
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,27 @@ class DickeWitnessSpec:
             for b in subs
             if a != b and len(set(a) & set(b)) == self.m - 1
         ]
+
+    @cached_property
+    def terms(self) -> tuple[tuple[QTerm, ...], tuple[MultiIndex, ...]]:
+        """Everything Q reads, in evaluation order: the coherences with their
+        noise images, then the diagonal patterns.  Built once per spec, so a
+        threshold search or a sweep pays for it once."""
+        levels = range(self.d - 1)
+        sigma = self.sigma()
+        coherences = tuple(
+            (
+                self.pattern(alpha, l1),
+                self.pattern(beta, l2),
+                tuple(_pair_noise(self, alpha, beta, l1, l2)),
+            )
+            for l1 in levels
+            for l2 in levels
+            for alpha, beta in sigma
+            if self.sigma_ordered or (alpha, l1) <= (beta, l2)
+        )
+        diagonals = tuple(self.pattern(alpha, l) for l in levels for alpha in self.subsets())
+        return coherences, diagonals
 
 
 def _image_classes(
@@ -132,31 +155,21 @@ def _pair_noise(
     return _image_classes(s1, s2, None)
 
 
-def q_witness(spec: DickeWitnessSpec, rho: DensityMatrix) -> float:
-    """Evaluate Q on a density matrix."""
+def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float:
+    """Evaluate Q on a state."""
     if rho.n != spec.n or rho.d != spec.d:
         raise InvalidInputError(
             f"witness over (n={spec.n}, d={spec.d}), state over (n={rho.n}, d={rho.d})"
         )
-    levels = range(spec.d - 1)
+    coherences, diagonals = spec.terms
     total = 0.0
-    for l1 in levels:
-        for l2 in levels:
-            for alpha, beta in spec.sigma():
-                if not spec.sigma_ordered and (alpha, l1) > (beta, l2):
-                    continue
-                s1 = spec.pattern(alpha, l1)
-                s2 = spec.pattern(beta, l2)
-                total += abs(rho.element(s1, s2))
-                for img1, img2 in _pair_noise(spec, alpha, beta, l1, l2):
-                    da = max(rho.diagonal(img1), 0.0)
-                    db = max(rho.diagonal(img2), 0.0)
-                    total -= math.sqrt(da * db)
-    diag_mass = sum(
-        rho.diagonal(spec.pattern(alpha, l))
-        for l in levels
-        for alpha in spec.subsets()
-    )
+    for s1, s2, images in coherences:
+        total += abs(rho.element(s1, s2))
+        for img1, img2 in images:
+            da = max(rho.diagonal(img1), 0.0)
+            db = max(rho.diagonal(img2), 0.0)
+            total -= math.sqrt(da * db)
+    diag_mass = sum(rho.diagonal(eta) for eta in diagonals)
     return (total - spec.noise_weight * diag_mass) / spec.m
 
 
@@ -168,16 +181,7 @@ def noise_threshold_q(
     Mirrors witness.noise_threshold: root of p -> Q(p * target + (1-p) * I/dim)
     in [0, 1]; raises when Q is not positive even on the pure target.
     """
-
-    def f(p: float) -> float:
-        return q_witness(spec, white_noise_mix(target, p))
-
-    f1 = f(1.0)
-    if f1 <= 0.0:
-        raise NotDetectingError(f"Q = {f1!r} on the pure target is not positive")
-    if f(0.0) >= 0.0:
-        return 0.0
-    return float(brentq(f, 0.0, 1.0, xtol=xtol))
+    return _noise_root(lambda p: q_witness(spec, NoisyPureState(target, p)), xtol, "Q =")
 
 
 def dimensionality_certificate(q: float, tol: float = 1e-9) -> int:

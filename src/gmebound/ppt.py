@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .indices import Bipartition, IndexPair, MultiIndex, permute_pair
-from .states import DensityMatrix, partial_transpose
+from .states import DensityMatrix, ElementSource, partial_transpose
 
 
 def _check_antipodal(pair: IndexPair) -> None:
@@ -32,6 +32,19 @@ def _check_antipodal(pair: IndexPair) -> None:
             )
 
 
+def _images(pair: IndexPair, gamma: Bipartition) -> tuple[MultiIndex, MultiIndex]:
+    """The pair with its gamma digits exchanged, for a valid pair and cut."""
+    _check_antipodal(pair)
+    if gamma.n != pair.n:
+        raise InvalidInputError(f"gamma over n={gamma.n}, pair over n={pair.n}")
+    return permute_pair(gamma, pair.as_tuple())
+
+
+def _omega(pair: IndexPair, img1: MultiIndex, img2: MultiIndex, rho: ElementSource) -> float:
+    diag = 0.5 * (rho.diagonal(img1) + rho.diagonal(img2))
+    return diag - rho.element(pair.first, pair.second).real
+
+
 @dataclass(frozen=True)
 class PptWitness:
     pair: IndexPair
@@ -40,11 +53,8 @@ class PptWitness:
 
 
 def build_ppt_witness(pair: IndexPair, gamma: Bipartition) -> PptWitness:
-    _check_antipodal(pair)
-    if gamma.n != pair.n:
-        raise InvalidInputError(f"gamma over n={gamma.n}, pair over n={pair.n}")
+    img1, img2 = _images(pair, gamma)
     n, d = pair.n, pair.d
-    img1, img2 = permute_pair(gamma, pair.as_tuple())
     lam = np.zeros(d**n, dtype=complex)
     lam[img1.rank] = 1.0 / math.sqrt(2.0)
     lam[img2.rank] = -1.0 / math.sqrt(2.0)
@@ -57,11 +67,9 @@ def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
     return float(np.trace(w.operator @ rho.matrix).real)
 
 
-def ppt_expectation_elements(w: PptWitness, rho: DensityMatrix) -> float:
+def ppt_expectation_elements(w: PptWitness, rho: ElementSource) -> float:
     """The same expectation from four matrix elements."""
-    img1, img2 = permute_pair(w.gamma, w.pair.as_tuple())
-    diag = 0.5 * (rho.diagonal(img1) + rho.diagonal(img2))
-    return diag - rho.element(w.pair.first, w.pair.second).real
+    return _omega(w.pair, *permute_pair(w.gamma, w.pair.as_tuple()), rho)
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,11 @@ class PptComparison:
 
 
 def compare_with_witness_bracket(
-    pair: IndexPair, gamma: Bipartition, rho: DensityMatrix, atol: float = 1e-12
+    pair: IndexPair, gamma: Bipartition, rho: ElementSource, atol: float = 1e-12
 ) -> PptComparison:
-    w = build_ppt_witness(pair, gamma)
-    omega = ppt_expectation_elements(w, rho)
-    img1, img2 = permute_pair(gamma, pair.as_tuple())
+    """Omega from its four matrix elements; the dense operator is never built."""
+    img1, img2 = _images(pair, gamma)
+    omega = _omega(pair, img1, img2, rho)
     d1 = max(rho.diagonal(img1), 0.0)
     d2 = max(rho.diagonal(img2), 0.0)
     minus_w = math.sqrt(d1 * d2) - abs(rho.element(pair.first, pair.second))

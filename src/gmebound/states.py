@@ -2,11 +2,14 @@
 
 Pure states are stored sparsely (amplitudes keyed by :class:`MultiIndex`);
 density matrices are dense ``(d**n, d**n)`` complex arrays whose row/column
-order follows :attr:`MultiIndex.rank`.
+order follows :attr:`MultiIndex.rank`; white noise on a pure state is a view
+that is never materialised.  All three answer ``element()`` and
+``diagonal()``, which is all the witnesses read.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,9 +38,11 @@ class PureState:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 2:
             raise InvalidInputError(f"bad shape n={self.n}, d={self.d}")
-        for eta in self.amplitudes:
+        for eta, c in self.amplitudes.items():
             if eta.n != self.n or eta.d != self.d:
                 raise InvalidInputError(f"amplitude index {eta} does not match n={self.n}, d={self.d}")
+            if not cmath.isfinite(c):
+                raise InvalidInputError(f"amplitude of {eta} is not finite: {c!r}")
         norm2 = sum(abs(c) ** 2 for c in self.amplitudes.values())
         if abs(norm2 - 1.0) > 1e-10:
             raise InvalidInputError(f"state not normalized: |psi|^2 = {norm2!r}")
@@ -58,6 +63,47 @@ class PureState:
     def density(self) -> "DensityMatrix":
         vec = self.to_vector()
         return DensityMatrix(self.n, self.d, np.outer(vec, vec.conj()), validate=False)
+
+    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
+        """<eta1| psi><psi |eta2>, in the operation order of :meth:`density`."""
+        return complex(self.amplitude(eta1) * self.amplitude(eta2).conjugate())
+
+    def diagonal(self, eta: MultiIndex) -> float:
+        c = self.amplitude(eta)
+        return float((c * c.conjugate()).real)
+
+
+@dataclass(frozen=True)
+class NoisyPureState:
+    """p * |psi><psi| + (1-p) * I / d**n, read element by element.
+
+    Entries equal those of ``white_noise_mix(pure, p).matrix`` without ever
+    building the ``d**n x d**n`` array.
+    """
+
+    pure: PureState
+    p: float
+    noise: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.p <= 1.0):
+            raise InvalidInputError(f"mixing weight p={self.p} outside [0, 1]")
+        object.__setattr__(self, "noise", (1.0 - self.p) / self.pure.d**self.pure.n)
+
+    @property
+    def n(self) -> int:
+        return self.pure.n
+
+    @property
+    def d(self) -> int:
+        return self.pure.d
+
+    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
+        value = self.p * self.pure.element(eta1, eta2)
+        return value + self.noise if eta1 == eta2 else value
+
+    def diagonal(self, eta: MultiIndex) -> float:
+        return self.p * self.pure.diagonal(eta) + self.noise
 
 
 @dataclass
@@ -96,6 +142,10 @@ class DensityMatrix:
 
     def diagonal(self, eta: MultiIndex) -> float:
         return float(self.matrix[eta.rank, eta.rank].real)
+
+
+# what the witnesses read: element() and diagonal() over a fixed (n, d)
+ElementSource = PureState | NoisyPureState | DensityMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +307,12 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
 
     if kind == "pure":
         try:
-            records = payload["amplitudes"]
-            amplitudes = {
-                MultiIndex.from_string(rec["index"], d, n): complex(
-                    float(rec["re"]), float(rec.get("im", 0.0))
-                )
-                for rec in records
-            }
+            amplitudes: dict[MultiIndex, complex] = {}
+            for rec in payload["amplitudes"]:
+                eta = MultiIndex.from_string(rec["index"], d, n)
+                if eta in amplitudes:
+                    raise InvalidInputError(f"duplicate amplitude record for index {eta}")
+                amplitudes[eta] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad amplitude record in {path}: {exc}") from exc
         return PureState(n, d, amplitudes)

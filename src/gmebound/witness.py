@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from scipy.optimize import brentq
 
@@ -40,7 +40,7 @@ from .indices import (
     enumerate_bipartitions,
     permute_pair,
 )
-from .states import DensityMatrix, PureState, make_isotropic, white_noise_mix
+from .states import ElementSource, NoisyPureState, PureState, make_isotropic
 
 
 class NRVariant(Enum):
@@ -224,7 +224,7 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
     )
 
 
-def evaluate(w: CompiledWitness, rho: DensityMatrix) -> float:
+def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
     """The certified lower bound on E_m for this state (may be negative)."""
     if rho.n != w.n or rho.d != w.d:
         raise InvalidInputError(
@@ -241,10 +241,6 @@ def evaluate(w: CompiledWitness, rho: DensityMatrix) -> float:
         w.n_eta[eta] * max(rho.diagonal(eta), 0.0) for eta in w.index_set
     )
     return w.prefactor * (bracket - penalty)
-
-
-def evaluate_pure(w: CompiledWitness, psi: PureState) -> float:
-    return evaluate(w, psi.density())
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +330,31 @@ def auto_select_R(
 # derived quantities
 
 
+def _noise_root(f: Callable[[float], float], xtol: float, label: str) -> float:
+    """Root in [0, 1] of a witness value f(p) on the noisy line of a pure target.
+
+    Raises when f is not positive at p = 1 (nothing to tolerate) and returns 0
+    when f is still nonnegative at p = 0 (every mixture is detected).
+    """
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise InvalidInputError(f"root-finder tolerance must be positive and finite, got {xtol!r}")
+    f1 = f(1.0)
+    if f1 <= 0.0:
+        raise NotDetectingError(f"{label} {f1!r} on the pure target is not positive")
+    if f(0.0) >= 0.0:
+        return 0.0
+    return float(brentq(f, 0.0, 1.0, xtol=xtol))
+
+
 def noise_threshold(w: CompiledWitness, target: PureState, xtol: float = 1e-12) -> float:
     """Largest white-noise fraction the witness tolerates.
 
     Returns the root p* of  f(p) = bound(p * target + (1-p) * I/d**n)  in
     [0, 1]; the witness detects the mixture for every p > p*.
     """
-
-    def f(p: float) -> float:
-        return evaluate(w, white_noise_mix(target, p))
-
-    f1 = f(1.0)
-    if f1 <= 0.0:
-        raise NotDetectingError(
-            f"witness value {f1!r} on the pure target is not positive"
-        )
-    f0 = f(0.0)
-    if f0 >= 0.0:
-        return 0.0
-    return float(brentq(f, 0.0, 1.0, xtol=xtol))
+    return _noise_root(
+        lambda p: evaluate(w, NoisyPureState(target, p)), xtol, "witness value"
+    )
 
 
 def isotropic_pairset(d: int) -> PairSet:

@@ -191,9 +191,57 @@ def test_missing_input_is_input_error(capsys):
     assert main(["bound"]) == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch, singlet_r_file):
-    monkeypatch.setenv("GMEBOUND_THREADS", "zero")
-    code = main(
-        ["threshold", "--preset", "singlet4", "--r-set", singlet_r_file, "--p-grid", "0,1"]
-    )
+@pytest.mark.parametrize("xtol", ["-1", "0", "nan", "inf"])
+def test_threshold_rejects_nonsense_xtol(capsys, xtol):
+    assert main(["threshold", "--preset", "ghz", "--xtol", xtol]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def _pure_file(tmp_path, records):
+    path = tmp_path / "pure.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "kind": "pure", "amplitudes": records}))
+    return str(path)
+
+
+BELL = [{"index": "00", "re": 0.5**0.5}, {"index": "11", "re": 0.5**0.5}]
+BAD_PURE_FILES = {
+    "nan amplitude": (
+        [{"index": "00", "re": float("nan")}, {"index": "11", "re": 1.0}],
+        "not finite",
+    ),
+    "duplicate index": (BELL + [{"index": "00", "re": 0.0}], "duplicate"),
+}
+
+
+@pytest.mark.parametrize("command", ["entropy", "bound"])
+@pytest.mark.parametrize("case", sorted(BAD_PURE_FILES))
+def test_malformed_pure_records_are_input_errors(tmp_path, capsys, command, case):
+    records, message = BAD_PURE_FILES[case]
+    code = main([command, "--state", _pure_file(tmp_path, records)])
+    captured = capsys.readouterr()
     assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_pure_inputs_never_build_a_dense_matrix(monkeypatch, tmp_path, singlet_r_file):
+    """Thresholds, --p, sweeps and the Q witness read the pure state or its noisy view."""
+    import gmebound.states as states
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense d**n x d**n build on a pure-input path")
+
+    monkeypatch.setattr(states.PureState, "density", dense)
+    monkeypatch.setattr(states, "white_noise_mix", dense)
+    runs = [
+        ["threshold", "--preset", "ghz", "--n", "14"],
+        ["bound", "--preset", "ghz", "--n", "12", "--p", "0.7"],
+        ["threshold", "--preset", "singlet4", "--r-set", singlet_r_file,
+         "--compare-dicke", "--m", "2", "--p-grid", "0:1:11"],
+        ["dicke", "--n", "5", "--d", "3", "--m", "2", "--p", "0.8"],
+        ["ppt-compare", "--preset", "ghz", "--n", "10", "--p", "0.6",
+         "--pair", "0000000000,1111111111", "--gamma", "1"],
+        ["dimensionality", "--n", "4", "--d", "3", "--m", "2"],
+    ]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--output", str(tmp_path / f"{i}.out")]) == 0, argv

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gmebound.dicke_witness import (
     DickeWitnessSpec,
@@ -17,6 +18,7 @@ from gmebound.dicke_witness import (
 from gmebound.errors import InvalidInputError, NotDetectingError
 from gmebound.indices import MultiIndex
 from gmebound.states import (
+    NoisyPureState,
     PureState,
     embed_pure,
     make_dicke_state,
@@ -154,3 +156,28 @@ def test_white_noise_decreases_q_monotonically():
     target = make_dicke_state(4, 2, 2)
     values = [q_witness(spec, white_noise_mix(target, p)) for p in (1.0, 0.8, 0.6, 0.4)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+# Q on the white-noise (4,3,2) Dicke line at p = 0.8, per (sigma_ordered, delta)
+Q_AT_08 = {
+    (True, "all"): 176.0 / 135.0,
+    (True, "singles"): 184.0 / 135.0,
+    (False, "all"): -24.0 / 135.0,
+    (False, "singles"): -20.0 / 135.0,
+}
+
+
+@pytest.mark.parametrize("ordered,delta", sorted(Q_AT_08))
+def test_q_on_noisy_view_matches_dense_route(ordered, delta):
+    spec = DickeWitnessSpec(4, 3, 2, sigma_ordered=ordered, delta_subsets=delta)
+    target = make_dicke_state(4, 3, 2)
+    assert q_witness(spec, NoisyPureState(target, 0.8)) == pytest.approx(
+        Q_AT_08[(ordered, delta)], abs=1e-12
+    )
+    for p in (0.0, 0.35, 1.0):
+        assert q_witness(spec, NoisyPureState(target, p)) == pytest.approx(
+            q_witness(spec, white_noise_mix(target, p)), abs=1e-12
+        )
+    if ordered:
+        want = brentq(lambda p: q_witness(spec, white_noise_mix(target, p)), 0.0, 1.0, xtol=1e-14)
+        assert noise_threshold_q(spec, target) == pytest.approx(want, abs=1e-12)

@@ -11,6 +11,7 @@ from gmebound.errors import InvalidInputError
 from gmebound.indices import Bipartition, MultiIndex
 from gmebound.states import (
     DensityMatrix,
+    NoisyPureState,
     PureState,
     embed_pure,
     load_state_json,
@@ -72,6 +73,41 @@ def test_white_noise_mix_trace_and_interpolation():
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
     expect = 0.25 * w.density().matrix + 0.75 * np.eye(8) / 8
     assert np.allclose(rho.matrix, expect, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(2, 3),
+    st.integers(0, 2**31),
+    st.floats(0.0, 1.0),
+)
+def test_noisy_view_matches_dense_mixture(n, d, seed, p):
+    """The never-materialised view reads the entries of white_noise_mix."""
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    k = int(rng.integers(1, min(dim, 8) + 1))
+    ranks = rng.choice(dim, size=k, replace=False)
+    amps = rng.normal(size=k) + 1j * rng.normal(size=k)
+    amps /= np.linalg.norm(amps)
+    psi = PureState(
+        n, d, {MultiIndex.from_rank(int(r), n, d): complex(a) for r, a in zip(ranks, amps)}
+    )
+    etas = [MultiIndex.from_rank(r, n, d) for r in range(dim)]
+    for state, dense in (
+        (NoisyPureState(psi, p), white_noise_mix(psi, p).matrix),
+        (psi, psi.density().matrix),
+    ):
+        elements = np.array([[state.element(a, b) for b in etas] for a in etas])
+        diagonal = np.array([state.diagonal(a) for a in etas])
+        assert np.allclose(elements, dense, rtol=0.0, atol=1e-15)
+        assert np.allclose(diagonal, dense.diagonal().real, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
+def test_noisy_view_rejects_weight_outside_unit_interval(p):
+    with pytest.raises(InvalidInputError):
+        NoisyPureState(make_w_state(3), p)
 
 
 def test_isotropic_is_white_noise_on_max_entangled_pair():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import oracles
 from gmebound.entropy import gme_measure_pure
@@ -19,6 +20,7 @@ from gmebound.indices import IndexPair, MultiIndex
 from gmebound.states import (
     DensityMatrix,
     PureState,
+    make_dicke_state,
     make_ghz_state,
     make_isotropic,
     make_singlet4,
@@ -32,7 +34,6 @@ from gmebound.witness import (
     bipartite_bound_isotropic,
     compile_witness,
     evaluate,
-    evaluate_pure,
     isotropic_pairset,
     noise_threshold,
 )
@@ -67,7 +68,7 @@ def test_w_auto_selection_and_compile():
 def test_w_values_and_threshold():
     w = make_w_state(3)
     compiled = compile_witness(auto_select_R(w), NRVariant.MINIMAL)
-    assert evaluate_pure(compiled, w) == pytest.approx(W_PURE_VALUE, abs=1e-12)
+    assert evaluate(compiled, w) == pytest.approx(W_PURE_VALUE, abs=1e-12)
     assert evaluate(compiled, white_noise_mix(w, 0.0)) == pytest.approx(
         W_MAXMIXED_VALUE, abs=1e-12
     )
@@ -81,7 +82,7 @@ def test_ghz_single_pair_witness():
     compiled = compile_witness(r, NRVariant.MINIMAL)
     assert compiled.n_r == 0
     assert compiled.prefactor == pytest.approx(2.0, abs=1e-15)
-    assert evaluate_pure(compiled, g) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(compiled, g) == pytest.approx(1.0, abs=1e-12)
     assert noise_threshold(compiled, g) == pytest.approx(GHZ_THRESHOLD, abs=1e-10)
 
 
@@ -148,7 +149,7 @@ def test_auto_select_skips_cycle_partners():
     r = auto_select_R(psi)
     assert r.as_strings() == [["01", "10"]]
     compiled = compile_witness(r, NRVariant.MINIMAL)
-    assert evaluate_pure(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
+    assert evaluate(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
 
 
 def test_pairset_dedupes_and_validates():
@@ -205,7 +206,7 @@ def test_witness_never_exceeds_measure(shape, size, seed, variant):
     except AnalysisError:
         # degenerate selection or a cut the support cannot cover: no witness
         return
-    assert evaluate_pure(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
+    assert evaluate(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,4 +237,48 @@ def test_singlet_evaluate_matches_direct_recomputation_both_variants():
         want = oracles.witness_value_direct(
             [tuple(p) for p in SINGLET_R], rho_mat, 4, 2, variant=name
         )
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def _max_entangled(d: int) -> PureState:
+    return PureState(2, d, {MultiIndex((j, j), d): 1 / math.sqrt(d) for j in range(d)})
+
+
+def _dense_oracle_threshold(psi: PureState, pairs: list[tuple[str, str]], variant: str) -> float:
+    """Root of the oracle bound on p|psi><psi| + (1-p) I/d**n, built as dense arrays."""
+    dim = psi.d**psi.n
+    vec = np.zeros(dim, dtype=complex)
+    for eta, c in psi.amplitudes.items():
+        vec[int(str(eta), psi.d)] = c
+    proj = np.outer(vec, vec.conj())
+    noise = np.eye(dim) / dim
+
+    def f(p: float) -> float:
+        rho = p * proj + (1.0 - p) * noise
+        return oracles.witness_value_direct(pairs, rho, psi.n, psi.d, variant)
+
+    return brentq(f, 0.0, 1.0, xtol=1e-14)
+
+
+NOISY_TARGETS = (
+    [(f"w{n}", make_w_state, (n,)) for n in range(3, 9)]
+    + [(f"ghz{n}", make_ghz_state, (n, 2)) for n in range(3, 9)]
+    + [(f"ghz{n}-d3", make_ghz_state, (n, 3)) for n in (3, 4, 5)]
+    + [("dicke-4-3-2", make_dicke_state, (4, 3, 2)), ("dicke-5-3-2", make_dicke_state, (5, 3, 2))]
+    + [("singlet4", make_singlet4, ())]
+    + [(f"isotropic-d{d}", _max_entangled, (d,)) for d in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "make, args", [t[1:] for t in NOISY_TARGETS], ids=[t[0] for t in NOISY_TARGETS]
+)
+def test_threshold_matches_dense_oracle_root(make, args):
+    """Thresholds read through the noisy-pure view agree with a dense oracle root."""
+    psi = make(*args)
+    r = auto_select_R(psi)
+    pairs = [tuple(p) for p in r.as_strings()]
+    for variant in NRVariant:
+        got = noise_threshold(compile_witness(r, variant), psi)
+        want = _dense_oracle_threshold(psi, pairs, variant.value)
         assert got == pytest.approx(want, abs=1e-12)
