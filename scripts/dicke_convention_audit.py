@@ -22,11 +22,11 @@ CALIBRATION = [(3, 2, 1), (4, 2, 1), (4, 2, 2), (5, 2, 2), (3, 3, 1), (4, 3, 2)]
 def main() -> int:
     print(f"{'(n,d,m)':>10} {'sigma':>9} {'delta':>8} {'Q(target)':>12} {'expected':>9}")
     for n, d, m in CALIBRATION:
-        rho = make_dicke_state(n, d, m).density()
+        state = make_dicke_state(n, d, m)
         for ordered in (True, False):
             for delta in ("all", "singles"):
                 spec = DickeWitnessSpec(n, d, m, sigma_ordered=ordered, delta_subsets=delta)
-                q = q_witness(spec, rho)
+                q = q_witness(spec, state)
                 tag = "ordered" if ordered else "unordered"
                 print(f"{(n, d, m)!s:>10} {tag:>9} {delta:>8} {q:>12.6f} {d - 1:>9}")
 

@@ -109,6 +109,12 @@ def _build_preset(args: argparse.Namespace) -> PureState:
     raise InvalidInputError(f"unknown preset {name!r}")
 
 
+def _check_digit_strings(d: int) -> None:
+    """Indices are read and printed one character per digit, so d must stay <= 10."""
+    if d > 10:
+        raise InvalidInputError(f"digit-string indices need d <= 10, got d={d}")
+
+
 def _load_target(args: argparse.Namespace) -> tuple[PureState | None, ElementSource]:
     """Resolve --state/--preset (+ --p white-noise mixing) to a target.
 
@@ -124,6 +130,7 @@ def _load_target(args: argparse.Namespace) -> tuple[PureState | None, ElementSou
         pure = rho = _build_preset(args)
     else:
         raise InvalidInputError("no input state: give --state FILE or --preset NAME")
+    _check_digit_strings(rho.d)
 
     p = getattr(args, "p", 1.0)
     if p != 1.0:
@@ -311,6 +318,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
         pure, n, d = None, args.n, args.d
         if n is None or d is None:
             raise InvalidInputError("measure-plan needs --state/--preset or --r-set with --n --d")
+        _check_digit_strings(d)
     r = _resolve_pairset(args, pure, n, d)
     w = compile_witness(r, _variant(args))
     plan = plan_settings(w, include_imag=args.include_imag)

@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import InvalidInputError
 from .indices import Bipartition, enumerate_bipartitions, permute_pair
-from .states import DensityMatrix, PureState, partial_trace
+from .states import PureState, partial_trace
 
 
 def linear_entropy_trace(psi: PureState, gamma: Bipartition) -> float:
@@ -86,9 +86,3 @@ def renyi2_from_linear(s_linear: float) -> float:
     if purity <= 0.0:
         raise InvalidInputError(f"S_L = {s_linear} implies nonpositive purity")
     return -math.log2(purity)
-
-
-def purity_from_reduction(rho: DensityMatrix, gamma: Bipartition) -> float:
-    """Tr rho_gamma**2 for an arbitrary (possibly mixed) state; used by oracles."""
-    reduced = partial_trace(rho, gamma)
-    return float((reduced.matrix @ reduced.matrix).trace().real)

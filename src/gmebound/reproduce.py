@@ -140,7 +140,7 @@ def check_dicke_calibration() -> CheckResult:
     tuples = [(3, 2, 1), (4, 2, 1), (4, 2, 2), (5, 2, 2), (3, 3, 1), (4, 3, 2)]
     errs = {}
     for n, d, m in tuples:
-        q = q_witness(DickeWitnessSpec(n, d, m), make_dicke_state(n, d, m).density())
+        q = q_witness(DickeWitnessSpec(n, d, m), make_dicke_state(n, d, m))
         errs[(n, d, m)] = abs(q - (d - 1))
     worst = max(errs.values())
     passed = worst <= 1e-9
@@ -343,7 +343,7 @@ def check_soundness(seed: int = SEED) -> CheckResult:
                 w = compile_witness(r, variant)
             except AnalysisError:
                 continue
-            worst_gap = max(worst_gap, evaluate(w, psi.density()) - e_m)
+            worst_gap = max(worst_gap, evaluate(w, psi) - e_m)
         evaluated += 1
     pure_ok = worst_gap <= 1e-9
 
@@ -428,7 +428,7 @@ def check_dicke_em_bounds(seed: int = SEED) -> CheckResult:
                     if abs(vec[i]) > 0
                 },
             )
-            q = q_witness(spec, psi.density())
+            q = q_witness(spec, psi)
             bound = em_bound_from_q(spec, q).weak
             worst_gap = max(worst_gap, bound - gme_measure_pure(psi).e_m)
     bound_ok = worst_gap <= 1e-9

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .indices import Bipartition, MultiIndex
 
-NORM_ATOL = 1e-12
+NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGMIN_ATOL = -1e-10
@@ -44,7 +44,7 @@ class PureState:
             if not cmath.isfinite(c):
                 raise InvalidInputError(f"amplitude of {eta} is not finite: {c!r}")
         norm2 = sum(abs(c) ** 2 for c in self.amplitudes.values())
-        if abs(norm2 - 1.0) > 1e-10:
+        if abs(norm2 - 1.0) > NORM_ATOL:
             raise InvalidInputError(f"state not normalized: |psi|^2 = {norm2!r}")
 
     @property

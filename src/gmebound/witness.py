@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -36,8 +37,8 @@ from .indices import (
     Bipartition,
     IndexPair,
     MultiIndex,
-    differing_positions,
     enumerate_bipartitions,
+    pair_is_fixed,
     permute_pair,
 )
 from .states import ElementSource, NoisyPureState, PureState, make_isotropic
@@ -95,9 +96,6 @@ class PairSet:
     def __iter__(self):
         return iter(self.pairs)
 
-    def __contains__(self, pair: IndexPair) -> bool:
-        return pair in set(self.pairs)
-
     def as_strings(self) -> list[list[str]]:
         return [[str(p.first), str(p.second)] for p in self.pairs]
 
@@ -122,9 +120,8 @@ class CompiledWitness:
     variant: NRVariant
     n_r: int
     prefactor: float
-    # per pair: the bipartitions whose permuted image falls outside R ...
-    gamma_sets: dict[IndexPair, tuple[Bipartition, ...]]
-    # ... and the distinct unordered images those bipartitions produce
+    # per pair: the distinct unordered images outside R, in order of the first
+    # bipartition that produces each
     noise_images: dict[IndexPair, tuple[IndexPair, ...]]
     index_set: tuple[MultiIndex, ...]
     n_eta: dict[MultiIndex, int]
@@ -149,19 +146,22 @@ def _not_counted(
     exactly R^gamma.  In the maximal variant only |R| - N_R pairs are counted
     (taken in selection order); the excess joins R^gamma.
     """
+    if variant is NRVariant.MINIMAL:
+        return uncounted
     budget = len(r) - n_r
     out: dict[Bipartition, list[IndexPair]] = {}
     for gamma, core in uncounted.items():
-        if variant is NRVariant.MINIMAL:
-            out[gamma] = list(core)
-            continue
-        moving = [p for p in r if p not in set(core)]
-        out[gamma] = list(core) + moving[budget:]
+        stays = set(core)
+        out[gamma] = core + [p for p in r if p not in stays][budget:]
     return out
 
 
 def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> CompiledWitness:
-    """Precompute image sets, the prefactor, and the diagonal multiplicities."""
+    """Precompute image sets, the prefactor, and the diagonal multiplicities.
+
+    Each pair is permuted once under each bipartition; that one image decides
+    both whether the pair belongs to R^gamma and which noise image it adds.
+    """
     bips = enumerate_bipartitions(r.n)
     r_set = set(r.pairs)
 
@@ -169,10 +169,18 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
     # by gamma (their own image) and pairs exchanged with another selected
     # pair; neither kind carries usable coherence across that cut, so both
     # fall back to the diagonal penalty.
-    uncounted: dict[Bipartition, list[IndexPair]] = {
-        g: [p for p in r if IndexPair.of(*permute_pair(g, p.as_tuple())) in r_set]
-        for g in bips
-    }
+    uncounted: dict[Bipartition, list[IndexPair]] = {g: [] for g in bips}
+    noise_images: dict[IndexPair, tuple[IndexPair, ...]] = {}
+    for pair in r:
+        images: dict[IndexPair, None] = {}
+        for g in bips:
+            img = IndexPair.of(*permute_pair(g, pair.as_tuple()))
+            if img in r_set:
+                uncounted[g].append(pair)
+            else:
+                images[img] = None
+        noise_images[pair] = tuple(images)
+
     uncounted_profile = {g: len(v) for g, v in uncounted.items()}
     if variant is NRVariant.MINIMAL:
         n_r = min(uncounted_profile.values())
@@ -185,38 +193,18 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
         )
     prefactor = 2.0 * math.sqrt(1.0 / (len(r) - n_r))
 
-    gamma_sets: dict[IndexPair, tuple[Bipartition, ...]] = {}
-    noise_images: dict[IndexPair, tuple[IndexPair, ...]] = {}
-    for pair in r:
-        gammas: list[Bipartition] = []
-        images: list[IndexPair] = []
-        seen: set[IndexPair] = set()
-        for g in bips:
-            img = IndexPair.of(*permute_pair(g, pair.as_tuple()))
-            if img in r_set:
-                continue
-            gammas.append(g)
-            if img not in seen:
-                seen.add(img)
-                images.append(img)
-        gamma_sets[pair] = tuple(gammas)
-        noise_images[pair] = tuple(images)
-
     index_set = tuple(sorted({eta for p in r for eta in p.as_tuple()}))
-
-    not_counted = _not_counted(r, uncounted, n_r, variant)
-    n_eta: dict[MultiIndex, int] = {}
-    for eta in index_set:
-        n_eta[eta] = max(
-            sum(1 for p in pairs if eta in p.as_tuple()) for pairs in not_counted.values()
-        )
+    n_eta = dict.fromkeys(index_set, 0)
+    for pairs in _not_counted(r, uncounted, n_r, variant).values():
+        counts = Counter(eta for p in pairs for eta in p.as_tuple())
+        for eta, k in counts.items():
+            n_eta[eta] = max(n_eta[eta], k)
 
     return CompiledWitness(
         r=r,
         variant=variant,
         n_r=n_r,
         prefactor=prefactor,
-        gamma_sets=gamma_sets,
         noise_images=noise_images,
         index_set=index_set,
         n_eta=n_eta,
@@ -247,17 +235,6 @@ def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
 # pair selection
 
 
-def _coverage(pair: IndexPair, bips: Sequence[Bipartition]) -> frozenset[Bipartition]:
-    """Bipartitions for which the pair is not fixed (= entropy-sensitive cuts)."""
-    diff = differing_positions(pair.as_tuple())
-    covered = []
-    for g in bips:
-        inter = g.parties & diff
-        if inter and inter != diff:
-            covered.append(g)
-    return frozenset(covered)
-
-
 def auto_select_R(
     target: PureState, tau: float = 1e-6, max_pairs: int | None = None
 ) -> PairSet:
@@ -275,7 +252,7 @@ def auto_select_R(
     candidates: list[tuple[IndexPair, frozenset[Bipartition], float]] = []
     for a, b in combinations(support, 2):
         pair = IndexPair.of(a, b)
-        covered = _coverage(pair, bips)
+        covered = frozenset(g for g in bips if not pair_is_fixed(g, pair))
         if not covered:
             continue
         weight = abs(target.amplitudes[a] * target.amplitudes[b])

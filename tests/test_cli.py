@@ -197,9 +197,9 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
     assert "tolerance" in capsys.readouterr().err
 
 
-def _pure_file(tmp_path, records):
+def _pure_file(tmp_path, records, d=2):
     path = tmp_path / "pure.json"
-    path.write_text(json.dumps({"n": 2, "d": 2, "kind": "pure", "amplitudes": records}))
+    path.write_text(json.dumps({"n": 2, "d": d, "kind": "pure", "amplitudes": records}))
     return str(path)
 
 
@@ -221,6 +221,27 @@ def test_malformed_pure_records_are_input_errors(tmp_path, capsys, command, case
     captured = capsys.readouterr()
     assert code == 2
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--preset", "ghz", "--n", "3", "--d", "11"],
+        ["entropy", "--state", "{state}"],
+        ["measure-plan", "--r-set", "{pairs}", "--n", "2", "--d", "11"],
+    ],
+    ids=["preset", "state file", "r-set"],
+)
+def test_digit_strings_reject_d_above_10(tmp_path, capsys, argv):
+    """Indices print one character per digit, so d = 11 would be ambiguous."""
+    state = _pure_file(tmp_path, BELL, d=11)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([["00", "11"]]))
+    code = main([a.format(state=state, pairs=pairs) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "d <= 10" in captured.err
     assert captured.out == ""
 
 

@@ -1,6 +1,7 @@
 """Witness compilation and evaluation against frozen reference selections."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -123,6 +124,23 @@ def test_isotropic_formula_and_tightness():
         )
 
 
+@pytest.mark.parametrize("variant", list(NRVariant))
+def test_compile_permutes_each_pair_once_per_cut(monkeypatch, variant):
+    import gmebound.witness as witness_module
+
+    calls = []
+    permute = witness_module.permute_pair
+
+    def counted(gamma, pair):
+        calls.append(gamma)
+        return permute(gamma, pair)
+
+    monkeypatch.setattr(witness_module, "permute_pair", counted)
+    r = PairSet.from_strings(SINGLET_R, 4, 2)
+    compile_witness(r, variant)
+    assert len(calls) == len(r) * (2 ** (4 - 1) - 1)
+
+
 def test_degenerate_single_fixed_pair_rejected():
     r = PairSet.from_strings([["000", "100"]], 3, 2)
     with pytest.raises(DegenerateSelectionError):
@@ -209,22 +227,43 @@ def test_witness_never_exceeds_measure(shape, size, seed, variant):
     assert evaluate(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31), st.sampled_from(list(NRVariant)))
-def test_evaluate_matches_direct_recomputation(seed, variant):
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 3),
+    st.integers(2, 8),
+    st.integers(0, 2**31),
+    st.sampled_from(list(NRVariant)),
+)
+def test_evaluate_matches_direct_recomputation(n, d, size, seed, variant):
+    """N_R, the noise images and N_eta together against the oracle's own image loop."""
     rng = np.random.default_rng(seed)
-    rho_mat = oracles.random_density(3, 2, rng)
-    rho = DensityMatrix(3, 2, rho_mat)
-    r = PairSet.from_strings([["001", "010"], ["001", "100"], ["010", "100"]], 3, 2)
-    compiled = compile_witness(r, variant)
-    want = oracles.witness_value_direct(
-        [tuple(p) for p in r.as_strings()],
-        rho_mat,
-        3,
-        2,
-        variant="min" if variant is NRVariant.MINIMAL else "max",
+    w_rho = oracles.random_density(3, 2, rng)
+    w_r = PairSet.from_strings([["001", "010"], ["001", "100"], ["010", "100"]], 3, 2)
+
+    candidates = list(combinations(range(d**n), 2))
+    picks = rng.choice(len(candidates), size=min(size, len(candidates)), replace=False)
+    r = PairSet.of(
+        (
+            IndexPair.of(*(MultiIndex.from_rank(int(k), n, d) for k in candidates[i]))
+            for i in picks
+        ),
+        n,
+        d,
     )
-    assert evaluate(compiled, rho) == pytest.approx(want, abs=1e-12)
+    rho_mat = oracles.random_density(n, d, rng)
+
+    for sel, mat in ((w_r, w_rho), (r, rho_mat)):
+        pairs = [tuple(p) for p in sel.as_strings()]
+        try:
+            compiled = compile_witness(sel, variant)
+        except DegenerateSelectionError:
+            with pytest.raises(ValueError):
+                oracles.witness_value_direct(pairs, mat, sel.n, sel.d, variant.value)
+            continue
+        want = oracles.witness_value_direct(pairs, mat, sel.n, sel.d, variant.value)
+        got = evaluate(compiled, DensityMatrix(sel.n, sel.d, mat))
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_singlet_evaluate_matches_direct_recomputation_both_variants():
