@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .dicke_witness import (
     DickeWitnessSpec,
@@ -152,19 +152,34 @@ def _variant(args: argparse.Namespace) -> NRVariant:
     return NRVariant.MINIMAL if args.nr == "min" else NRVariant.MAXIMAL
 
 
+def _number(convert: Callable[[str], Any], field: str, flag: str) -> Any:
+    """``convert(field)``, with a malformed number reported as an input error."""
+    try:
+        return convert(field)
+    except ValueError:
+        raise InvalidInputError(f"{flag}: {field!r} is not a number") from None
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    for flag in ("tol", "tau"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise InvalidInputError(f"--{flag} must be finite, got {value}")
+
+
 def _parse_grid(text: str) -> list[float]:
     """Either comma-separated values or start:stop:count."""
     if ":" in text:
         fields = text.split(":")
         if len(fields) != 3:
             raise InvalidInputError(f"grid {text!r} is not start:stop:count")
-        start, stop = float(fields[0]), float(fields[1])
-        count = int(fields[2])
+        start, stop = (_number(float, f, "--p-grid") for f in fields[:2])
+        count = _number(int, fields[2], "--p-grid")
         if count < 2:
             raise InvalidInputError("grid needs at least 2 points")
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
-    return [float(v) for v in text.split(",")]
+    return [_number(float, v, "--p-grid") for v in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +306,15 @@ def cmd_dicke(args: argparse.Namespace) -> int:
 
 def cmd_ppt_compare(args: argparse.Namespace) -> int:
     _, rho = _load_target(args)
-    first, second = (s.strip() for s in args.pair.split(","))
+    fields = [s.strip() for s in args.pair.split(",")]
+    if len(fields) != 2:
+        raise InvalidInputError(f"--pair needs two indices 'a,b', got {args.pair!r}")
+    first, second = fields
     pair = IndexPair.of(
         MultiIndex.from_string(first, rho.d, rho.n),
         MultiIndex.from_string(second, rho.d, rho.n),
     )
-    parties = frozenset(int(tok) for tok in args.gamma.split(","))
+    parties = frozenset(_number(int, tok, "--gamma") for tok in args.gamma.split(","))
     gamma = Bipartition.of(parties, rho.n)
     cmp = compare_with_witness_bracket(pair, gamma, rho)
     payload = {
@@ -327,7 +345,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
         "d": plan.d,
         "element_count": plan.element_count,
         "setting_count": plan.setting_count,
-        "settings": plan.settings_as_strings(),
+        "settings": plan.settings,
         "elements": [
             {
                 "kind": el.kind,
@@ -476,6 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,10 +79,3 @@ def gme_measure_pure(psi: PureState, method: str = "coeff") -> EntropyReport:
     s_min = max(entropies[minimizer], 0.0)
     return EntropyReport(entropies, minimizer, math.sqrt(s_min))
 
-
-def renyi2_from_linear(s_linear: float) -> float:
-    """Renyi-2 entropy -log2(Tr rho**2) expressed through S_L = 2(1 - Tr rho**2)."""
-    purity = (2.0 - s_linear) / 2.0
-    if purity <= 0.0:
-        raise InvalidInputError(f"S_L = {s_linear} implies nonpositive purity")
-    return -math.log2(purity)

@@ -10,11 +10,13 @@ Every element is written over the generalized Gell-Mann basis:
 Single-site identities used throughout (j < k):
 
     |k><j| = (s - i a)/2          |j><k| = (s + i a)/2
-    |j><j| = id/d + sum_l (d_l[j,j]/2) d_l
+    |j><j| = id/d + sum_{l >= max(j,1)} (d_l[j,j]/2) d_l
 
-A *setting* is the tuple of per-site labels to measure; identity slots are
-wildcards that fold into any fuller setting, so the reported settings are the
-maximal label tuples.
+with d_l[j,j] = sqrt(2/(l(l+1))) for j < l and -l sqrt(2/(l(l+1))) for j = l.
+
+A *setting* is the tuple of per-site labels to measure: an identity-free label
+tuple from some element's decomposition.  A term with identity slots is read
+from any setting that matches its committed labels.
 """
 
 from __future__ import annotations
@@ -35,67 +37,28 @@ Label = str | None  # None marks an identity slot
 Term = tuple[float, tuple[Label, ...]]
 
 
-@dataclass(frozen=True)
-class GellMannOp:
-    """One basis operator for a single d-level site."""
-
-    kind: str  # "id" | "s" | "a" | "d"
-    d: int
-    j: int = 0
-    k: int = 0
-
-    @property
-    def label(self) -> str:
-        if self.kind == "id":
-            return "id"
-        if self.kind == "d":
-            return f"d{self.j}"
-        return f"{self.kind}{self.j}:{self.k}"
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.d, self.d), dtype=complex)
-        if self.kind == "id":
-            return np.eye(self.d, dtype=complex)
-        if self.kind == "s":
-            m[self.j, self.k] = 1.0
-            m[self.k, self.j] = 1.0
-        elif self.kind == "a":
-            m[self.j, self.k] = -1.0j
-            m[self.k, self.j] = 1.0j
-        elif self.kind == "d":
-            l = self.j
-            scale = math.sqrt(2.0 / (l * (l + 1)))
-            for i in range(l):
-                m[i, i] = scale
-            m[l, l] = -l * scale
-        else:
-            raise InvalidInputError(f"unknown operator kind {self.kind!r}")
-        return m
-
-
-def gell_mann_basis(d: int) -> list[GellMannOp]:
-    """The d**2 operators: identity, all s/a pairs, the d-1 diagonal ones."""
-    ops = [GellMannOp("id", d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            ops.append(GellMannOp("s", d, j, k))
-    for j in range(d):
-        for k in range(j + 1, d):
-            ops.append(GellMannOp("a", d, j, k))
-    for l in range(1, d):
-        ops.append(GellMannOp("d", d, l))
-    return ops
-
-
 @lru_cache(maxsize=None)
 def op_matrix(label: Label, d: int) -> np.ndarray:
+    """Matrix of one site label: ``id`` (or None), ``s{j}:{k}``, ``a{j}:{k}`` or ``d{l}``."""
     if label is None or label == "id":
         return np.eye(d, dtype=complex)
+    m = np.zeros((d, d), dtype=complex)
     if label.startswith("d"):
-        return GellMannOp("d", d, int(label[1:])).matrix()
+        l = int(label[1:])
+        scale = math.sqrt(2.0 / (l * (l + 1)))
+        for i in range(l):
+            m[i, i] = scale
+        m[l, l] = -l * scale
+        return m
     kind = label[0]
-    j, k = label[1:].split(":")
-    return GellMannOp(kind, d, int(j), int(k)).matrix()
+    j, k = (int(t) for t in label[1:].split(":"))
+    if kind == "s":
+        m[j, k] = m[k, j] = 1.0
+    elif kind == "a":
+        m[j, k], m[k, j] = -1.0j, 1.0j
+    else:
+        raise InvalidInputError(f"unknown operator kind {kind!r}")
+    return m
 
 
 def term_operator(labels: tuple[Label, ...], d: int) -> np.ndarray:
@@ -113,10 +76,9 @@ def _site_factor(a: int, b: int, d: int) -> list[tuple[complex, Label]]:
     """Decomposition of |b><a| on one site (bra digit a, ket digit b)."""
     if a == b:
         terms: list[tuple[complex, Label]] = [(1.0 / d, None)]
-        for l in range(1, d):
-            diag = GellMannOp("d", d, l).matrix()[a, a].real
-            if diag != 0.0:
-                terms.append((diag / 2.0, f"d{l}"))
+        for l in range(max(a, 1), d):
+            scale = math.sqrt(2.0 / (l * (l + 1)))
+            terms.append(((scale if a < l else -l * scale) / 2.0, f"d{l}"))
         return terms
     lo, hi = (a, b) if a < b else (b, a)
     sign = -1.0j if a < b else 1.0j  # |hi><lo| carries -i a, |lo><hi| carries +i a
@@ -192,19 +154,9 @@ class DecompositionPlan:
     def setting_count(self) -> int:
         return len(self.settings)
 
-    def settings_as_strings(self) -> list[list[str]]:
-        return [[lab if lab is not None else "id" for lab in s] for s in self.settings]
-
-
-def _folds_into(key: tuple[Label, ...], other: tuple[Label, ...]) -> bool:
-    """True when every committed slot of ``key`` is matched by ``other``."""
-    if key == other:
-        return False
-    return all(a is None or a == b for a, b in zip(key, other))
-
 
 def plan_settings(w: CompiledWitness, include_imag: bool = False) -> DecompositionPlan:
-    """Elements the witness needs and the folded local measurement settings.
+    """Elements the witness needs and the local measurement settings.
 
     Diagonals enter through the noise images and through I(R) entries with a
     nonzero multiplicity; off-diagonals need only their real part unless
@@ -236,9 +188,13 @@ def plan_settings(w: CompiledWitness, include_imag: bool = False) -> Decompositi
     for eta in sorted(diag_strings):
         elements.append(PlanElement("diag", (str(eta),), tuple(decompose_diagonal(eta))))
 
-    keys = {labels for el in elements for _, labels in el.terms}
-    maximal = [k for k in keys if not any(_folds_into(k, other) for other in keys)]
-    maximal.sort(key=lambda t: tuple(x if x is not None else "" for x in t))
-    return DecompositionPlan(
-        n=w.n, d=w.d, elements=tuple(elements), settings=tuple(maximal)
-    )
+    # The settings are the label keys with no identity slot, and no fold is
+    # needed.  Every identity slot comes from a diagonal site, whose factor
+    # |a><a| = id/d + sum_{l >= max(a,1)} (d_l[a,a]/2) d_l always holds a
+    # committed label with a real, nonzero weight.  Putting that label in the
+    # slot multiplies the term's weight by a real nonzero number, so the part
+    # decompose_* keeps stays nonzero and the filled-in key is a term of the
+    # same element.  A key with no identity slot folds only into itself, so
+    # these keys are exactly the maximal ones.
+    settings = sorted({k for el in elements for _, k in el.terms if None not in k})
+    return DecompositionPlan(n=w.n, d=w.d, elements=tuple(elements), settings=tuple(settings))

@@ -140,6 +140,21 @@ def local_op(label: str | None, d: int) -> np.ndarray:
     raise ValueError(f"unknown label {label!r}")
 
 
+def maximal_label_keys(keys) -> list[tuple[str | None, ...]]:
+    """Label tuples that no other tuple covers, by an all-pairs scan.
+
+    ``None`` is an identity slot: ``key`` folds into ``other`` when every
+    committed slot of ``key`` holds the same label in ``other``.
+    """
+    keys = set(keys)
+
+    def folds(key, other):
+        return key != other and all(a is None or a == b for a, b in zip(key, other))
+
+    maximal = [k for k in keys if not any(folds(k, other) for other in keys)]
+    return sorted(maximal, key=lambda t: tuple("" if x is None else x for x in t))
+
+
 def expectation(labels: tuple[str | None, ...], rho: np.ndarray, d: int) -> float:
     op = np.array([[1.0]], dtype=complex)
     for lab in labels:

@@ -197,6 +197,27 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dicke --n 4 --d 2 --m 2 --tol nan",
+        "dimensionality --n 4 --d 2 --m 2 --tol nan",
+        "bound --preset w --n 3 --tol nan",
+        "bound --preset w --n 3 --tau nan",
+        "ppt-compare --preset ghz --n 3 --pair 000111 --gamma 1",
+        "ppt-compare --preset ghz --n 3 --pair 000,111 --gamma x",
+        "threshold --preset w --n 3 --p-grid a,b",
+        "threshold --preset w --n 3 --p-grid 0:1:x",
+    ],
+)
+def test_malformed_flags_are_input_errors(capsys, argv):
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def _pure_file(tmp_path, records, d=2):
     path = tmp_path / "pure.json"
     path.write_text(json.dumps({"n": 2, "d": d, "kind": "pure", "amplitudes": records}))

@@ -52,6 +52,34 @@ def test_r_sigma_count_matches_closed_form(n, d, m):
     assert r_sigma_size(spec) == (d - 1) ** 2 * math.comb(n, m) * m * (n - m) // 2
 
 
+# How the Q defaults (ordered sigma, delta "all") were pinned: only ordered
+# sigma reaches the d-1 calibration on the targets and the singlet crossing;
+# "singles" coincides with "all" at n = 3 and subtracts less for n >= 4.
+UNORDERED_Q = {(4, 2, 1): -0.5, (5, 2, 2): -0.5}
+
+
+@pytest.mark.parametrize("delta", ["all", "singles"])
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("n,d,m", CALIBRATION)
+def test_q_convention_table(n, d, m, ordered, delta):
+    spec = DickeWitnessSpec(n, d, m, sigma_ordered=ordered, delta_subsets=delta)
+    want = d - 1 if ordered else UNORDERED_Q.get((n, d, m), 0.0)
+    assert q_witness(spec, make_dicke_state(n, d, m)) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("delta", ["all", "singles"])
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+def test_singlet_crossing_per_convention(ordered, delta):
+    spec = DickeWitnessSpec(4, 2, 2, sigma_ordered=ordered, delta_subsets=delta)
+    if ordered:
+        assert noise_threshold_q(spec, make_singlet4()) == pytest.approx(
+            SINGLET_Q_CROSSING, abs=1e-9
+        )
+    else:
+        with pytest.raises(NotDetectingError):
+            noise_threshold_q(spec, make_singlet4())
+
+
 def test_noise_weight_formula():
     assert DickeWitnessSpec(4, 2, 2).noise_weight == 2
     assert DickeWitnessSpec(4, 3, 2).noise_weight == 4

@@ -4,19 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from gmebound.errors import DegenerateSelectionError
 from gmebound.indices import IndexPair, MultiIndex
 from gmebound.observables import (
     decompose_diagonal,
     decompose_offdiagonal,
-    gell_mann_basis,
     op_matrix,
     plan_settings,
     reconstruct,
 )
 from gmebound.states import DensityMatrix, make_w_state
-from gmebound.witness import NRVariant, auto_select_R, compile_witness, isotropic_pairset
+from gmebound.witness import (
+    NRVariant,
+    PairSet,
+    auto_select_R,
+    compile_witness,
+    isotropic_pairset,
+)
 
 # diagonal |0><0| x |1><1| over the product-diagonal basis, exact values
 QUTRIT_01_ROW = {
@@ -32,11 +40,19 @@ QUTRIT_01_ROW = {
 }
 
 
+def _basis_labels(d):
+    """The d**2 labels: identity, all s/a pairs, the d-1 diagonal ones."""
+    pairs = [f"{j}:{k}" for j in range(d) for k in range(j + 1, d)]
+    return ["id"] + [f"s{p}" for p in pairs] + [f"a{p}" for p in pairs] + [
+        f"d{l}" for l in range(1, d)
+    ]
+
+
 def test_basis_size_and_orthogonality():
     for d in (2, 3, 4):
-        basis = gell_mann_basis(d)
-        assert len(basis) == d * d
-        mats = [op.matrix() for op in basis]
+        labels = _basis_labels(d)
+        assert len(labels) == d * d
+        mats = [op_matrix(lab, d) for lab in labels]
         for i, a in enumerate(mats):
             assert np.allclose(a, a.conj().T, atol=1e-14)
             for j, b in enumerate(mats):
@@ -130,3 +146,28 @@ def test_include_imag_doubles_offdiagonal_elements():
     full = plan_settings(w, include_imag=True)
     offdiag = sum(1 for el in base.elements if el.kind == "offdiag_re")
     assert full.element_count == base.element_count + offdiag
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.integers(1, 6),
+    st.integers(0, 2**31),
+    st.sampled_from(list(NRVariant)),
+    st.booleans(),
+)
+def test_settings_are_the_maximal_label_keys(n, d, size, seed, variant, include_imag):
+    """The identity-free keys are exactly what the all-pairs fold keeps."""
+    rng = np.random.default_rng(seed)
+    ranks = {tuple(sorted(rng.choice(d**n, size=2, replace=False))) for _ in range(size)}
+    r = PairSet.of(
+        (IndexPair.of(*(MultiIndex.from_rank(int(k), n, d) for k in p)) for p in ranks), n, d
+    )
+    try:
+        w = compile_witness(r, variant)
+    except DegenerateSelectionError:
+        return
+    plan = plan_settings(w, include_imag=include_imag)
+    keys = [labels for el in plan.elements for _, labels in el.terms]
+    assert list(plan.settings) == oracles.maximal_label_keys(keys)
