@@ -48,6 +48,8 @@ from .witness import (
 )
 
 PRESETS = ("w", "ghz", "dicke", "singlet4", "isotropic")
+# a --p-grid start:stop:count longer than this is refused before any point is built
+MAX_GRID_POINTS = 10**6
 
 
 def _round12(obj: Any) -> Any:
@@ -91,11 +93,16 @@ def _bip_label(g: Bipartition) -> str:
 
 
 def _build_preset(args: argparse.Namespace) -> PureState:
+    for flag in ("n", "d"):
+        value = getattr(args, flag)
+        if value is not None and value < 2:
+            raise InvalidInputError(f"--{flag} must be at least 2, got {value}")
+    n = 3 if args.n is None else args.n
     name = args.preset
     if name == "w":
-        return make_w_state(args.n or 3)
+        return make_w_state(n)
     if name == "ghz":
-        return make_ghz_state(args.n or 3, args.d or 2)
+        return make_ghz_state(n, 2 if args.d is None else args.d)
     if name == "dicke":
         if args.n is None or args.d is None or args.m is None:
             raise InvalidInputError("--preset dicke needs --n, --d and --m")
@@ -103,7 +110,7 @@ def _build_preset(args: argparse.Namespace) -> PureState:
     if name == "singlet4":
         return make_singlet4()
     if name == "isotropic":
-        d = args.d or 3
+        d = 3 if args.d is None else args.d
         amp = 1.0 / math.sqrt(d)
         return PureState(2, d, {MultiIndex((j, j), d): amp for j in range(d)})
     raise InvalidInputError(f"unknown preset {name!r}")
@@ -177,6 +184,8 @@ def _parse_grid(text: str) -> list[float]:
         count = _number(int, fields[2], "--p-grid")
         if count < 2:
             raise InvalidInputError("grid needs at least 2 points")
+        if count > MAX_GRID_POINTS:
+            raise InvalidInputError(f"grid of {count} points exceeds the limit of {MAX_GRID_POINTS}")
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
     return [_number(float, v, "--p-grid") for v in text.split(",")]

@@ -13,10 +13,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .errors import InvalidInputError
-from .indices import Bipartition, IndexPair, MultiIndex, differing_positions, permute_pair
+from .indices import (
+    Bipartition,
+    IndexPair,
+    MultiIndex,
+    differing_positions,
+    permute_pair,
+    rank_dtype,
+)
 from .states import ElementSource, NoisyPureState, PureState
-from .witness import NRVariant, PairSet, _noise_root, compile_witness
+from .witness import NRVariant, PairSet, Reads, _noise_root, compile_witness
 
 # one coherence of Q: the pattern pair (s1, s2) and its diagonal noise images
 QTerm = tuple[MultiIndex, MultiIndex, tuple[tuple[MultiIndex, MultiIndex], ...]]
@@ -92,6 +101,26 @@ class DickeWitnessSpec:
         diagonals = tuple(self.pattern(alpha, l) for l in levels for alpha in self.subsets())
         return coherences, diagonals
 
+    @cached_property
+    def reads(self) -> Reads:
+        """:attr:`terms` as ranks, in the same order."""
+        coherences, diagonals = self.terms
+        pairs: list[int] = []
+        images: list[int] = []
+        owner: list[int] = []
+        for i, (s1, s2, imgs) in enumerate(coherences):
+            pairs += (s1.rank, s2.rank)
+            for a, b in imgs:
+                images += (a.rank, b.rank)
+                owner.append(i)
+        dtype = rank_dtype(self.n, self.d)
+        return Reads.build(
+            np.array(pairs, dtype).reshape(-1, 2),
+            np.array(images, dtype).reshape(-1, 2),
+            np.array(owner, dtype=np.int64),
+            np.array([eta.rank for eta in diagonals], dtype),
+        )
+
 
 def _image_classes(
     s1: MultiIndex, s2: MultiIndex, allowed_singles: set[int] | None
@@ -161,15 +190,8 @@ def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float:
         raise InvalidInputError(
             f"witness over (n={spec.n}, d={spec.d}), state over (n={rho.n}, d={rho.d})"
         )
-    coherences, diagonals = spec.terms
-    total = 0.0
-    for s1, s2, images in coherences:
-        total += abs(rho.element(s1, s2))
-        for img1, img2 in images:
-            da = max(rho.diagonal(img1), 0.0)
-            db = max(rho.diagonal(img2), 0.0)
-            total -= math.sqrt(da * db)
-    diag_mass = sum(rho.diagonal(eta) for eta in diagonals)
+    total, diagonal = spec.reads.read(rho)
+    diag_mass = float(np.cumsum(diagonal)[-1])
     return (total - spec.noise_weight * diag_mass) / spec.m
 
 

@@ -2,8 +2,8 @@
 
 Two independent routes compute the same quantity:
 
-* :func:`linear_entropy_trace` reduces the density matrix and evaluates
-  ``2 * (1 - Tr rho_gamma**2)``;
+* :func:`linear_entropy_trace` reshapes the statevector across the cut, sums
+  the reduced matrix from it and evaluates ``2 * (1 - Tr rho_gamma**2)``;
 * :func:`linear_entropy_coeff` never builds a matrix: it sums
   ``|c_a c_b - c_a' c_b'|**2`` over ordered index pairs, where the primed
   indices are the pair with its gamma digits exchanged.
@@ -16,17 +16,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, enumerate_bipartitions, permute_pair
-from .states import PureState, partial_trace
+from .indices import (
+    CHUNK_ENTRIES,
+    Bipartition,
+    cut_masks,
+    enumerate_bipartitions,
+    place_values,
+)
+from .states import PureState, complex_product
+
+
+def _check_cut(psi: PureState, gamma: Bipartition) -> None:
+    if gamma.n != psi.n:
+        raise InvalidInputError(f"gamma over n={gamma.n}, state over n={psi.n}")
 
 
 def linear_entropy_trace(psi: PureState, gamma: Bipartition) -> float:
-    """S_L of the gamma reduction, via the dense partial trace."""
-    reduced = partial_trace(psi.density(), gamma)
-    purity = float((reduced.matrix @ reduced.matrix).trace().real)
+    """S_L of the gamma reduction, from the statevector reshaped across the cut.
+
+    The reduced matrix is summed from the products of the reshaped
+    statevector, laid out as the dense route's ``|psi><psi|`` had them, so
+    every float equals the partial trace of ``psi.density()``; no
+    ``d**n x d**n`` matrix is built.
+    """
+    _check_cut(psi, gamma)
+    n, d = psi.n, psi.d
+    keep = [p - 1 for p in gamma.sorted_parties()]
+    drop = [i for i in range(n) if i not in keep]
+    psi_matrix = psi.to_vector().reshape((d,) * n).transpose(keep + drop).reshape(d ** len(keep), -1)
+    # products psi_ik * conj(psi_jk) with j innermost, then a sequential sum over k
+    products = psi_matrix[:, :, None] * np.ascontiguousarray(psi_matrix.conj().T)[None, :, :]
+    reduced = np.einsum("ikj->ij", products)
+    purity = float((reduced @ reduced).trace().real)
     return 2.0 * (1.0 - purity)
 
 
@@ -35,25 +60,49 @@ def linear_entropy_coeff(psi: PureState, gamma: Bipartition) -> float:
 
     The sum runs over all ordered pairs of distinct basis indices, but a term
     survives only if the pair or its gamma-permuted image lies in the support,
-    so the work is quadratic in the support size.
+    so the work is quadratic in the support size.  The terms are added in the
+    row-major order of the support pairs, each pair's correction right after it.
     """
-    if gamma.n != psi.n:
-        raise InvalidInputError(f"gamma over n={gamma.n}, state over n={psi.n}")
-    support = psi.support
-    in_support = set(support)
-    total = 0.0
-    for eta1, eta2 in product(support, repeat=2):
-        if eta1 == eta2:
-            continue
-        img1, img2 = permute_pair(gamma, (eta1, eta2))
-        c_here = psi.amplitudes[eta1] * psi.amplitudes[eta2]
-        c_img = psi.amplitude(img1) * psi.amplitude(img2)
-        total += abs(c_here - c_img) ** 2
-        # the permuted pair indexes a term of its own; when it falls outside
-        # the support it is not visited by this loop, so account for it here
-        if img1 not in in_support or img2 not in in_support:
-            total += abs(c_here) ** 2
-    return total
+    _check_cut(psi, gamma)
+    mask = np.zeros((1, psi.n), dtype=np.int8)
+    mask[0, [p - 1 for p in gamma.parties]] = 1
+    return float(_coeff_entropies(psi, mask)[0])
+
+
+def _coeff_entropies(psi: PureState, masks: np.ndarray) -> np.ndarray:
+    """:func:`linear_entropy_coeff` across each cut of a ``(cuts, n)`` 0/1 mask,
+    many cuts per array pass when the support is small."""
+    ranks, digits, re, im = psi.support_arrays
+    size = len(ranks)
+    weighted = (digits * place_values(psi.n, psi.d)).T
+    here_re, here_im = complex_product(re[:, None], im[:, None], re, im)
+    cut_step = max(1, CHUNK_ENTRIES // size**2)
+    row_step = max(1, CHUNK_ENTRIES // (cut_step * size))
+    out = np.empty(len(masks))
+    for c0 in range(0, len(masks), cut_step):
+        # the part of each rank carried by the cut's digits: exchanging them
+        # between eta1 and eta2 moves rank t2 - t1 into eta1 and back out of eta2
+        part = (masks[c0 : c0 + cut_step] @ weighted)[:, None, :]
+        total = np.zeros(len(part))
+        for start in range(0, size, row_step):
+            i = np.arange(start, min(start + row_step, size))
+            own = part[:, 0, i, None]
+            img1 = ranks[i, None] - own + part
+            img2 = ranks - part + own
+            re1, im1, hit1 = psi.amplitudes_at(img1)
+            re2, im2, hit2 = psi.amplitudes_at(img2)
+            img_re, img_im = complex_product(re1, im1, re2, im2)
+            terms = np.empty(img1.shape + (2,))
+            terms[..., 0] = np.float_power(np.hypot(here_re[i] - img_re, here_im[i] - img_im), 2.0)
+            # the permuted pair indexes a term of its own; when it falls outside
+            # the support it is not visited by this sum, so account for it here
+            outside = ~(hit1 & hit2)
+            terms[..., 1] = np.where(outside, np.float_power(np.hypot(here_re[i], here_im[i]), 2.0), 0.0)
+            terms[:, i - start, i] = 0.0  # eta1 == eta2 is not a pair
+            flat = np.concatenate([total[:, None], terms.reshape(len(total), -1)], axis=1)
+            total = np.cumsum(flat, axis=1)[:, -1]
+        out[c0 : c0 + cut_step] = total
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,13 +116,14 @@ class EntropyReport:
 
 def gme_measure_pure(psi: PureState, method: str = "coeff") -> EntropyReport:
     """min over canonical bipartitions of sqrt(S_L)."""
-    if method == "coeff":
-        entropy = linear_entropy_coeff
-    elif method == "trace":
-        entropy = linear_entropy_trace
-    else:
+    if method not in ("coeff", "trace"):
         raise InvalidInputError(f"unknown entropy method {method!r}")
-    entropies = {g: entropy(psi, g) for g in enumerate_bipartitions(psi.n)}
+    cuts = enumerate_bipartitions(psi.n)
+    if method == "coeff":
+        values = _coeff_entropies(psi, cut_masks(psi.n)).tolist()
+    else:
+        values = [linear_entropy_trace(psi, g) for g in cuts]
+    entropies = dict(zip(cuts, values))
     minimizer = min(entropies, key=lambda g: (entropies[g], g.sorted_parties()))
     # clamp tiny negative round-off before the square root
     s_min = max(entropies[minimizer], 0.0)

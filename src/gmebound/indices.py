@@ -7,15 +7,26 @@ Conventions used throughout the package:
   (leftmost digit = party 1), written as a bare digit string like ``"0011"``;
 * a bipartition gamma|gamma-bar is canonically represented by the side that
   contains party 1, so there are ``2**(n-1) - 1`` of them.
+
+Hot paths work on integer arrays instead of these objects: a basis index is
+its rank (see :func:`rank_dtype`), a set of indices is a ``(k, n)`` digit
+array, and the canonical cuts are the ``(G, n)`` 0/1 array of
+:func:`cut_masks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError
+
+# array code works through its largest (rows x columns) products in chunks of
+# about this many entries, so that no temporary outgrows ~128 kB of int64
+CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, order=True)
@@ -164,19 +175,51 @@ def permute_pair(
     return MultiIndex(tuple(a), eta1.d), MultiIndex(tuple(b), eta1.d)
 
 
-def enumerate_bipartitions(n: int) -> list[Bipartition]:
-    """All 2**(n-1) - 1 canonical bipartitions, ordered by size then lexicographically."""
+@lru_cache(maxsize=None)
+def cut_masks(n: int) -> np.ndarray:
+    """The canonical cuts as a read-only ``(2**(n-1) - 1, n)`` 0/1 array.
+
+    Column ``p - 1`` marks party ``p``.  Rows are ordered by size, then
+    lexicographically by sorted parties: among cuts of one size, a smaller
+    first differing party is a larger big-endian bit pattern.
+    """
     if n < 2:
         raise InvalidInputError(f"need at least 2 parties, got n={n}")
-    out: list[Bipartition] = []
-    rest = list(range(2, n + 1))
-    for size in range(1, n):
-        for extra in combinations(rest, size - 1):
-            gamma = frozenset((1,) + extra)
-            if len(gamma) >= n:
-                continue
-            out.append(Bipartition(gamma, n))
-    return out
+    # parties 2..n as bits, party 2 most significant; all ones would leave no complement
+    rest = np.arange(2 ** (n - 1) - 1, dtype=np.int64)
+    masks = np.ones((len(rest), n), dtype=np.int8)
+    masks[:, 1:] = (rest[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    masks = masks[np.lexsort((-rest, masks.sum(axis=1)))]
+    masks.flags.writeable = False
+    return masks
+
+
+def enumerate_bipartitions(n: int) -> list[Bipartition]:
+    """All 2**(n-1) - 1 canonical bipartitions, in the row order of :func:`cut_masks`."""
+    return [
+        Bipartition(frozenset(p for p, bit in enumerate(row, start=1) if bit), n)
+        for row in cut_masks(n).tolist()
+    ]
+
+
+def rank_dtype(n: int, base: int) -> np.dtype:
+    """int64 while every rank below ``base**n`` fits in it, else Python integers.
+
+    Past 2**63 the same array code runs on exact Python integers (numpy's
+    object dtype), more slowly, so no shape is refused for its size.
+    """
+    return np.dtype(np.int64 if base**n <= 2**63 else object)
+
+
+def place_values(n: int, base: int) -> np.ndarray:
+    """``base**(n-1), ..., base, 1``: a digit array times this is its big-endian rank."""
+    return np.array([base**k for k in range(n - 1, -1, -1)], dtype=rank_dtype(n, base))
+
+
+def rank_positions(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Position of each rank in the nonempty ``sorted_ranks``, or -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(sorted_ranks, ranks), len(sorted_ranks) - 1)
+    return np.where(sorted_ranks[pos] == ranks, pos, -1)
 
 
 def differing_positions(pair: Sequence[MultiIndex]) -> frozenset[int]:
@@ -185,15 +228,3 @@ def differing_positions(pair: Sequence[MultiIndex]) -> frozenset[int]:
     return frozenset(
         p for p, (x, y) in enumerate(zip(eta1.digits, eta2.digits), start=1) if x != y
     )
-
-
-def pair_is_fixed(gamma: Bipartition, pair: IndexPair) -> bool:
-    """True iff permuting the pair under gamma returns the same unordered pair.
-
-    Fixed pairs do not contribute to the gamma-subsystem entropy.  The test
-    reduces to gamma intersecting the differing positions trivially (in the
-    empty set or in all of them).
-    """
-    diff = differing_positions(pair.as_tuple())
-    inter = gamma.parties & diff
-    return not inter or inter == diff

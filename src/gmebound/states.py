@@ -3,8 +3,13 @@
 Pure states are stored sparsely (amplitudes keyed by :class:`MultiIndex`);
 density matrices are dense ``(d**n, d**n)`` complex arrays whose row/column
 order follows :attr:`MultiIndex.rank`; white noise on a pure state is a view
-that is never materialised.  All three answer ``element()`` and
-``diagonal()``, which is all the witnesses read.
+that is never materialised.  All three answer ``elements(rows, cols)`` on
+arrays of ranks, which is all the witnesses read; ``element()`` and
+``diagonal()`` read one entry through it.
+
+Arithmetic on amplitudes goes component by component through
+:func:`complex_product`, in the operation order of Python's complex product,
+so an entry read in bulk equals the one read alone bit for bit.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, MultiIndex
+from .indices import Bipartition, MultiIndex, place_values, rank_dtype, rank_positions
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -27,8 +33,36 @@ TRACE_ATOL = 1e-12
 EIGMIN_ATOL = -1e-10
 
 
+class _EntryReader:
+    """``element()`` and ``diagonal()`` for one entry, read through ``elements()``."""
+
+    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
+        """<eta1| rho |eta2>."""
+        dtype = rank_dtype(self.n, self.d)
+        return complex(self.elements(np.array([eta1.rank], dtype), np.array([eta2.rank], dtype))[0])
+
+    def diagonal(self, eta: MultiIndex) -> float:
+        return float(self.element(eta, eta).real)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # filled part by part: re + 1j * im would round through a complex product
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def complex_product(
+    ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (ar + i ai) * (br + i bi), rounded as
+    Python's complex product rounds them."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 @dataclass(frozen=True)
-class PureState:
+class PureState(_EntryReader):
     """A normalized n-qudit ket with sparse amplitudes."""
 
     n: int
@@ -51,8 +85,22 @@ class PureState:
     def support(self) -> list[MultiIndex]:
         return sorted(self.amplitudes)
 
-    def amplitude(self, eta: MultiIndex) -> complex:
-        return self.amplitudes.get(eta, 0.0 + 0.0j)
+    @cached_property
+    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The support as sorted ranks, its ``(k, n)`` digits, and the real and
+        imaginary parts of its amplitudes."""
+        support = self.support
+        digits = np.array([eta.digits for eta in support], dtype=np.int64).reshape(-1, self.n)
+        amps = np.array([complex(self.amplitudes[eta]) for eta in support], dtype=complex)
+        return digits @ place_values(self.n, self.d), digits, amps.real.copy(), amps.imag.copy()
+
+    def amplitudes_at(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real and imaginary amplitude parts at the given ranks (0 off the
+        support), and whether each rank is in the support."""
+        support, _, re, im = self.support_arrays
+        pos = rank_positions(support, ranks)
+        hit = pos >= 0
+        return np.where(hit, re[pos], 0.0), np.where(hit, im[pos], 0.0), hit
 
     def to_vector(self) -> np.ndarray:
         vec = np.zeros(self.d**self.n, dtype=complex)
@@ -64,17 +112,15 @@ class PureState:
         vec = self.to_vector()
         return DensityMatrix(self.n, self.d, np.outer(vec, vec.conj()), validate=False)
 
-    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
-        """<eta1| psi><psi |eta2>, in the operation order of :meth:`density`."""
-        return complex(self.amplitude(eta1) * self.amplitude(eta2).conjugate())
-
-    def diagonal(self, eta: MultiIndex) -> float:
-        c = self.amplitude(eta)
-        return float((c * c.conjugate()).real)
+    def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """<rows| psi><psi |cols>, each entry the Python product c_row * conj(c_col)."""
+        ar, ai, _ = self.amplitudes_at(rows)
+        br, bi, _ = self.amplitudes_at(cols)
+        return _complex(*complex_product(ar, ai, br, -bi))
 
 
 @dataclass(frozen=True)
-class NoisyPureState:
+class NoisyPureState(_EntryReader):
     """p * |psi><psi| + (1-p) * I / d**n, read element by element.
 
     Entries equal those of ``white_noise_mix(pure, p).matrix`` without ever
@@ -98,16 +144,14 @@ class NoisyPureState:
     def d(self) -> int:
         return self.pure.d
 
-    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
-        value = self.p * self.pure.element(eta1, eta2)
-        return value + self.noise if eta1 == eta2 else value
-
-    def diagonal(self, eta: MultiIndex) -> float:
-        return self.p * self.pure.diagonal(eta) + self.noise
+    def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        pure = self.pure.elements(rows, cols)
+        re = self.p * pure.real + np.where(rows == cols, self.noise, 0.0)
+        return _complex(re, self.p * pure.imag)
 
 
 @dataclass
-class DensityMatrix:
+class DensityMatrix(_EntryReader):
     """A dense n-qudit density matrix in the computational basis."""
 
     n: int
@@ -136,15 +180,11 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.d**self.n
 
-    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
-        """<eta1| rho |eta2>."""
-        return complex(self.matrix[eta1.rank, eta2.rank])
-
-    def diagonal(self, eta: MultiIndex) -> float:
-        return float(self.matrix[eta.rank, eta.rank].real)
+    def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.matrix[rows, cols]
 
 
-# what the witnesses read: element() and diagonal() over a fixed (n, d)
+# what the witnesses read: elements(rows, cols) over a fixed (n, d)
 ElementSource = PureState | NoisyPureState | DensityMatrix
 
 

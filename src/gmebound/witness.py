@@ -12,19 +12,25 @@ are themselves in R (a pair fixed by some bipartition is its own image, so
 fixed pairs contribute nothing).  N_R is the minimal or maximal number of
 pairs fixed by a single bipartition, and the diagonal multiplicities N_eta
 follow the same choice.
+
+Compilation and pair selection work on rank arrays: a cut exchanges the
+digits of a pair at its parties, so the image of the pair (a, b) under the
+cut with 0/1 mask M is (a + M @ delta, b - M @ delta), where delta holds the
+place values times the digit differences b - a.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
@@ -34,14 +40,16 @@ from .errors import (
     NotDetectingError,
 )
 from .indices import (
+    CHUNK_ENTRIES,
     Bipartition,
     IndexPair,
     MultiIndex,
+    cut_masks,
     enumerate_bipartitions,
-    pair_is_fixed,
-    permute_pair,
+    place_values,
+    rank_positions,
 )
-from .states import ElementSource, NoisyPureState, PureState, make_isotropic
+from .states import ElementSource, NoisyPureState, PureState, complex_product, make_isotropic
 
 
 class NRVariant(Enum):
@@ -113,20 +121,78 @@ def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
 
 
 @dataclass(frozen=True)
+class Reads:
+    """The entries a witness sum reads, gathered in one call.
+
+    The sum visits each coherence followed by the noise images subtracted
+    from it; the diagonals it weighs come last.  The terms are added by a
+    sequential cumulative sum, in the order a loop over them would add.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coherence_at: np.ndarray
+    image_at: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        coherences: np.ndarray,
+        images: np.ndarray,
+        owner: np.ndarray,
+        diagonals: np.ndarray,
+    ) -> "Reads":
+        """``coherences`` and ``images`` are ``(k, 2)`` rank arrays; ``owner``
+        (nondecreasing) names the coherence each image belongs to."""
+        k = len(coherences)
+        return cls(
+            rows=np.concatenate([coherences[:, 0], images[:, 0], images[:, 1], diagonals]),
+            cols=np.concatenate([coherences[:, 1], images[:, 0], images[:, 1], diagonals]),
+            coherence_at=np.arange(k) + np.searchsorted(owner, np.arange(k)),
+            image_at=np.arange(len(images)) + owner + 1,
+        )
+
+    @property
+    def images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The two ranks of each image and the coherence it belongs to."""
+        k, m = len(self.coherence_at), len(self.image_at)
+        owner = self.image_at - np.arange(m) - 1
+        return self.rows[k : k + m], self.rows[k + m : k + 2 * m], owner
+
+    def read(self, rho: ElementSource) -> tuple[float, np.ndarray]:
+        """sum |rho_ab| - sum sqrt(rho_a'a' rho_b'b') in visiting order, and the diagonals."""
+        values = rho.elements(self.rows, self.cols)
+        k, m = len(self.coherence_at), len(self.image_at)
+        coherence = values[:k]
+        first = np.maximum(values[k : k + m].real, 0.0)
+        second = np.maximum(values[k + m : k + 2 * m].real, 0.0)
+        terms = np.empty(k + m)
+        terms[self.coherence_at] = np.hypot(coherence.real, coherence.imag)
+        terms[self.image_at] = -np.sqrt(first * second)
+        return float(np.cumsum(terms)[-1]), values[k + 2 * m :].real
+
+
+@dataclass(frozen=True)
 class CompiledWitness:
-    """Everything needed to evaluate the bound on any density matrix."""
+    """Everything needed to evaluate the bound on any density matrix.
+
+    The compiler's results are arrays; ``index_set``, ``n_eta``,
+    ``noise_images`` and ``uncounted_profile`` are object views of them,
+    built on first access.
+    """
 
     r: PairSet
     variant: NRVariant
     n_r: int
     prefactor: float
-    # per pair: the distinct unordered images outside R, in order of the first
-    # bipartition that produces each
-    noise_images: dict[IndexPair, tuple[IndexPair, ...]]
-    index_set: tuple[MultiIndex, ...]
-    n_eta: dict[MultiIndex, int]
-    # per bipartition: |R^gamma|, the pairs whose image stays inside R
-    uncounted_profile: dict[Bipartition, int]
+    # the coherences, then the distinct images outside R (grouped by pair in
+    # selection order, each pair's in order of the first cut producing each),
+    # then I(R) in rank order
+    reads: Reads = field(repr=False, compare=False)
+    # |R^gamma| per cut, in enumerate_bipartitions order
+    profile: np.ndarray = field(repr=False, compare=False)
+    # N_eta per entry of I(R), in rank order
+    eta_counts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -136,79 +202,139 @@ class CompiledWitness:
     def d(self) -> int:
         return self.r.d
 
+    @cached_property
+    def index_set(self) -> tuple[MultiIndex, ...]:
+        """I(R): every index in a selected pair, sorted."""
+        return tuple(sorted({eta for p in self.r for eta in p.as_tuple()}))
 
-def _not_counted(
-    r: PairSet, uncounted: dict[Bipartition, list[IndexPair]], n_r: int, variant: NRVariant
-) -> dict[Bipartition, list[IndexPair]]:
-    """Pairs whose diagonal penalty must survive at each bipartition.
+    @cached_property
+    def n_eta(self) -> dict[MultiIndex, int]:
+        """Per index in I(R): its diagonal multiplicity N_eta."""
+        return dict(zip(self.index_set, self.eta_counts.tolist()))
 
-    In the minimal variant every pair outside R^gamma is counted, leaving
-    exactly R^gamma.  In the maximal variant only |R| - N_R pairs are counted
-    (taken in selection order); the excess joins R^gamma.
+    @cached_property
+    def noise_images(self) -> dict[IndexPair, tuple[IndexPair, ...]]:
+        """Per pair: the distinct unordered images outside R, in order of the
+        first bipartition that produces each."""
+        n, d = self.n, self.d
+        first, second, owner = self.reads.images
+        images = [
+            IndexPair(MultiIndex.from_rank(a, n, d), MultiIndex.from_rank(b, n, d))
+            for a, b in zip(first.tolist(), second.tolist())
+        ]
+        bounds = np.searchsorted(owner, np.arange(len(self.r) + 1)).tolist()
+        return {pair: tuple(images[bounds[i] : bounds[i + 1]]) for i, pair in enumerate(self.r)}
+
+    @cached_property
+    def uncounted_profile(self) -> dict[Bipartition, int]:
+        """Per bipartition: |R^gamma|, the pairs whose image stays inside R."""
+        return dict(zip(enumerate_bipartitions(self.n), self.profile.tolist()))
+
+
+def _images(
+    ranks: np.ndarray, delta: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and higher rank of each pair's image under each cut, shape (cuts, pairs).
+
+    ``ranks`` is ``(pairs, 2)``; ``delta`` is ``(n, pairs)``, the place values
+    times (second digit - first digit).  A cut moves its rows of delta from
+    the second index into the first.
     """
-    if variant is NRVariant.MINIMAL:
-        return uncounted
-    budget = len(r) - n_r
-    out: dict[Bipartition, list[IndexPair]] = {}
-    for gamma, core in uncounted.items():
-        stays = set(core)
-        out[gamma] = core + [p for p in r if p not in stays][budget:]
-    return out
+    moved = masks @ delta
+    first = ranks[:, 0] + moved
+    second = ranks[:, 1] - moved
+    return np.minimum(first, second), np.maximum(first, second)
+
+
+def _pair_keys(sorted_ranks: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo * m + hi on positions in ``sorted_ranks`` (length m); -1 when either is absent."""
+    pos_lo = rank_positions(sorted_ranks, lo)
+    pos_hi = rank_positions(sorted_ranks, hi)
+    return np.where((pos_lo >= 0) & (pos_hi >= 0), pos_lo * len(sorted_ranks) + pos_hi, -1)
 
 
 def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> CompiledWitness:
     """Precompute image sets, the prefactor, and the diagonal multiplicities.
 
-    Each pair is permuted once under each bipartition; that one image decides
-    both whether the pair belongs to R^gamma and which noise image it adds.
+    Each chunk of cuts maps every pair to its image in one matmul; that one
+    image decides both whether the pair belongs to R^gamma and which noise
+    image it adds.
     """
-    bips = enumerate_bipartitions(r.n)
-    r_set = set(r.pairs)
+    n, size = r.n, len(r)
+    digits = np.array([[p.first.digits, p.second.digits] for p in r], dtype=np.int64)
+    values = place_values(n, r.d)
+    ranks = digits @ values
+    delta = ((digits[:, 1] - digits[:, 0]) * values).T
+    differ = (digits[:, 0] != digits[:, 1]) @ place_values(n, 2)
+    index_ranks = np.unique(ranks)
+    members = np.searchsorted(index_ranks, ranks)
+    r_keys = members[:, 0] * len(index_ranks) + members[:, 1]
+    pair_ids = np.arange(size)
+
+    masks = cut_masks(n)
+    cut_bits = masks @ place_values(n, 2)
+    step = max(1, CHUNK_ENTRIES // size)
+    chunks = [slice(start, start + step) for start in range(0, len(masks), step)]
 
     # R^gamma: pairs whose gamma-image is again in R.  This covers pairs fixed
     # by gamma (their own image) and pairs exchanged with another selected
     # pair; neither kind carries usable coherence across that cut, so both
     # fall back to the diagonal penalty.
-    uncounted: dict[Bipartition, list[IndexPair]] = {g: [] for g in bips}
-    noise_images: dict[IndexPair, tuple[IndexPair, ...]] = {}
-    for pair in r:
-        images: dict[IndexPair, None] = {}
-        for g in bips:
-            img = IndexPair.of(*permute_pair(g, pair.as_tuple()))
-            if img in r_set:
-                uncounted[g].append(pair)
-            else:
-                images[img] = None
-        noise_images[pair] = tuple(images)
+    stays = np.empty((len(masks), size), dtype=bool)
+    found = []  # per chunk: the first (id, cut, lo, hi) of each noise image
+    for rows in chunks:
+        lo, hi = _images(ranks, delta, masks[rows])
+        inside = np.isin(_pair_keys(index_ranks, lo, hi), r_keys)
+        stays[rows] = inside
+        # an image is named by its pair and the exchanged parties where the
+        # pair differs, up to exchanging all of them (S and differ - S give
+        # the same unordered pair)
+        swapped = cut_bits[rows, None] & differ
+        image_id = (pair_ids << n) | np.minimum(swapped, swapped ^ differ)
+        outside = ~inside.T  # pair-major: each pair's images in cut order
+        cut = np.broadcast_to(np.arange(len(masks))[rows], outside.shape)
+        entries = [a[outside] for a in (image_id.T, cut, lo.T, hi.T)]
+        _, first = np.unique(entries[0], return_index=True)
+        found.append([a[first] for a in entries])
+    image_id, cut, lo, hi = (np.concatenate(parts) for parts in zip(*found))
+    _, first = np.unique(image_id, return_index=True)
+    first = first[np.lexsort((cut[first], image_id[first] >> n))]
+    image_ranks = np.stack([lo[first], hi[first]], axis=1)
+    image_owner = image_id[first] >> n
 
-    uncounted_profile = {g: len(v) for g, v in uncounted.items()}
-    if variant is NRVariant.MINIMAL:
-        n_r = min(uncounted_profile.values())
-    else:
-        n_r = max(uncounted_profile.values())
-    if len(r) == n_r:
+    profile = stays.sum(axis=1)
+    n_r = int(profile.min() if variant is NRVariant.MINIMAL else profile.max())
+    if size == n_r:
         raise DegenerateSelectionError(
             f"|R| = N_R = {n_r}: every pair is fixed by some single bipartition; "
             "the prefactor is undefined"
         )
-    prefactor = 2.0 * math.sqrt(1.0 / (len(r) - n_r))
+    prefactor = 2.0 * math.sqrt(1.0 / (size - n_r))
 
-    index_set = tuple(sorted({eta for p in r for eta in p.as_tuple()}))
-    n_eta = dict.fromkeys(index_set, 0)
-    for pairs in _not_counted(r, uncounted, n_r, variant).values():
-        counts = Counter(eta for p in pairs for eta in p.as_tuple())
-        for eta, k in counts.items():
-            n_eta[eta] = max(n_eta[eta], k)
+    # N_eta: the most pairs containing eta whose diagonal penalty survives at
+    # one cut.  In the minimal variant every pair outside R^gamma is counted,
+    # leaving exactly R^gamma.  In the maximal variant only |R| - N_R pairs
+    # are counted (taken in selection order); the excess joins R^gamma.
+    m = len(index_ranks)
+    counts = np.zeros(m, dtype=np.int64)
+    for rows in chunks:
+        survives = stays[rows]
+        if variant is NRVariant.MAXIMAL:
+            moving = ~survives
+            survives = survives | (moving & (np.cumsum(moving, axis=1) > size - n_r))
+        row, pair = np.nonzero(survives)
+        slots = (row[:, None] * m + members[pair]).ravel()
+        per_cut = np.bincount(slots, minlength=len(survives) * m).reshape(-1, m)
+        counts = np.maximum(counts, per_cut.max(axis=0))
 
     return CompiledWitness(
         r=r,
         variant=variant,
         n_r=n_r,
         prefactor=prefactor,
-        noise_images=noise_images,
-        index_set=index_set,
-        n_eta=n_eta,
-        uncounted_profile=uncounted_profile,
+        reads=Reads.build(ranks, image_ranks, image_owner, index_ranks),
+        profile=profile,
+        eta_counts=counts,
     )
 
 
@@ -218,16 +344,8 @@ def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
         raise InvalidInputError(
             f"witness over (n={w.n}, d={w.d}), state over (n={rho.n}, d={rho.d})"
         )
-    bracket = 0.0
-    for pair in w.r:
-        bracket += abs(rho.element(pair.first, pair.second))
-        for img in w.noise_images[pair]:
-            da = max(rho.diagonal(img.first), 0.0)
-            db = max(rho.diagonal(img.second), 0.0)
-            bracket -= math.sqrt(da * db)
-    penalty = 0.5 * sum(
-        w.n_eta[eta] * max(rho.diagonal(eta), 0.0) for eta in w.index_set
-    )
+    bracket, diagonal = w.reads.read(rho)
+    penalty = 0.5 * float(np.cumsum(w.eta_counts * np.maximum(diagonal, 0.0))[-1])
     return w.prefactor * (bracket - penalty)
 
 
@@ -246,61 +364,66 @@ def auto_select_R(
     |c_a c_b|, then lexicographically); the remaining candidates are appended
     by decreasing |c_a c_b|.
     """
-    support = [eta for eta in target.support if abs(target.amplitudes[eta]) >= tau]
-    bips = enumerate_bipartitions(target.n)
+    n = target.n
+    ranks, digits, re, im = target.support_arrays
+    kept = np.hypot(re, im) >= tau
+    support = [eta for eta, k in zip(target.support, kept.tolist()) if k]
+    ranks, digits, re, im = ranks[kept], digits[kept], re[kept], im[kept]
+    masks = cut_masks(n)
 
-    candidates: list[tuple[IndexPair, frozenset[Bipartition], float]] = []
-    for a, b in combinations(support, 2):
-        pair = IndexPair.of(a, b)
-        covered = frozenset(g for g in bips if not pair_is_fixed(g, pair))
-        if not covered:
-            continue
-        weight = abs(target.amplitudes[a] * target.amplitudes[b])
-        candidates.append((pair, covered, weight))
+    # candidates in lexicographic order, so the first of equals is the smallest
+    a, b = np.triu_indices(len(support), 1)
+    differ = (digits[a] != digits[b]) @ place_values(n, 2)
+    cut_bits = masks @ place_values(n, 2)
+    step = max(1, CHUNK_ENTRIES // len(masks))
+    covered = np.empty((len(a), len(masks)), dtype=bool)
+    for start in range(0, len(a), step):
+        # a cut fixes a pair iff it exchanges none or all of the parties where they differ
+        common = differ[start : start + step, None] & cut_bits
+        covered[start : start + step] = (common != 0) & (common != differ[start : start + step, None])
+    sensitive = covered.any(axis=1)
+    a, b, covered = a[sensitive], b[sensitive], covered[sensitive]
+    weight = np.hypot(*complex_product(re[a], im[a], re[b], im[b]))
 
-    uncovered = set(bips)
-    chosen: list[IndexPair] = []
-    remaining = list(candidates)
-    while uncovered:
-        best = None
-        best_key = None
-        for item in remaining:
-            pair, covered, weight = item
-            gain = len(covered & uncovered)
-            if gain == 0:
-                continue
-            key = (-gain, -weight, str(pair))
-            if best_key is None or key < best_key:
-                best, best_key = item, key
-        if best is None:
+    uncovered = np.ones(len(masks), dtype=bool)
+    cover: list[int] = []
+    while uncovered.any():
+        gain = np.count_nonzero(covered & uncovered, axis=1)
+        if not gain.any():
             raise CoverageError(
                 "no pair selection covers every bipartition; the state is "
                 "product-like across some cut in this basis"
             )
-        chosen.append(best[0])
-        uncovered -= best[1]
-        remaining.remove(best)
+        tied = gain == gain.max()
+        best = int(np.flatnonzero(tied & (weight == weight[tied].max()))[0])
+        cover.append(best)
+        uncovered &= ~covered[best]
 
-    cover_size = len(chosen)
-    remaining.sort(key=lambda item: (-item[2], str(item[0])))
-    taken = set(chosen)
-    for item in remaining:
-        pair = item[0]
-        # skip pairs that some cut exchanges with an already selected pair:
-        # the two coherences cancel out of the entropy across that cut, so
-        # such a pair only inflates the diagonal penalty
-        cycles = any(
-            (img := IndexPair.of(*permute_pair(g, pair.as_tuple()))) != pair and img in taken
-            for g in bips
-        )
-        if cycles:
-            continue
-        chosen.append(pair)
-        taken.add(pair)
+    rest = np.setdiff1d(np.arange(len(a)), cover)
+    order = cover + rest[np.argsort(-weight[rest], kind="stable")].tolist()
+    # after the cover, skip pairs that some cut exchanges with an already
+    # selected pair: the two coherences cancel out of the entropy across that
+    # cut, so such a pair only inflates the diagonal penalty.  A cut
+    # exchanges t with c iff it exchanges c with t, so a pair is skipped iff
+    # it is an image of a selected pair.
+    pair_ranks = np.stack([ranks[a], ranks[b]], axis=1)
+    delta = ((digits[b] - digits[a]) * place_values(n, target.d)).T
+    blocked = np.zeros(len(support) ** 2, dtype=bool)
+    chosen: list[int] = []
+    for start in range(0, len(order), step):
+        block = order[start : start + step]
+        keys = _pair_keys(ranks, *_images(pair_ranks[block], delta[:, block], masks))
+        for i, (c, images) in enumerate(zip(block, keys.T), start):
+            if i >= len(cover) and blocked[a[c] * len(support) + b[c]]:
+                continue
+            chosen.append(c)
+            blocked[images[images >= 0]] = True
     if max_pairs is not None:
         # never cut into the covering prefix
-        chosen = chosen[: max(max_pairs, cover_size)]
-    return PairSet.of(chosen, target.n, target.d)
+        chosen = chosen[: max(max_pairs, len(cover))]
+    return PairSet.of(
+        (IndexPair(support[a[c]], support[b[c]]) for c in chosen), target.n, target.d
+    )
 
 
 # ---------------------------------------------------------------------------

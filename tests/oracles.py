@@ -113,6 +113,54 @@ def witness_value_direct(
     return pref * total
 
 
+def compiled_fields_direct(
+    pairs: list[tuple[str, str]], n: int, d: int, variant: str = "min"
+) -> dict:
+    """What compiling a selection yields, recomputed on digit strings.
+
+    Returns ``cuts`` (canonical order), ``profile`` (per cut: how many pairs
+    map back into the selection), ``n_r``, ``noise_images`` (per pair in
+    selection order: the distinct unordered images outside the selection, in
+    order of the first cut producing each) and ``n_eta`` (string -> the most
+    pairs holding it whose diagonal penalty survives at one cut).
+    """
+    pairs = [tuple(sorted(p)) for p in pairs]
+    pair_set = {frozenset(p) for p in pairs}
+    cuts = _canonical_cuts(n)
+    stays = {
+        cut: [p for p in pairs if frozenset(_swap_digits(*p, cut)) in pair_set] for cut in cuts
+    }
+    profile = [len(stays[cut]) for cut in cuts]
+    n_r = min(profile) if variant == "min" else max(profile)
+
+    noise_images = []
+    for a, b in pairs:
+        seen: list[tuple[str, str]] = []
+        for cut in cuts:
+            img = tuple(sorted(_swap_digits(a, b, cut)))
+            if frozenset(img) not in pair_set and img not in seen:
+                seen.append(img)
+        noise_images.append(seen)
+
+    budget = len(pairs) - n_r
+    n_eta = {}
+    for s in sorted({s for p in pairs for s in p}):
+        worst = 0
+        for cut in cuts:
+            counted = list(stays[cut])
+            if variant == "max":
+                counted += [p for p in pairs if p not in stays[cut]][budget:]
+            worst = max(worst, sum(1 for p in counted if s in p))
+        n_eta[s] = worst
+    return {
+        "cuts": [tuple(sorted(c)) for c in cuts],
+        "profile": profile,
+        "n_r": n_r,
+        "noise_images": noise_images,
+        "n_eta": n_eta,
+    }
+
+
 # hand-written local operator table (independent of the package's generator)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -142,6 +142,22 @@ def test_ppt_compare_ghz(capsys):
     assert payload["dominance"] is True
 
 
+def test_shapes_beyond_int64_ranks_are_answered(capsys):
+    """2**64 and 10**19 basis states: ranks past int64 are exact Python integers."""
+    code, payload = _run_json(capsys, ["dimensionality", "--n", "64", "--d", "2", "--m", "1"])
+    assert code == 0
+    rows = [(row["f"], row["q"], row["certificate"]) for row in payload["rows"]]
+    assert rows == [(1, 0.0, 1), (2, 1.0, 2)]
+    ghz = ["--preset", "ghz", "--n", "19", "--d", "10"]
+    pair = "0" * 19 + "," + "9" * 19
+    code, payload = _run_json(capsys, ["ppt-compare", *ghz, "--pair", pair, "--gamma", "1,2"])
+    assert code == 0
+    assert (payload["omega"], payload["minus_w"], payload["dominance"]) == (-0.5, -0.5, True)
+    code, payload = _run_json(capsys, ["threshold", *ghz])
+    assert code == 0
+    assert payload["threshold"] == 0.0
+
+
 def test_ppt_compare_rejects_non_antipodal(capsys):
     assert main(["ppt-compare", "--preset", "ghz", "--pair", "000,110", "--gamma", "1"]) == 2
 
@@ -208,6 +224,11 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         "ppt-compare --preset ghz --n 3 --pair 000,111 --gamma x",
         "threshold --preset w --n 3 --p-grid a,b",
         "threshold --preset w --n 3 --p-grid 0:1:x",
+        "threshold --preset w --n 3 --p-grid 0:1:100000000000",
+        "bound --preset w --n 0",
+        "bound --preset w --n -2",
+        "bound --preset ghz --d 0",
+        "bound --preset isotropic --d 0",
     ],
 )
 def test_malformed_flags_are_input_errors(capsys, argv):
@@ -267,7 +288,8 @@ def test_digit_strings_reject_d_above_10(tmp_path, capsys, argv):
 
 
 def test_pure_inputs_never_build_a_dense_matrix(monkeypatch, tmp_path, singlet_r_file):
-    """Thresholds, --p, sweeps and the Q witness read the pure state or its noisy view."""
+    """Thresholds, --p, sweeps, bounds, the Q witness and the statevector
+    entropy route read the pure state or its noisy view."""
     import gmebound.states as states
 
     def dense(*args, **kwargs):
@@ -284,6 +306,8 @@ def test_pure_inputs_never_build_a_dense_matrix(monkeypatch, tmp_path, singlet_r
         ["ppt-compare", "--preset", "ghz", "--n", "10", "--p", "0.6",
          "--pair", "0000000000,1111111111", "--gamma", "1"],
         ["dimensionality", "--n", "4", "--d", "3", "--m", "2"],
+        ["entropy", "--preset", "w", "--n", "8", "--method", "trace"],
+        ["bound", "--preset", "w", "--n", "10"],
     ]
     for i, argv in enumerate(runs):
         assert main(argv + ["--output", str(tmp_path / f"{i}.out")]) == 0, argv

@@ -50,13 +50,16 @@ def _random_sparse(n, d, size, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4), st.integers(2, 3), st.integers(2, 8), st.integers(0, 2**31))
+@given(st.integers(2, 5), st.integers(2, 3), st.integers(2, 8), st.integers(0, 2**31))
 def test_coeff_route_matches_trace_route(n, d, size, seed):
     psi = _random_sparse(n, d, size, np.random.default_rng(seed))
+    vec = psi.to_vector()
     for g in gme_measure_pure(psi).entropies:
         a = linear_entropy_coeff(psi, g)
         b = linear_entropy_trace(psi, g)
-        assert a == pytest.approx(b, abs=1e-10)
+        want = oracles.linear_entropy_dense(vec, n, d, g.parties)
+        assert a == pytest.approx(want, abs=1e-12)
+        assert b == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -77,3 +80,16 @@ def test_trace_route_single_cut_against_dense():
     want = oracles.linear_entropy_dense(psi.to_vector(), 3, 3, frozenset({1, 3}))
     assert linear_entropy_trace(psi, g) == pytest.approx(want, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("size", [5, 40])
+def test_chunked_coeff_route_matches_unchunked(monkeypatch, size):
+    """Cut chunks (support 5) and row chunks carrying the running total
+    (support 40) give the same floats, and so does one cut at a time."""
+    import gmebound.entropy as entropy_module
+
+    psi = _random_sparse(6, 2, size, np.random.default_rng(5))
+    whole = gme_measure_pure(psi).entropies
+    assert {g: linear_entropy_coeff(psi, g) for g in whole} == whole
+    monkeypatch.setattr(entropy_module, "CHUNK_ENTRIES", 100)
+    assert gme_measure_pure(psi).entropies == whole

@@ -1,3 +1,6 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,10 +10,12 @@ from gmebound.indices import (
     Bipartition,
     IndexPair,
     MultiIndex,
+    cut_masks,
     differing_positions,
     enumerate_bipartitions,
-    pair_is_fixed,
     permute_pair,
+    place_values,
+    rank_positions,
 )
 
 # the canonical n=4 ordering every downstream module relies on
@@ -103,16 +108,32 @@ def test_differing_positions():
     assert differing_positions(pair.as_tuple()) == frozenset({2, 3})
 
 
-@given(st.integers(2, 4), st.data())
-def test_pair_is_fixed_matches_direct_image(n, data):
-    """gamma fixes a pair iff the exchanged pair is the same unordered pair."""
-    digits = st.integers(0, 1)
-    e1 = MultiIndex(tuple(data.draw(digits) for _ in range(n)), 2)
-    e2 = MultiIndex(tuple(data.draw(digits) for _ in range(n)), 2)
-    if e1 == e2:
-        return
-    pair = IndexPair.of(e1, e2)
-    parties = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
-    g = Bipartition.of(parties, n)
-    img = IndexPair.of(*permute_pair(g, pair.as_tuple()))
-    assert pair_is_fixed(g, pair) == (img == pair)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_cut_masks_follow_size_then_lexicographic_order(n):
+    """Row g of cut_masks marks the parties of the g-th canonical cut."""
+    want = [
+        (1,) + extra for size in range(1, n) for extra in combinations(range(2, n + 1), size - 1)
+    ]
+    masks = cut_masks(n)
+    assert masks.shape == (2 ** (n - 1) - 1, n)
+    assert [tuple(int(p) for p in np.flatnonzero(row) + 1) for row in masks] == want
+    assert [b.sorted_parties() for b in enumerate_bipartitions(n)] == want
+
+
+@given(st.integers(2, 3), st.integers(1, 5), st.data())
+def test_place_values_give_the_rank(d, n, data):
+    digits = tuple(data.draw(st.integers(0, d - 1)) for _ in range(n))
+    assert int(np.array(digits) @ place_values(n, d)) == MultiIndex(digits, d).rank
+
+
+def test_place_values_switch_to_python_ints_beyond_int64():
+    assert place_values(63, 2).dtype == np.int64  # the largest rank is 2**63 - 1
+    assert place_values(64, 2).dtype == object
+    assert place_values(19, 10).dtype == object
+    digits = (1,) * 64
+    assert np.array(digits) @ place_values(64, 2) == MultiIndex(digits, 2).rank == 2**64 - 1
+
+
+def test_rank_positions_mark_absent_ranks():
+    got = rank_positions(np.array([2, 5, 9]), np.array([[9, 3], [2, 10]]))
+    assert got.tolist() == [[2, -1], [0, -1]]

@@ -167,7 +167,7 @@ def test_load_state_json_pure_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     st_loaded = load_state_json(path)
     assert isinstance(st_loaded, PureState)
-    assert st_loaded.amplitude(MultiIndex.from_string("11", 2)) == pytest.approx(
+    assert st_loaded.amplitudes[MultiIndex.from_string("11", 2)] == pytest.approx(
         1j / math.sqrt(2)
     )
 

@@ -1,7 +1,9 @@
 """Witness compilation and evaluation against frozen reference selections."""
 
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gmebound.errors import (
 from gmebound.indices import IndexPair, MultiIndex
 from gmebound.states import (
     DensityMatrix,
+    NoisyPureState,
     PureState,
     make_dicke_state,
     make_ghz_state,
@@ -124,21 +127,83 @@ def test_isotropic_formula_and_tightness():
         )
 
 
+def _random_selection(n: int, d: int, size: int, rng: np.random.Generator) -> list[list[str]]:
+    """Up to ``size`` distinct pairs drawn among a few random strings, so that
+    cuts often exchange one selected pair with another."""
+    strings = sorted(
+        {"".join(str(x) for x in rng.integers(0, d, size=n)) for _ in range(int(rng.integers(2, 7)))}
+    )
+    candidates = list(combinations(strings, 2)) or [("0" * n, "1" * n)]
+    picks = rng.choice(len(candidates), size=min(size, len(candidates)), replace=False)
+    return [list(candidates[i]) for i in picks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 3),
+    st.integers(1, 8),
+    st.integers(0, 2**31),
+    st.sampled_from(list(NRVariant)),
+)
+def test_compile_matches_digit_string_oracle(n, d, size, seed, variant):
+    """Noise images in first-cut order, N_R, N_eta and the uncounted profile."""
+    pairs = _random_selection(n, d, size, np.random.default_rng(seed))
+    want = oracles.compiled_fields_direct(pairs, n, d, variant.value)
+    r = PairSet.from_strings(pairs, n, d)
+    if len(r) == want["n_r"]:
+        with pytest.raises(DegenerateSelectionError):
+            compile_witness(r, variant)
+        return
+    w = compile_witness(r, variant)
+    assert w.n_r == want["n_r"]
+    assert [g.sorted_parties() for g in w.uncounted_profile] == want["cuts"]
+    assert list(w.uncounted_profile.values()) == want["profile"]
+    got_images = [
+        [(str(img.first), str(img.second)) for img in w.noise_images[pair]] for pair in r
+    ]
+    assert got_images == want["noise_images"]
+    assert {str(eta): k for eta, k in w.n_eta.items()} == want["n_eta"]
+
+
 @pytest.mark.parametrize("variant", list(NRVariant))
 def test_compile_permutes_each_pair_once_per_cut(monkeypatch, variant):
+    """Every selected pair gets exactly one image under every canonical cut."""
     import gmebound.witness as witness_module
 
-    calls = []
-    permute = witness_module.permute_pair
+    seen = []
+    images = witness_module._images
 
-    def counted(gamma, pair):
-        calls.append(gamma)
-        return permute(gamma, pair)
+    def counted(ranks, delta, masks):
+        lo, hi = images(ranks, delta, masks)
+        assert lo.shape == hi.shape == (len(masks), len(ranks))
+        seen.append(masks.copy())
+        return lo, hi
 
-    monkeypatch.setattr(witness_module, "permute_pair", counted)
+    monkeypatch.setattr(witness_module, "CHUNK_ENTRIES", 5)
+    monkeypatch.setattr(witness_module, "_images", counted)
     r = PairSet.from_strings(SINGLET_R, 4, 2)
     compile_witness(r, variant)
-    assert len(calls) == len(r) * (2 ** (4 - 1) - 1)
+    cuts = np.concatenate(seen)
+    assert len(cuts) == 2 ** (4 - 1) - 1
+    assert len({tuple(row) for row in cuts.tolist()}) == len(cuts)
+
+
+@pytest.mark.parametrize("variant", list(NRVariant))
+def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
+    """Tiny chunks split the cuts and the candidates; every field stays the same."""
+    import gmebound.witness as witness_module
+
+    targets = [make_w_state(6), make_dicke_state(5, 3, 2), make_singlet4()]
+    whole = [(auto_select_R(t), compile_witness(auto_select_R(t), variant)) for t in targets]
+    monkeypatch.setattr(witness_module, "CHUNK_ENTRIES", 5)
+    for target, (r, w) in zip(targets, whole):
+        assert auto_select_R(target) == r
+        chunked = compile_witness(r, variant)
+        assert (chunked.n_r, chunked.n_eta) == (w.n_r, w.n_eta)
+        assert chunked.noise_images == w.noise_images
+        assert chunked.uncounted_profile == w.uncounted_profile
+        assert evaluate(chunked, NoisyPureState(target, 0.7)) == evaluate(w, NoisyPureState(target, 0.7))
 
 
 def test_degenerate_single_fixed_pair_rejected():
@@ -168,6 +233,24 @@ def test_auto_select_skips_cycle_partners():
     assert r.as_strings() == [["01", "10"]]
     compiled = compile_witness(r, NRVariant.MINIMAL)
     assert evaluate(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
+
+
+AUTO_SELECT_TARGETS = {
+    **{f"w-{n}": (make_w_state, (n,)) for n in range(3, 11)},
+    **{f"ghz-{n}": (make_ghz_state, (n,)) for n in range(3, 13)},
+    "ghz-5-d3": (make_ghz_state, (5, 3)),
+    **{f"dicke-{n}-{d}-{m}": (make_dicke_state, (n, d, m)) for n, d, m in ((4, 2, 2), (5, 3, 2), (7, 2, 3))},
+    "singlet4": (make_singlet4, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_SELECT_TARGETS))
+def test_auto_select_matches_recorded_selections(name):
+    """Selections as auto_select_R made them before its array rewrite (e017e43),
+    kept in auto_select_pins.json: cover order, weight ties and cycle skips."""
+    pins = json.loads((Path(__file__).parent / "auto_select_pins.json").read_text())
+    make, args = AUTO_SELECT_TARGETS[name]
+    assert auto_select_R(make(*args)).as_strings() == pins[name]
 
 
 def test_pairset_dedupes_and_validates():
@@ -225,6 +308,68 @@ def test_witness_never_exceeds_measure(shape, size, seed, variant):
         # degenerate selection or a cut the support cannot cover: no witness
         return
     assert evaluate(compiled, psi) <= gme_measure_pure(psi).e_m + 1e-9
+
+
+# a local dimension whose ranks overflow int64 from n = 2 on
+HUGE_D = 2**40
+
+
+def _widen(eta: MultiIndex) -> MultiIndex:
+    """The same digit pattern over HUGE_D levels (digit x becomes x * 2**38)."""
+    return MultiIndex(tuple(x << 38 for x in eta.digits), HUGE_D)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 8),
+    st.integers(0, 2**31),
+    st.sampled_from(list(NRVariant)),
+)
+def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
+    """Over HUGE_D the ranks are Python integers.  Every result depends only on
+    which digits agree, so compiling, evaluating, auto-selecting, the coeff
+    entropies and single-element reads match those over d = 3 exactly."""
+    rng = np.random.default_rng(seed)
+    ranks = rng.choice(3**n, size=min(size, 3**n), replace=False)
+    amps = rng.normal(size=len(ranks)) + 1j * rng.normal(size=len(ranks))
+    amps /= np.linalg.norm(amps)
+    psi = PureState(
+        n, 3, {MultiIndex.from_rank(int(k), n, 3): complex(a) for k, a in zip(ranks, amps)}
+    )
+    wide = PureState(n, HUGE_D, {_widen(eta): c for eta, c in psi.amplitudes.items()})
+    r = PairSet.from_strings(_random_selection(n, 3, size, rng), n, 3)
+    wide_r = PairSet.of((IndexPair(_widen(p.first), _widen(p.second)) for p in r), n, HUGE_D)
+
+    def widen_pair(pair: IndexPair) -> IndexPair:
+        return IndexPair(_widen(pair.first), _widen(pair.second))
+
+    try:
+        w = compile_witness(r, variant)
+    except DegenerateSelectionError:
+        with pytest.raises(DegenerateSelectionError):
+            compile_witness(wide_r, variant)
+    else:
+        big = compile_witness(wide_r, variant)
+        assert (big.n_r, big.prefactor) == (w.n_r, w.prefactor)
+        assert big.uncounted_profile == w.uncounted_profile
+        assert big.n_eta == {_widen(eta): k for eta, k in w.n_eta.items()}
+        assert big.noise_images == {
+            widen_pair(pair): tuple(map(widen_pair, imgs)) for pair, imgs in w.noise_images.items()
+        }
+        assert evaluate(big, wide) == evaluate(w, psi)
+
+    try:
+        chosen = auto_select_R(psi)
+    except AnalysisError:
+        with pytest.raises(AnalysisError):
+            auto_select_R(wide)
+    else:
+        assert auto_select_R(wide).pairs == tuple(map(widen_pair, chosen))
+    got = gme_measure_pure(wide).entropies
+    assert list(got.values()) == list(gme_measure_pure(psi).entropies.values())
+    a, b = psi.support[0], psi.support[-1]
+    assert wide.element(_widen(a), _widen(b)) == psi.element(a, b)
 
 
 @settings(max_examples=40, deadline=None)
