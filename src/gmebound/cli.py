@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 from .dicke_witness import (
@@ -23,7 +24,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure
 from .errors import AnalysisError, InvalidInputError
-from .indices import Bipartition, IndexPair, MultiIndex
+from .indices import Bipartition, IndexPair, MultiIndex, cut_labels, digit_strings
 from .observables import plan_settings
 from .ppt import compare_with_witness_bracket
 from .reproduce import SEED, run_all
@@ -50,24 +51,87 @@ from .witness import (
 PRESETS = ("w", "ghz", "dicke", "singlet4", "isotropic")
 # a --p-grid start:stop:count longer than this is refused before any point is built
 MAX_GRID_POINTS = 10**6
+_CONTAINERS = (dict, list, tuple)
 
 
-def _round12(obj: Any) -> Any:
-    """12 significant digits on every float, recursively (stable JSON output)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+class _NotFinite(ValueError):
+    """A float JSON cannot hold; ``keys`` collects the dict keys above it, innermost first."""
+
+    def __init__(self, value: float) -> None:
+        super().__init__(f"{value!r} is not a finite number")
+        self.value = value
+        self.keys: list[str] = []
+
+
+def _scalar(x: Any) -> str:
+    """JSON text of a leaf; a float is first rounded to 12 significant digits."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        rounded = float(f"{x:.12g}")
+        if not math.isfinite(rounded):
+            raise _NotFinite(x)
+        return float.__repr__(rounded)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _dump(obj: Any, pad: str = "", cache: dict | None = None) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` with every float at 12
+    significant digits (stable output), in one walk.
+
+    Dict keys are strings; tuples render as lists.  ``cache`` holds, per
+    output, the text of each all-str tuple at each indent, so a label tuple
+    shared by many entries is rendered once.  Leaves are rendered in place
+    rather than through a call of their own.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        return _scalar(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    if cache is None:
+        cache = {}
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+        parts = []
+        for k, v in obj.items():
+            try:
+                text = _dump(v, inner, cache) if isinstance(v, _CONTAINERS) else _scalar(v)
+            except _NotFinite as exc:
+                exc.keys.append(k)
+                raise
+            parts.append(f"{encode_basestring_ascii(k)}: {text}")
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if type(obj) is tuple and all(type(v) is str for v in obj):
+        key = (obj, pad)
+        text = cache.get(key)
+        if text is None:
+            text = cache[key] = _items(obj, pad, inner, cache)
+        return text
+    return _items(obj, pad, inner, cache)
+
+
+def _items(obj: list | tuple, pad: str, inner: str, cache: dict) -> str:
+    parts = [_dump(v, inner, cache) if isinstance(v, _CONTAINERS) else _scalar(v) for v in obj]
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
 
 
 def _emit_json(payload: dict[str, Any], output: str | None) -> None:
-    text = json.dumps(_round12(payload), indent=2, allow_nan=False)
+    try:
+        text = _dump(payload)
+    except _NotFinite as exc:
+        where = "/".join(reversed(exc.keys))
+        raise AnalysisError(f"output value {where!r} is {exc.value!r}, not finite") from None
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 
@@ -84,12 +148,6 @@ def _emit_csv(header: Sequence[str], rows: list[list[float]], output: str | None
             write(fh)
     else:
         write(sys.stdout)
-
-
-def _bip_label(g: Bipartition) -> str:
-    left = "".join(str(p) for p in g.sorted_parties())
-    right = "".join(str(p) for p in g.complement().sorted_parties())
-    return f"{left}|{right}"
 
 
 def _build_preset(args: argparse.Namespace) -> PureState:
@@ -202,12 +260,13 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if pure is None:
         raise InvalidInputError("entropy profile needs a pure state (kind == 'pure')")
     report = gme_measure_pure(pure, method=args.method)
+    labels = cut_labels(pure.n)
     payload = {
         "n": pure.n,
         "d": pure.d,
         "method": args.method,
-        "entropies": {_bip_label(g): v for g, v in report.entropies.items()},
-        "minimizer": _bip_label(report.minimizer),
+        "entropies": dict(zip(labels, report.values)),
+        "minimizer": labels[report.best],
         "e_m": report.e_m,
     }
     _emit_json(payload, args.output)
@@ -219,19 +278,22 @@ def cmd_bound(args: argparse.Namespace) -> int:
     r = _resolve_pairset(args, pure, rho.n, rho.d)
     w = compile_witness(r, _variant(args))
     value = evaluate(w, rho)
+    n, d = rho.n, rho.d
+    pairs = r.as_strings()
+    first, second, bounds = w.reads.images
+    images = [[a, b] for a, b in zip(digit_strings(first, n, d), digit_strings(second, n, d))]
     payload = {
-        "n": rho.n,
-        "d": rho.d,
+        "n": n,
+        "d": d,
         "variant": args.nr,
-        "pairs": r.as_strings(),
+        "pairs": pairs,
         "n_r": w.n_r,
         "prefactor": w.prefactor,
-        "n_eta": {str(eta): k for eta, k in w.n_eta.items()},
+        "n_eta": dict(zip(digit_strings(w.reads.diagonals, n, d), w.eta_counts.tolist())),
         "noise_images": {
-            f"{pair.first}~{pair.second}": [[str(img.first), str(img.second)] for img in imgs]
-            for pair, imgs in w.noise_images.items()
+            f"{a}~{b}": images[bounds[i] : bounds[i + 1]] for i, (a, b) in enumerate(pairs)
         },
-        "uncounted_profile": {_bip_label(g): k for g, k in w.uncounted_profile.items()},
+        "uncounted_profile": dict(zip(cut_labels(n), w.profile.tolist())),
         "value": value,
         "detects_gme": bool(value > args.tol),
     }
@@ -349,6 +411,9 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
     r = _resolve_pairset(args, pure, n, d)
     w = compile_witness(r, _variant(args))
     plan = plan_settings(w, include_imag=args.include_imag)
+    # one "id"-filled label tuple per distinct key, shared by every term that has it
+    keys = {labs for el in plan.elements for _, labs in el.terms}
+    filled = {labs: tuple("id" if lab is None else lab for lab in labs) for labs in keys}
     payload = {
         "n": plan.n,
         "d": plan.d,
@@ -358,11 +423,8 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
         "elements": [
             {
                 "kind": el.kind,
-                "indices": list(el.indices),
-                "terms": [
-                    {"coeff": c, "labels": [lab if lab is not None else "id" for lab in labs]}
-                    for c, labs in el.terms
-                ],
+                "indices": el.indices,
+                "terms": [{"coeff": c, "labels": filled[labs]} for c, labs in el.terms],
             }
             for el in plan.elements
         ],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,25 +108,39 @@ def _coeff_entropies(psi: PureState, masks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Per-bipartition linear entropies and the resulting pure-state measure."""
+    """Per-bipartition linear entropies and the resulting pure-state measure.
 
-    entropies: dict[Bipartition, float]
-    minimizer: Bipartition
+    ``values`` holds S_L across each canonical cut in the row order of
+    :func:`cut_masks`, and ``best`` the row of the minimizer; ``entropies``
+    and ``minimizer`` are object views of them, built on first access.
+    """
+
+    n: int
+    values: tuple[float, ...]
+    best: int
     e_m: float
+
+    @cached_property
+    def entropies(self) -> dict[Bipartition, float]:
+        return dict(zip(enumerate_bipartitions(self.n), self.values))
+
+    @property
+    def minimizer(self) -> Bipartition:
+        return Bipartition.of((np.flatnonzero(cut_masks(self.n)[self.best]) + 1).tolist(), self.n)
 
 
 def gme_measure_pure(psi: PureState, method: str = "coeff") -> EntropyReport:
-    """min over canonical bipartitions of sqrt(S_L)."""
+    """min over canonical bipartitions of sqrt(S_L); ties go to the cut whose
+    sorted parties come first."""
     if method not in ("coeff", "trace"):
         raise InvalidInputError(f"unknown entropy method {method!r}")
-    cuts = enumerate_bipartitions(psi.n)
+    masks = cut_masks(psi.n)
     if method == "coeff":
-        values = _coeff_entropies(psi, cut_masks(psi.n)).tolist()
+        values = tuple(_coeff_entropies(psi, masks).tolist())
     else:
-        values = [linear_entropy_trace(psi, g) for g in cuts]
-    entropies = dict(zip(cuts, values))
-    minimizer = min(entropies, key=lambda g: (entropies[g], g.sorted_parties()))
+        values = tuple(linear_entropy_trace(psi, g) for g in enumerate_bipartitions(psi.n))
+    low = min(values)
+    tied = [i for i, v in enumerate(values) if v == low]
+    best = min(tied, key=lambda i: np.flatnonzero(masks[i]).tolist())
     # clamp tiny negative round-off before the square root
-    s_min = max(entropies[minimizer], 0.0)
-    return EntropyReport(entropies, minimizer, math.sqrt(s_min))
-
+    return EntropyReport(psi.n, values, best, math.sqrt(max(values[best], 0.0)))

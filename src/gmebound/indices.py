@@ -202,6 +202,31 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     ]
 
 
+@lru_cache(maxsize=None)
+def cut_labels(n: int) -> tuple[str, ...]:
+    """The printed label of each row of :func:`cut_masks`, e.g. ``"13|24"``.
+
+    Each side lists its party numbers in ascending order with no separator,
+    the side holding party 1 first; from ``n = 10`` on, numbers run together
+    (``"1|2345678910"``).
+    """
+    masks = cut_masks(n)
+    parties = np.arange(n, dtype=np.int16)
+    # token p < n is party p + 1 and token n the bar; sorting these keys puts
+    # the first side's parties, the bar, then the other side's parties in order
+    bar = np.full((len(masks), 1), n, dtype=np.int16)
+    keys = np.concatenate([np.where(masks == 1, parties, parties + n + 1), bar], axis=1)
+    tokens = np.argsort(keys, axis=1)
+    # token text NUL-padded to a common width; dropping the padding leaves
+    # labels of one length
+    names = [str(p).encode() for p in range(1, n + 1)] + [b"|"]
+    text = np.array(names, dtype=f"S{len(str(n))}").view(np.uint8).reshape(n + 1, -1)
+    chars = text[tokens].reshape(len(masks), -1)
+    length = sum(map(len, names))
+    chars = chars[chars != 0].reshape(len(masks), length)
+    return tuple(chars.view(f"S{length}").ravel().astype(f"U{length}").tolist())
+
+
 def rank_dtype(n: int, base: int) -> np.dtype:
     """int64 while every rank below ``base**n`` fits in it, else Python integers.
 
@@ -214,6 +239,13 @@ def rank_dtype(n: int, base: int) -> np.dtype:
 def place_values(n: int, base: int) -> np.ndarray:
     """``base**(n-1), ..., base, 1``: a digit array times this is its big-endian rank."""
     return np.array([base**k for k in range(n - 1, -1, -1)], dtype=rank_dtype(n, base))
+
+
+def digit_strings(ranks: np.ndarray, n: int, d: int) -> list[str]:
+    """The bare digit string of each rank, as :class:`MultiIndex` prints it (``d <= 10``)."""
+    digits = ranks[:, None] // place_values(n, d) % d
+    chars = (digits + ord("0")).astype(np.uint8)
+    return chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
 def rank_positions(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, IndexPair, MultiIndex, permute_pair
+from .indices import Bipartition, IndexPair, MultiIndex, permute_pair, rank_dtype
 from .states import DensityMatrix, ElementSource, partial_transpose
 
 
@@ -40,9 +40,19 @@ def _images(pair: IndexPair, gamma: Bipartition) -> tuple[MultiIndex, MultiIndex
     return permute_pair(gamma, pair.as_tuple())
 
 
-def _omega(pair: IndexPair, img1: MultiIndex, img2: MultiIndex, rho: ElementSource) -> float:
-    diag = 0.5 * (rho.diagonal(img1) + rho.diagonal(img2))
-    return diag - rho.element(pair.first, pair.second).real
+def _reads(
+    pair: IndexPair, img1: MultiIndex, img2: MultiIndex, rho: ElementSource
+) -> tuple[complex, float, float]:
+    """rho_e1e2 and the diagonals at the two images, in one gather."""
+    dtype = rank_dtype(pair.n, pair.d)
+    rows = np.array([pair.first.rank, img1.rank, img2.rank], dtype=dtype)
+    cols = np.array([pair.second.rank, img1.rank, img2.rank], dtype=dtype)
+    coherence, diag1, diag2 = rho.elements(rows, cols).tolist()
+    return coherence, diag1.real, diag2.real
+
+
+def _omega(coherence: complex, diag1: float, diag2: float) -> float:
+    return 0.5 * (diag1 + diag2) - coherence.real
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
 
 def ppt_expectation_elements(w: PptWitness, rho: ElementSource) -> float:
     """The same expectation from four matrix elements."""
-    return _omega(w.pair, *permute_pair(w.gamma, w.pair.as_tuple()), rho)
+    return _omega(*_reads(w.pair, *permute_pair(w.gamma, w.pair.as_tuple()), rho))
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,10 @@ class PptComparison:
 def compare_with_witness_bracket(
     pair: IndexPair, gamma: Bipartition, rho: ElementSource, atol: float = 1e-12
 ) -> PptComparison:
-    """Omega from its four matrix elements; the dense operator is never built."""
-    img1, img2 = _images(pair, gamma)
-    omega = _omega(pair, img1, img2, rho)
-    d1 = max(rho.diagonal(img1), 0.0)
-    d2 = max(rho.diagonal(img2), 0.0)
-    minus_w = math.sqrt(d1 * d2) - abs(rho.element(pair.first, pair.second))
+    """Omega from its matrix elements, read in one gather; the dense operator is never built."""
+    coherence, diag1, diag2 = _reads(pair, *_images(pair, gamma), rho)
+    omega = _omega(coherence, diag1, diag2)
+    minus_w = math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
     return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + atol)
 
 

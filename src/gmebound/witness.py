@@ -153,11 +153,17 @@ class Reads:
         )
 
     @property
-    def images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The two ranks of each image and the coherence it belongs to."""
+    def images(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The two ranks of each image, and ``bounds``: the images of
+        coherence i are entries ``bounds[i]`` to ``bounds[i + 1]``."""
         k, m = len(self.coherence_at), len(self.image_at)
-        owner = self.image_at - np.arange(m) - 1
-        return self.rows[k : k + m], self.rows[k + m : k + 2 * m], owner
+        bounds = (self.coherence_at - np.arange(k)).tolist() + [m]
+        return self.rows[k : k + m], self.rows[k + m : k + 2 * m], bounds
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """The ranks of I(R), in rank order."""
+        return self.rows[len(self.coherence_at) + 2 * len(self.image_at) :]
 
     def read(self, rho: ElementSource) -> tuple[float, np.ndarray]:
         """sum |rho_ab| - sum sqrt(rho_a'a' rho_b'b') in visiting order, and the diagonals."""
@@ -217,12 +223,11 @@ class CompiledWitness:
         """Per pair: the distinct unordered images outside R, in order of the
         first bipartition that produces each."""
         n, d = self.n, self.d
-        first, second, owner = self.reads.images
+        first, second, bounds = self.reads.images
         images = [
             IndexPair(MultiIndex.from_rank(a, n, d), MultiIndex.from_rank(b, n, d))
             for a, b in zip(first.tolist(), second.tolist())
         ]
-        bounds = np.searchsorted(owner, np.arange(len(self.r) + 1)).tolist()
         return {pair: tuple(images[bounds[i] : bounds[i + 1]]) for i, pair in enumerate(self.r)}
 
     @cached_property

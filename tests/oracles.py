@@ -220,3 +220,15 @@ def random_density(n: int, d: int, rng: np.random.Generator, rank: int = 3) -> n
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def round12_oracle(obj):
+    """The payload as the JSON output holds it: every float at 12 significant
+    digits, tuples as lists, walked recursively (standard library only)."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round12_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12_oracle(v) for v in obj]
+    return obj

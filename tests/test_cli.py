@@ -1,10 +1,17 @@
 """End-to-end CLI coverage through main(argv) with captured output."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import gmebound.cli as cli
+import oracles
 from gmebound.cli import main
 
 SINGLET_R = [["0011", "0101"], ["0011", "0110"], ["0011", "1001"], ["0011", "1010"]]
@@ -311,3 +318,53 @@ def test_pure_inputs_never_build_a_dense_matrix(monkeypatch, tmp_path, singlet_r
     ]
     for i, argv in enumerate(runs):
         assert main(argv + ["--output", str(tmp_path / f"{i}.out")]) == 0, argv
+
+
+PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(PINS))
+def test_output_matches_recorded_digest(capsys, command):
+    """sha256 of the stdout each command gave at 0556fd2, the commit before the
+    one-walk emitter and the array-built payloads; output must stay byte for byte."""
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[command]
+
+
+LEAVES = (
+    st.text()
+    | st.booleans()
+    | st.none()
+    | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e16, 1e-7, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2])
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(PAYLOADS, st.lists(st.text(), max_size=3).map(tuple))
+def test_dump_matches_stdlib_json(payload, labels):
+    """One walk gives what the stdlib gives after rounding; ``labels`` sits at
+    two depths, so a tuple's cached text must be keyed by its indent."""
+    for doc in (payload, {"top": labels, "deep": [[labels, payload], labels]}):
+        assert cli._dump(doc) == json.dumps(oracles.round12_oracle(doc), indent=2, allow_nan=False)
+
+
+def test_non_finite_output_is_analysis_error(monkeypatch, tmp_path, capsys):
+    """A NaN in a payload exits 1 naming its key, and writes no --output file."""
+    monkeypatch.setattr(cli, "evaluate", lambda w, rho: math.nan)
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--preset", "ghz", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "'value'" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+    report = SimpleNamespace(values=(0.5, math.inf, 0.5), best=0, e_m=0.5)
+    monkeypatch.setattr(cli, "gme_measure_pure", lambda psi, method: report)
+    assert main(["entropy", "--preset", "w"]) == 1
+    assert "'entropies/12|3'" in capsys.readouterr().err

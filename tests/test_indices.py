@@ -10,8 +10,10 @@ from gmebound.indices import (
     Bipartition,
     IndexPair,
     MultiIndex,
+    cut_labels,
     cut_masks,
     differing_positions,
+    digit_strings,
     enumerate_bipartitions,
     permute_pair,
     place_values,
@@ -137,3 +139,24 @@ def test_place_values_switch_to_python_ints_beyond_int64():
 def test_rank_positions_mark_absent_ranks():
     got = rank_positions(np.array([2, 5, 9]), np.array([[9, 3], [2, 10]]))
     assert got.tolist() == [[2, -1], [0, -1]]
+
+
+def _bip_label(g: Bipartition) -> str:
+    left = "".join(str(p) for p in g.sorted_parties())
+    right = "".join(str(p) for p in g.complement().sorted_parties())
+    return f"{left}|{right}"
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cut_labels_match_bipartition_labels(n):
+    """One label per cut row, as the objects print them; from n = 10 on the
+    party numbers run together."""
+    assert list(cut_labels(n)) == [_bip_label(g) for g in enumerate_bipartitions(n)]
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 3), (5, 10), (19, 10), (64, 2)])
+def test_digit_strings_match_multiindex(n, d):
+    """Rank arrays print as MultiIndex does, also past int64 (object ranks)."""
+    ranks = [0, 1, d**n // 3, d**n - 1]
+    array = np.array(ranks, dtype=object if d**n > 2**63 else np.int64)
+    assert digit_strings(array, n, d) == [str(MultiIndex.from_rank(r, n, d)) for r in ranks]

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from gmebound.errors import InvalidInputError
-from gmebound.indices import Bipartition, IndexPair, MultiIndex
+from gmebound.indices import Bipartition, IndexPair, MultiIndex, permute_pair
 from gmebound.ppt import (
     build_ppt_witness,
     compare_with_witness_bracket,
@@ -13,7 +13,13 @@ from gmebound.ppt import (
     ppt_expectation,
     ppt_expectation_elements,
 )
-from gmebound.states import DensityMatrix, make_ghz_state, white_noise_mix
+from gmebound.states import (
+    DensityMatrix,
+    NoisyPureState,
+    make_ghz_state,
+    make_singlet4,
+    white_noise_mix,
+)
 
 
 def _pair(a: str, b: str, d: int = 2) -> IndexPair:
@@ -108,3 +114,33 @@ def test_expectation_via_dense_partial_transpose():
     want = float(np.real(np.trace(rho_mat @ op)))
     got = ppt_expectation(w, DensityMatrix(3, 2, rho_mat))
     assert got == pytest.approx(want, abs=1e-12)
+
+
+class _CountingSource:
+    """An element source that only answers ``elements()``, and counts the calls."""
+
+    def __init__(self, rho):
+        self.rho, self.n, self.d, self.gathers = rho, rho.n, rho.d, []
+
+    def elements(self, rows, cols):
+        self.gathers.append(len(rows))
+        return self.rho.elements(rows, cols)
+
+
+@pytest.mark.parametrize("kind", ["pure", "noisy", "dense"])
+def test_bracket_reads_one_gather_with_scalar_values(kind):
+    """The pair's entry and both image diagonals come from one elements() call,
+    and Omega and -W equal the values read entry by entry, to the last bit."""
+    psi = make_singlet4()
+    rho = {"pure": psi, "noisy": NoisyPureState(psi, 0.7), "dense": white_noise_mix(psi, 0.7)}[kind]
+    pair, gamma = _pair("0011", "1100"), Bipartition.of({1, 3}, 4)
+    img1, img2 = permute_pair(gamma, pair.as_tuple())
+    counting = _CountingSource(rho)
+    got = compare_with_witness_bracket(pair, gamma, counting)
+    assert counting.gathers == [3]
+    coherence = rho.element(pair.first, pair.second)
+    diag1, diag2 = rho.diagonal(img1), rho.diagonal(img2)
+    assert got.omega == 0.5 * (diag1 + diag2) - coherence.real
+    assert got.minus_w == math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
+    w = build_ppt_witness(pair, gamma)
+    assert ppt_expectation_elements(w, _CountingSource(rho)) == got.omega
