@@ -16,19 +16,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import (
-    Bipartition,
-    IndexPair,
-    MultiIndex,
-    differing_positions,
-    permute_pair,
-    rank_dtype,
-)
+from .indices import IndexPair, MultiIndex, cut_masks, place_values
 from .states import ElementSource, NoisyPureState, PureState
-from .witness import NRVariant, PairSet, Reads, _noise_root, compile_witness
-
-# one coherence of Q: the pattern pair (s1, s2) and its diagonal noise images
-QTerm = tuple[MultiIndex, MultiIndex, tuple[tuple[MultiIndex, MultiIndex], ...]]
+from .witness import NRVariant, PairSet, Reads, _images, _noise_root, compile_witness
 
 
 @dataclass(frozen=True)
@@ -81,107 +71,59 @@ class DickeWitnessSpec:
         ]
 
     @cached_property
-    def terms(self) -> tuple[tuple[QTerm, ...], tuple[MultiIndex, ...]]:
-        """Everything Q reads, in evaluation order: the coherences with their
-        noise images, then the diagonal patterns.  Built once per spec, so a
-        threshold search or a sweep pays for it once."""
-        levels = range(self.d - 1)
-        sigma = self.sigma()
-        coherences = tuple(
-            (
-                self.pattern(alpha, l1),
-                self.pattern(beta, l2),
-                tuple(_pair_noise(self, alpha, beta, l1, l2)),
-            )
-            for l1 in levels
-            for l2 in levels
-            for alpha, beta in sigma
-            if self.sigma_ordered or (alpha, l1) <= (beta, l2)
-        )
-        diagonals = tuple(self.pattern(alpha, l) for l in levels for alpha in self.subsets())
-        return coherences, diagonals
-
-    @cached_property
     def reads(self) -> Reads:
-        """:attr:`terms` as ranks, in the same order."""
-        coherences, diagonals = self.terms
-        pairs: list[int] = []
-        images: list[int] = []
-        owner: list[int] = []
-        for i, (s1, s2, imgs) in enumerate(coherences):
-            pairs += (s1.rank, s2.rank)
-            for a, b in imgs:
-                images += (a.rank, b.rank)
-                owner.append(i)
-        dtype = rank_dtype(self.n, self.d)
-        return Reads.build(
-            np.array(pairs, dtype).reshape(-1, 2),
-            np.array(images, dtype).reshape(-1, 2),
-            np.array(owner, dtype=np.int64),
-            np.array([eta.rank for eta in diagonals], dtype),
-        )
+        """Everything Q reads, in evaluation order: each coherence with its
+        noise images, then the diagonal patterns.  Built once per spec, so a
+        threshold search or a sweep pays for it once.
 
+        A coherence whose patterns differ at k >= 2 sites subtracts distinct
+        exchange images of the pair: with ``"all"`` every nontrivial class
+        once, as the rows of ``cut_masks(k)`` placed on those sites; with
+        ``"singles"`` the one-site exchanges at the allowed sites, in
+        ascending order.  At l1 == l2 (k = 2) either way gives the one class,
+        the (intersection, union) pattern pair.
+        """
+        n, d, m = self.n, self.d, self.m
+        subsets = self.subsets()
+        excited = np.zeros((len(subsets), n), dtype=np.int64)
+        for row, sub in enumerate(subsets):
+            excited[row, list(sub)] = 1
+        a, b = np.nonzero(excited @ excited.T == m - 1)  # sigma, in sigma() order
+        if not self.sigma_ordered:
+            a, b = a[b > a], b[b > a]
+        levels = np.arange(d - 1)
+        l1 = np.repeat(levels, (d - 1) * len(a))[:, None]
+        l2 = np.tile(np.repeat(levels, len(a)), d - 1)[:, None]
+        alpha = excited[np.tile(a, (d - 1) ** 2)]
+        beta = excited[np.tile(b, (d - 1) ** 2)]
+        first, second = l1 + alpha, l2 + beta
 
-def _image_classes(
-    s1: MultiIndex, s2: MultiIndex, allowed_singles: set[int] | None
-) -> list[tuple[MultiIndex, MultiIndex]]:
-    """Distinct unordered exchange images of (s1, s2), identity excluded.
-
-    With ``allowed_singles`` set, only one-site exchanges at those (0-based)
-    positions are taken; otherwise every nontrivial class appears once.
-    """
-    diff = sorted(differing_positions((s1, s2)))  # 1-based
-    if len(diff) < 2:
-        return []
-    out: list[tuple[MultiIndex, MultiIndex]] = []
-    seen: set[frozenset[MultiIndex]] = set()
-
-    def visit(x: frozenset[int]) -> None:
-        img1, img2 = permute_pair(Bipartition(x, s1.n), (s1, s2))
-        key = frozenset((img1, img2))
-        if key not in seen:
-            seen.add(key)
-            out.append((img1, img2))
-
-    if allowed_singles is not None:
-        for i in allowed_singles:
-            if (i + 1) in diff:
-                visit(frozenset({i + 1}))
-        return out
-
-    anchor = diff[0]
-    rest = diff[1:]
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            x = frozenset((anchor,) + extra)
-            if len(x) == len(diff):
-                continue  # exchanging every differing site is the identity class
-            visit(x)
-    return out
-
-
-def _pair_noise(
-    spec: DickeWitnessSpec,
-    alpha: tuple[int, ...],
-    beta: tuple[int, ...],
-    l1: int,
-    l2: int,
-) -> list[tuple[MultiIndex, MultiIndex]]:
-    s1 = spec.pattern(alpha, l1)
-    s2 = spec.pattern(beta, l2)
-    if l1 == l2:
-        # one-site exchange inside the differing doublet: the image is always
-        # the (intersection, union) excitation pattern at this level
-        inter = tuple(sorted(set(alpha) & set(beta)))
-        union = tuple(sorted(set(alpha) | set(beta)))
-        return [(spec.pattern(inter, l1), spec.pattern(union, l1))]
-    if spec.delta_subsets == "singles":
-        if l2 < l1:
-            allowed = set(range(spec.n)) - (set(alpha) - set(beta))
-        else:
-            allowed = set(range(spec.n)) - (set(beta) - set(alpha))
-        return _image_classes(s1, s2, allowed)
-    return _image_classes(s1, s2, None)
+        values = place_values(n, d)
+        ranks = np.stack([first @ values, second @ values], axis=1)
+        delta = (second - first) * values
+        differ = first != second
+        k = differ.sum(axis=1)
+        singles = self.delta_subsets == "singles"
+        # "singles" exchanges no site of alpha - beta when l2 < l1 and none of
+        # beta - alpha otherwise (at l1 == l2 this leaves one of the two sites)
+        allowed = ~np.where(l2 < l1, alpha > beta, beta > alpha)
+        owners, images = [np.empty(0, dtype=np.int64)], [np.empty((0, 2), ranks.dtype)]
+        for size in np.unique(k[k >= 2]).tolist():
+            sel = np.flatnonzero(k == size)
+            at = differ[sel]
+            moves = np.eye(size, dtype=np.int8) if singles else cut_masks(size)
+            lo, hi = _images(ranks[sel], delta[sel][at].reshape(-1, size).T, moves)
+            # coherence-major, each coherence's images in the order of moves
+            if singles:
+                keep = allowed[sel][at].reshape(-1, size)
+            else:
+                keep = np.ones(lo.T.shape, dtype=bool)
+            owners.append(np.broadcast_to(sel[:, None], keep.shape)[keep])
+            images.append(np.stack([lo.T[keep], hi.T[keep]], axis=1))
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        diagonals = (levels[:, None, None] + excited).reshape(-1, n) @ values
+        return Reads.build(ranks, np.concatenate(images)[order], owner[order], diagonals)
 
 
 def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float:

@@ -1,4 +1,4 @@
-"""Multi-index arithmetic, bipartitions, and the pair-permutation operator.
+"""Multi-index arithmetic, bipartitions, and their integer-array forms.
 
 Conventions used throughout the package:
 
@@ -11,14 +11,16 @@ Conventions used throughout the package:
 Hot paths work on integer arrays instead of these objects: a basis index is
 its rank (see :func:`rank_dtype`), a set of indices is a ``(k, n)`` digit
 array, and the canonical cuts are the ``(G, n)`` 0/1 array of
-:func:`cut_masks`.
+:func:`cut_masks`.  A cut exchanges the digits of an index pair at its
+parties, which on ranks moves the place-valued digit differences at those
+parties from one rank to the other (``witness._images``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -154,27 +156,6 @@ class IndexPair:
         return f"({self.first},{self.second})"
 
 
-def permute_pair(
-    gamma: Bipartition, pair: Sequence[MultiIndex]
-) -> tuple[MultiIndex, MultiIndex]:
-    """Exchange the digits at positions in gamma between the two indices.
-
-    The returned pair preserves the input order (no canonicalization); applying
-    the same gamma twice restores the input.
-    """
-    eta1, eta2 = pair
-    if eta1.n != eta2.n or eta1.d != eta2.d:
-        raise InvalidInputError("pair members must share n and d")
-    if gamma.n != eta1.n:
-        raise InvalidInputError(f"gamma is over n={gamma.n} parties, indices over n={eta1.n}")
-    a = list(eta1.digits)
-    b = list(eta2.digits)
-    for p in gamma.parties:
-        i = p - 1
-        a[i], b[i] = b[i], a[i]
-    return MultiIndex(tuple(a), eta1.d), MultiIndex(tuple(b), eta1.d)
-
-
 @lru_cache(maxsize=None)
 def cut_masks(n: int) -> np.ndarray:
     """The canonical cuts as a read-only ``(2**(n-1) - 1, n)`` 0/1 array.
@@ -253,10 +234,3 @@ def rank_positions(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     pos = np.minimum(np.searchsorted(sorted_ranks, ranks), len(sorted_ranks) - 1)
     return np.where(sorted_ranks[pos] == ranks, pos, -1)
 
-
-def differing_positions(pair: Sequence[MultiIndex]) -> frozenset[int]:
-    """1-based party positions where the two indices disagree."""
-    eta1, eta2 = pair
-    return frozenset(
-        p for p, (x, y) in enumerate(zip(eta1.digits, eta2.digits), start=1) if x != y
-    )

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, IndexPair, MultiIndex, permute_pair, rank_dtype
+from .indices import Bipartition, IndexPair, MultiIndex, place_values, rank_dtype
 from .states import DensityMatrix, ElementSource, partial_transpose
+from .witness import _images
 
 
 def _check_antipodal(pair: IndexPair) -> None:
@@ -32,21 +33,27 @@ def _check_antipodal(pair: IndexPair) -> None:
             )
 
 
-def _images(pair: IndexPair, gamma: Bipartition) -> tuple[MultiIndex, MultiIndex]:
-    """The pair with its gamma digits exchanged, for a valid pair and cut."""
+def _image_ranks(pair: IndexPair, gamma: Bipartition) -> tuple[int, int]:
+    """The ranks of the pair with its gamma digits exchanged, lower first, for
+    a valid pair and cut."""
     _check_antipodal(pair)
     if gamma.n != pair.n:
         raise InvalidInputError(f"gamma over n={gamma.n}, pair over n={pair.n}")
-    return permute_pair(gamma, pair.as_tuple())
+    digits = np.array([pair.first.digits, pair.second.digits], dtype=np.int64)
+    values = place_values(pair.n, pair.d)
+    mask = np.zeros((1, pair.n), dtype=np.int8)
+    mask[0, [p - 1 for p in gamma.parties]] = 1
+    lo, hi = _images((digits @ values)[None], ((digits[1] - digits[0]) * values)[:, None], mask)
+    return lo.item(), hi.item()
 
 
 def _reads(
-    pair: IndexPair, img1: MultiIndex, img2: MultiIndex, rho: ElementSource
+    pair: IndexPair, img1: int, img2: int, rho: ElementSource
 ) -> tuple[complex, float, float]:
-    """rho_e1e2 and the diagonals at the two images, in one gather."""
+    """rho_e1e2 and the diagonals at the two image ranks, in one gather."""
     dtype = rank_dtype(pair.n, pair.d)
-    rows = np.array([pair.first.rank, img1.rank, img2.rank], dtype=dtype)
-    cols = np.array([pair.second.rank, img1.rank, img2.rank], dtype=dtype)
+    rows = np.array([pair.first.rank, img1, img2], dtype=dtype)
+    cols = np.array([pair.second.rank, img1, img2], dtype=dtype)
     coherence, diag1, diag2 = rho.elements(rows, cols).tolist()
     return coherence, diag1.real, diag2.real
 
@@ -63,11 +70,11 @@ class PptWitness:
 
 
 def build_ppt_witness(pair: IndexPair, gamma: Bipartition) -> PptWitness:
-    img1, img2 = _images(pair, gamma)
+    img1, img2 = _image_ranks(pair, gamma)
     n, d = pair.n, pair.d
     lam = np.zeros(d**n, dtype=complex)
-    lam[img1.rank] = 1.0 / math.sqrt(2.0)
-    lam[img2.rank] = -1.0 / math.sqrt(2.0)
+    lam[img1] = 1.0 / math.sqrt(2.0)
+    lam[img2] = -1.0 / math.sqrt(2.0)
     projector = DensityMatrix(n, d, np.outer(lam, lam.conj()), validate=False)
     return PptWitness(pair=pair, gamma=gamma, operator=partial_transpose(projector, gamma))
 
@@ -79,7 +86,7 @@ def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
 
 def ppt_expectation_elements(w: PptWitness, rho: ElementSource) -> float:
     """The same expectation from four matrix elements."""
-    return _omega(*_reads(w.pair, *permute_pair(w.gamma, w.pair.as_tuple()), rho))
+    return _omega(*_reads(w.pair, *_image_ranks(w.pair, w.gamma), rho))
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def compare_with_witness_bracket(
     pair: IndexPair, gamma: Bipartition, rho: ElementSource, atol: float = 1e-12
 ) -> PptComparison:
     """Omega from its matrix elements, read in one gather; the dense operator is never built."""
-    coherence, diag1, diag2 = _reads(pair, *_images(pair, gamma), rho)
+    coherence, diag1, diag2 = _reads(pair, *_image_ranks(pair, gamma), rho)
     omega = _omega(coherence, diag1, diag2)
     minus_w = math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
     return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + atol)

@@ -51,6 +51,7 @@ from .witness import (
     bipartite_bound_isotropic,
     compile_witness,
     evaluate,
+    isotropic_pairset,
     noise_threshold,
 )
 
@@ -68,6 +69,15 @@ class CheckResult:
 
 def _result(number: int, name: str, passed: bool, t0: float, details: str) -> CheckResult:
     return CheckResult(number, name, passed, time.perf_counter() - t0, details)
+
+
+def _random_density(rng: np.random.Generator, n: int, d: int) -> DensityMatrix:
+    """A @ A^dagger over its trace, A a complex Gaussian d**n x d**n matrix."""
+    dim = d**n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = a @ a.conj().T
+    mat /= np.trace(mat).real
+    return DensityMatrix(n, d, mat, validate=False)
 
 
 def singlet_pairset() -> PairSet:
@@ -197,11 +207,7 @@ def check_ppt(seed: int = SEED) -> CheckResult:
     for _ in range(500):
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4))
-        dim = d**n
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mat = a @ a.conj().T
-        mat /= np.trace(mat).real
-        rho = DensityMatrix(n, d, mat, validate=False)
+        rho = _random_density(rng, n, d)
         pairs = enumerate_ghz_pairs(n, d)
         p = pairs[int(rng.integers(len(pairs)))]
         gammas = enumerate_bipartitions(n)
@@ -222,8 +228,6 @@ def check_ppt(seed: int = SEED) -> CheckResult:
 def check_measurement_plans(seed: int = SEED) -> CheckResult:
     """Plan sizes for the reference witnesses plus random reconstructions."""
     t0 = time.perf_counter()
-    from .witness import isotropic_pairset
-
     qutrit_plan = plan_settings(compile_witness(isotropic_pairset(3)))
     w_plan = plan_settings(compile_witness(auto_select_R(make_w_state(3))))
     counts_ok = (
@@ -238,21 +242,17 @@ def check_measurement_plans(seed: int = SEED) -> CheckResult:
     for _ in range(100):
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4))
-        dim = d**n
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mat = a @ a.conj().T
-        mat /= np.trace(mat).real
-        rho = DensityMatrix(n, d, mat, validate=False)
-        r1 = int(rng.integers(dim))
-        r2 = int(rng.integers(dim))
+        rho = _random_density(rng, n, d)
+        r1 = int(rng.integers(d**n))
+        r2 = int(rng.integers(d**n))
         e1, e2 = MultiIndex.from_rank(r1, n, d), MultiIndex.from_rank(r2, n, d)
         if e1 == e2:
             recon_err = max(
-                recon_err, abs(reconstruct(decompose_diagonal(e1), rho) - rho.diagonal(e1))
+                recon_err, abs(reconstruct(decompose_diagonal(e1), rho) - rho.matrix[r1, r1].real)
             )
         else:
             p = IndexPair.of(e1, e2)
-            truth = rho.element(p.first, p.second)
+            truth = rho.matrix[min(r1, r2), max(r1, r2)]  # p's order: lower rank first
             recon_err = max(
                 recon_err,
                 abs(reconstruct(decompose_offdiagonal(p, "re"), rho) - truth.real),
@@ -384,12 +384,8 @@ def check_soundness(seed: int = SEED) -> CheckResult:
     # (d) Q never exceeds d-1 on random mixed states
     q_max_gap = -math.inf
     for spec in (DickeWitnessSpec(3, 2, 1), DickeWitnessSpec(3, 3, 1)):
-        dim = spec.d**spec.n
         for _ in range(100):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            mat = a @ a.conj().T
-            mat /= np.trace(mat).real
-            rho = DensityMatrix(spec.n, spec.d, mat, validate=False)
+            rho = _random_density(rng, spec.n, spec.d)
             q_max_gap = max(q_max_gap, q_witness(spec, rho) - (spec.d - 1))
     ceiling_ok = q_max_gap <= 1e-9
 

@@ -4,8 +4,8 @@ Pure states are stored sparsely (amplitudes keyed by :class:`MultiIndex`);
 density matrices are dense ``(d**n, d**n)`` complex arrays whose row/column
 order follows :attr:`MultiIndex.rank`; white noise on a pure state is a view
 that is never materialised.  All three answer ``elements(rows, cols)`` on
-arrays of ranks, which is all the witnesses read; ``element()`` and
-``diagonal()`` read one entry through it.
+arrays of ranks, which is the one way the package reads matrix entries; a
+single entry is a gather of length one.
 
 Arithmetic on amplitudes goes component by component through
 :func:`complex_product`, in the operation order of Python's complex product,
@@ -25,24 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, MultiIndex, place_values, rank_dtype, rank_positions
+from .indices import Bipartition, MultiIndex, place_values, rank_positions
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGMIN_ATOL = -1e-10
-
-
-class _EntryReader:
-    """``element()`` and ``diagonal()`` for one entry, read through ``elements()``."""
-
-    def element(self, eta1: MultiIndex, eta2: MultiIndex) -> complex:
-        """<eta1| rho |eta2>."""
-        dtype = rank_dtype(self.n, self.d)
-        return complex(self.elements(np.array([eta1.rank], dtype), np.array([eta2.rank], dtype))[0])
-
-    def diagonal(self, eta: MultiIndex) -> float:
-        return float(self.element(eta, eta).real)
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -62,7 +50,7 @@ def complex_product(
 
 
 @dataclass(frozen=True)
-class PureState(_EntryReader):
+class PureState:
     """A normalized n-qudit ket with sparse amplitudes."""
 
     n: int
@@ -120,7 +108,7 @@ class PureState(_EntryReader):
 
 
 @dataclass(frozen=True)
-class NoisyPureState(_EntryReader):
+class NoisyPureState:
     """p * |psi><psi| + (1-p) * I / d**n, read element by element.
 
     Entries equal those of ``white_noise_mix(pure, p).matrix`` without ever
@@ -151,7 +139,7 @@ class NoisyPureState(_EntryReader):
 
 
 @dataclass
-class DensityMatrix(_EntryReader):
+class DensityMatrix:
     """A dense n-qudit density matrix in the computational basis."""
 
     n: int

@@ -117,6 +117,11 @@ def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
         raise InvalidInputError(f"pair file {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise InvalidInputError(f"pair file {path} must hold a list of [a, b] entries")
+    for entry in entries:
+        if not isinstance(entry, list) or [type(x) for x in entry] != [str, str]:
+            raise InvalidInputError(
+                f"pair file {path}: entry {json.dumps(entry)} is not a pair of index strings"
+            )
     return PairSet.from_strings(entries, n, d)
 
 

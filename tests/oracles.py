@@ -161,6 +161,75 @@ def compiled_fields_direct(
     }
 
 
+def q_value_direct(
+    rho: np.ndarray,
+    n: int,
+    d: int,
+    m: int,
+    sigma_ordered: bool = True,
+    delta_subsets: str = "all",
+) -> float:
+    """The Dicke dimensionality witness Q recomputed on digit strings.
+
+    For every level pair (l1, l2) and every pair of m-subsets alpha != beta
+    sharing m - 1 sites (alpha before beta in combinations order unless
+    ``sigma_ordered``), the patterns s1 (digit l1 + 1 on alpha, l1 elsewhere)
+    and s2 (l2 + 1 on beta, l2 elsewhere) add |rho_{s1 s2}| and subtract
+    sqrt(rho_xx rho_yy) for each distinct unordered image (x, y) reached by
+    exchanging digits at a proper nonempty subset of the sites where they
+    differ.  At l1 == l2 the one image is the (intersection, union) pair;
+    with ``"singles"`` only one-site exchanges count, and none at alpha -
+    beta when l2 < l1 or at beta - alpha when l2 > l1.  The noise weight
+    (d-1) m (n-m-1) times the diagonal mass of every pattern is subtracted,
+    and the total is divided by m.
+    """
+
+    def pattern(subset, level):
+        return "".join(str(level + 1 if i in subset else level) for i in range(n))
+
+    def diag(s):
+        return rho[int(s, d), int(s, d)].real
+
+    subsets = list(itertools.combinations(range(n), m))
+    total = 0.0
+    for l1 in range(d - 1):
+        for l2 in range(d - 1):
+            for ia, alpha in enumerate(subsets):
+                for ib, beta in enumerate(subsets):
+                    if ia == ib or len(set(alpha) & set(beta)) != m - 1:
+                        continue
+                    if not sigma_ordered and ib < ia:
+                        continue
+                    s1, s2 = pattern(alpha, l1), pattern(beta, l2)
+                    total += abs(rho[int(s1, d), int(s2, d)])
+                    diff = [i for i in range(n) if s1[i] != s2[i]]
+                    if l1 == l2:
+                        inter = set(alpha) & set(beta)
+                        union = set(alpha) | set(beta)
+                        images = {frozenset((pattern(inter, l1), pattern(union, l1)))}
+                    elif len(diff) < 2:
+                        images = set()
+                    else:
+                        if delta_subsets == "all":
+                            moves = [
+                                c
+                                for size in range(1, len(diff))
+                                for c in itertools.combinations(diff, size)
+                            ]
+                        else:
+                            fixed = set(alpha) - set(beta) if l2 < l1 else set(beta) - set(alpha)
+                            moves = [(i,) for i in diff if i not in fixed]
+                        images = {
+                            frozenset(_swap_digits(s1, s2, frozenset(i + 1 for i in move)))
+                            for move in moves
+                        }
+                    for img in images:
+                        x, y = sorted(img)
+                        total -= math.sqrt(max(diag(x), 0.0) * max(diag(y), 0.0))
+    mass = sum(diag(pattern(alpha, level)) for level in range(d - 1) for alpha in subsets)
+    return (total - (d - 1) * m * (n - m - 1) * mass) / m
+
+
 # hand-written local operator table (independent of the package's generator)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

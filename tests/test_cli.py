@@ -274,6 +274,23 @@ def test_malformed_pure_records_are_input_errors(tmp_path, capsys, command, case
 
 
 @pytest.mark.parametrize(
+    "entries",
+    [[["0011"]], [1, 2], [["0011", 5]], ["0011"], [["0011", "0101", "0110"]]],
+    ids=["one index", "bare numbers", "number index", "bare string", "three indices"],
+)
+def test_malformed_pair_entries_are_input_errors(tmp_path, capsys, entries):
+    """Every --r-set entry must be a list of two index strings."""
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(entries))
+    code = main(["bound", "--preset", "singlet4", "--r-set", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bound", "--preset", "ghz", "--n", "3", "--d", "11"],

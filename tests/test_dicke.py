@@ -1,10 +1,17 @@
 """Dimensionality witness Q: calibration, counts, thresholds, bounds."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
+
+import oracles
 
 from gmebound.dicke_witness import (
     DickeWitnessSpec,
@@ -18,6 +25,7 @@ from gmebound.dicke_witness import (
 from gmebound.errors import InvalidInputError, NotDetectingError
 from gmebound.indices import MultiIndex
 from gmebound.states import (
+    DensityMatrix,
     NoisyPureState,
     PureState,
     embed_pure,
@@ -209,3 +217,59 @@ def test_q_on_noisy_view_matches_dense_route(ordered, delta):
     if ordered:
         want = brentq(lambda p: q_witness(spec, white_noise_mix(target, p)), 0.0, 1.0, xtol=1e-14)
         assert noise_threshold_q(spec, target) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 5), st.integers(2, 3), st.booleans(), st.sampled_from(["all", "singles"]), st.data()
+)
+def test_q_matches_direct_oracle(n, d, ordered, delta, data):
+    """Q against a recomputation on digit strings, on random dense states."""
+    m = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    mat = oracles.random_density(n, d, rng, rank=int(rng.integers(1, 4)))
+    spec = DickeWitnessSpec(n, d, m, sigma_ordered=ordered, delta_subsets=delta)
+    got = q_witness(spec, DensityMatrix(n, d, mat, validate=False))
+    assert got == pytest.approx(oracles.q_value_direct(mat, n, d, m, ordered, delta), abs=1e-12)
+
+
+# recorded before Q's read list was built from digit arrays: float.hex of Q
+# per state ("q"), and a digest of the read list, in order ("reads").  Moving
+# one subtraction of ~0.01 within a running sum near 1 rarely changes the
+# rounded Q, so the digest is what catches a change of term order.
+Q_PINS = json.loads((Path(__file__).parent / "q_pins.json").read_text())
+
+
+def _pinned_states(n, d, m):
+    target = make_dicke_state(n, d, m)
+    rng = np.random.default_rng([Q_PINS["seed"], n, d, m])
+    dense = DensityMatrix(n, d, oracles.random_density(n, d, rng), validate=False)
+    return {"target": target, "noisy-0.7": NoisyPureState(target, 0.7), "dense": dense}
+
+
+@pytest.mark.parametrize("delta", ["all", "singles"])
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("n,d,m", CALIBRATION)
+def test_q_matches_recorded_bits(n, d, m, ordered, delta):
+    spec = DickeWitnessSpec(n, d, m, sigma_ordered=ordered, delta_subsets=delta)
+    prefix = f"{n},{d},{m}/{'ordered' if ordered else 'unordered'}/{delta}"
+    for name, rho in _pinned_states(n, d, m).items():
+        assert float.hex(q_witness(spec, rho)) == Q_PINS["q"][f"{prefix}/{name}"], name
+
+
+@pytest.mark.parametrize("delta", ["all", "singles"])
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("n,d,m", CALIBRATION)
+def test_q_read_order_matches_recorded_digest(n, d, m, ordered, delta):
+    """The coherences, their images and the diagonals, in reading order; each
+    image pair as (lower, higher) rank, since Q is symmetric in the two."""
+    reads = DickeWitnessSpec(n, d, m, sigma_ordered=ordered, delta_subsets=delta).reads
+    k, images = len(reads.coherence_at), len(reads.image_at)
+    first, second = reads.rows[k : k + images], reads.rows[k + images : k + 2 * images]
+    ranks = np.concatenate(
+        [reads.rows[:k], np.minimum(first, second), np.maximum(first, second), reads.diagonals]
+    )
+    cols = np.concatenate([reads.cols[:k], ranks[k:]])
+    blob = np.concatenate([ranks, cols, reads.coherence_at, reads.image_at]).astype("<i8")
+    key = f"{n},{d},{m}/{'ordered' if ordered else 'unordered'}/{delta}"
+    assert hashlib.sha256(blob.tobytes()).hexdigest() == Q_PINS["reads"][key]

@@ -12,10 +12,8 @@ from gmebound.indices import (
     MultiIndex,
     cut_labels,
     cut_masks,
-    differing_positions,
     digit_strings,
     enumerate_bipartitions,
-    permute_pair,
     place_values,
     rank_positions,
 )
@@ -83,31 +81,6 @@ def test_bipartition_complement_and_canonical():
     assert not g.is_canonical
     assert g.complement().sorted_parties() == (1, 4)
     assert g.canonical().sorted_parties() == (1, 4)
-
-
-def test_permute_pair_exchanges_gamma_digits():
-    g = Bipartition.of({1}, 3)
-    pair = (MultiIndex.from_string("001", 2), MultiIndex.from_string("110", 2))
-    img = permute_pair(g, pair)
-    assert (str(img[0]), str(img[1])) == ("101", "010")
-
-
-@given(st.integers(2, 3), st.integers(2, 4), st.data())
-def test_permute_pair_is_involution(d, n, data):
-    digits = st.integers(0, d - 1)
-    e1 = MultiIndex(tuple(data.draw(digits) for _ in range(n)), d)
-    e2 = MultiIndex(tuple(data.draw(digits) for _ in range(n)), d)
-    parties = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
-    g = Bipartition.of(parties, n)
-    once = permute_pair(g, (e1, e2))
-    assert permute_pair(g, once) == (e1, e2)
-
-
-def test_differing_positions():
-    pair = IndexPair.of(
-        MultiIndex.from_string("0011", 2), MultiIndex.from_string("0101", 2)
-    )
-    assert differing_positions(pair.as_tuple()) == frozenset({2, 3})
 
 
 @pytest.mark.parametrize("n", range(2, 11))

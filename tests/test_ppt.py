@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from gmebound.errors import InvalidInputError
-from gmebound.indices import Bipartition, IndexPair, MultiIndex, permute_pair
+from gmebound.indices import Bipartition, IndexPair, MultiIndex
 from gmebound.ppt import (
     build_ppt_witness,
     compare_with_witness_bracket,
@@ -134,12 +134,16 @@ def test_bracket_reads_one_gather_with_scalar_values(kind):
     psi = make_singlet4()
     rho = {"pure": psi, "noisy": NoisyPureState(psi, 0.7), "dense": white_noise_mix(psi, 0.7)}[kind]
     pair, gamma = _pair("0011", "1100"), Bipartition.of({1, 3}, 4)
-    img1, img2 = permute_pair(gamma, pair.as_tuple())
+    img1, img2 = (int(s, 2) for s in oracles._swap_digits("0011", "1100", gamma.parties))
     counting = _CountingSource(rho)
     got = compare_with_witness_bracket(pair, gamma, counting)
     assert counting.gathers == [3]
-    coherence = rho.element(pair.first, pair.second)
-    diag1, diag2 = rho.diagonal(img1), rho.diagonal(img2)
+
+    def entry(row, col):
+        return complex(rho.elements(np.array([row]), np.array([col]))[0])
+
+    coherence = entry(pair.first.rank, pair.second.rank)
+    diag1, diag2 = entry(img1, img1).real, entry(img2, img2).real
     assert got.omega == 0.5 * (diag1 + diag2) - coherence.real
     assert got.minus_w == math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
     w = build_ppt_witness(pair, gamma)

@@ -369,7 +369,8 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
     got = gme_measure_pure(wide).entropies
     assert list(got.values()) == list(gme_measure_pure(psi).entropies.values())
     a, b = psi.support[0], psi.support[-1]
-    assert wide.element(_widen(a), _widen(b)) == psi.element(a, b)
+    wide_ab = wide.elements(*(np.array([_widen(x).rank], dtype=object) for x in (a, b)))
+    assert wide_ab[0] == psi.elements(np.array([a.rank]), np.array([b.rank]))[0]
 
 
 @settings(max_examples=40, deadline=None)
