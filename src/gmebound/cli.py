@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
@@ -226,10 +227,13 @@ def _number(convert: Callable[[str], Any], field: str, flag: str) -> Any:
 
 
 def _check_finite(args: argparse.Namespace) -> None:
+    """A negative --tol would certify more than the data shows."""
     for flag in ("tol", "tau"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
+        if value is not None and value < 0:
+            raise InvalidInputError(f"--{flag} must be nonnegative, got {value}")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -355,7 +359,6 @@ def cmd_dicke(args: argparse.Namespace) -> int:
         p = getattr(args, "p", 1.0)
         rho = NoisyPureState(target, p) if p != 1.0 else target
     q = q_witness(spec, rho)
-    bound = em_bound_from_q(spec, q, _variant(args))
     payload = {
         "n": args.n,
         "d": args.d,
@@ -364,12 +367,7 @@ def cmd_dicke(args: argparse.Namespace) -> int:
         "q": q,
         "certificate": dimensionality_certificate(q, tol=args.tol),
         "noise_weight": spec.noise_weight,
-        "em_bound": {
-            "weak": bound.weak,
-            "strong": bound.strong,
-            "r_size": bound.r_size,
-            "n_r": bound.n_r,
-        },
+        "em_bound": asdict(em_bound_from_q(spec, q, _variant(args))),
     }
     _emit_json(payload, args.output)
     return 0

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import IndexPair, MultiIndex, cut_masks, place_values
+from .indices import cut_masks, place_values
 from .states import ElementSource, NoisyPureState, PureState
 from .witness import NRVariant, PairSet, Reads, _images, _noise_root, compile_witness
 
@@ -50,25 +50,20 @@ class DickeWitnessSpec:
         """The diagonal-penalty multiplicity N_D."""
         return (self.d - 1) * self.m * (self.n - self.m - 1)
 
-    def pattern(self, excited: tuple[int, ...], level: int) -> MultiIndex:
-        """The basis string with digit level+1 on ``excited`` and level elsewhere."""
-        digits = tuple(
-            level + 1 if i in excited else level for i in range(self.n)
-        )
-        return MultiIndex(digits, self.d)
+    @cached_property
+    def excited(self) -> np.ndarray:
+        """One 0/1 row per excitation subset (size m), in combinations order;
+        the pattern at level l is ``l + excited[i]``."""
+        subsets = np.array(list(combinations(range(self.n), self.m)))
+        out = np.zeros((len(subsets), self.n), dtype=np.int64)
+        out[np.arange(len(subsets))[:, None], subsets] = 1
+        out.flags.writeable = False
+        return out
 
-    def subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(self.n), self.m))
-
-    def sigma(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Ordered pairs of excitation subsets overlapping in m-1 sites."""
-        subs = self.subsets()
-        return [
-            (a, b)
-            for a in subs
-            for b in subs
-            if a != b and len(set(a) & set(b)) == self.m - 1
-        ]
+    def sigma(self) -> np.ndarray:
+        """``(|sigma|, 2)`` rows (a, b) of :attr:`excited`: the ordered pairs
+        of excitation subsets overlapping in m-1 sites, a-major."""
+        return np.argwhere(self.excited @ self.excited.T == self.m - 1)
 
     @cached_property
     def reads(self) -> Reads:
@@ -83,12 +78,9 @@ class DickeWitnessSpec:
         ascending order.  At l1 == l2 (k = 2) either way gives the one class,
         the (intersection, union) pattern pair.
         """
-        n, d, m = self.n, self.d, self.m
-        subsets = self.subsets()
-        excited = np.zeros((len(subsets), n), dtype=np.int64)
-        for row, sub in enumerate(subsets):
-            excited[row, list(sub)] = 1
-        a, b = np.nonzero(excited @ excited.T == m - 1)  # sigma, in sigma() order
+        n, d = self.n, self.d
+        excited = self.excited
+        a, b = self.sigma().T
         if not self.sigma_ordered:
             a, b = a[b > a], b[b > a]
         levels = np.arange(d - 1)
@@ -153,22 +145,11 @@ def dimensionality_certificate(q: float, tol: float = 1e-9) -> int:
 
     Q above f - 1 excludes dimension f, so the certificate is
     ceil(Q) + 1 (with a tolerance guard against round-off at the boundary).
+    A negative ``tol`` would certify more than Q shows, so it is refused.
     """
-    if q <= tol:
-        return 1
-    return max(1, math.ceil(q - tol) + 1)
-
-
-def materialize_R_sigma(spec: DickeWitnessSpec) -> PairSet:
-    """The pair selection underlying Q: level-ordered coherences from sigma."""
-    pairs: list[IndexPair] = []
-    for l1 in range(spec.d - 1):
-        for l2 in range(l1, spec.d - 1):
-            for alpha, beta in spec.sigma():
-                pairs.append(
-                    IndexPair.of(spec.pattern(alpha, l1), spec.pattern(beta, l2))
-                )
-    return PairSet.of(pairs, spec.n, spec.d)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInputError(f"certificate tolerance must be finite and >= 0, got {tol!r}")
+    return 1 if q <= tol else math.ceil(q - tol) + 1
 
 
 def r_sigma_size(spec: DickeWitnessSpec) -> int:
@@ -190,8 +171,15 @@ class EmBound:
 def em_bound_from_q(
     spec: DickeWitnessSpec, q: float, variant: NRVariant = NRVariant.MINIMAL
 ) -> EmBound:
-    """Translate Q into lower bounds on E_m via the underlying pair selection."""
-    r = materialize_R_sigma(spec)
+    """Translate Q into lower bounds on E_m via the underlying pair selection.
+
+    R_sigma pairs the patterns of alpha at level l1 and beta at l2 >= l1 over
+    the whole ordered sigma, whatever ``sigma_ordered`` says.
+    """
+    a, b = spec.sigma().T
+    l1, l2 = (levels[:, None, None] for levels in np.triu_indices(spec.d - 1))
+    pairs = np.stack([l1 + spec.excited[a], l2 + spec.excited[b]], axis=2)
+    r = PairSet.of(pairs, spec.n, spec.d)
     compiled = compile_witness(r, variant)
     weak = spec.m * math.sqrt(1.0 / len(r)) * q
     strong = spec.m * math.sqrt(1.0 / (len(r) - compiled.n_r)) * q

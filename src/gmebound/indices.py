@@ -149,9 +149,6 @@ class IndexPair:
     def d(self) -> int:
         return self.first.d
 
-    def as_tuple(self) -> tuple[MultiIndex, MultiIndex]:
-        return (self.first, self.second)
-
     def __str__(self) -> str:
         return f"({self.first},{self.second})"
 

@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import IndexPair, MultiIndex
+from .indices import IndexPair, MultiIndex, digit_strings
 from .states import DensityMatrix
 from .witness import CompiledWitness
 
@@ -163,30 +163,20 @@ def plan_settings(w: CompiledWitness, include_imag: bool = False) -> Decompositi
     ``include_imag`` asks for full complex reconstruction.
     """
     elements: list[PlanElement] = []
-    for pair in w.r:
+    for pair, strings in zip(w.r, w.r.as_strings()):
         elements.append(
-            PlanElement(
-                "offdiag_re",
-                (str(pair.first), str(pair.second)),
-                tuple(decompose_offdiagonal(pair, "re")),
-            )
+            PlanElement("offdiag_re", tuple(strings), tuple(decompose_offdiagonal(pair, "re")))
         )
         if include_imag:
             elements.append(
-                PlanElement(
-                    "offdiag_im",
-                    (str(pair.first), str(pair.second)),
-                    tuple(decompose_offdiagonal(pair, "im")),
-                )
+                PlanElement("offdiag_im", tuple(strings), tuple(decompose_offdiagonal(pair, "im")))
             )
 
-    diag_strings: set[MultiIndex] = set()
-    for pair in w.r:
-        for img in w.noise_images[pair]:
-            diag_strings.update(img.as_tuple())
-    diag_strings.update(eta for eta in w.index_set if w.n_eta[eta] > 0)
-    for eta in sorted(diag_strings):
-        elements.append(PlanElement("diag", (str(eta),), tuple(decompose_diagonal(eta))))
+    first, second, _ = w.reads.images
+    diagonals = np.unique(np.concatenate([first, second, w.reads.diagonals[w.eta_counts > 0]]))
+    for rank, text in zip(diagonals.tolist(), digit_strings(diagonals, w.n, w.d)):
+        eta = MultiIndex.from_rank(rank, w.n, w.d)
+        elements.append(PlanElement("diag", (text,), tuple(decompose_diagonal(eta))))
 
     # The settings are the label keys with no identity slot, and no fold is
     # needed.  Every identity slot comes from a diagonal site, whose factor

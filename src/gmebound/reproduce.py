@@ -17,7 +17,6 @@ import numpy as np
 from .dicke_witness import (
     DickeWitnessSpec,
     em_bound_from_q,
-    materialize_R_sigma,
     noise_threshold_q,
     q_witness,
     r_sigma_size,
@@ -405,7 +404,7 @@ def check_dicke_em_bounds(seed: int = SEED) -> CheckResult:
     sizes_ok = True
     for n, d, m in tuples:
         spec = DickeWitnessSpec(n, d, m)
-        if len(materialize_R_sigma(spec)) != r_sigma_size(spec):
+        if em_bound_from_q(spec, 1.0).r_size != r_sigma_size(spec):  # |R_sigma| is Q-free
             sizes_ok = False
 
     rng = np.random.default_rng(seed + 3)

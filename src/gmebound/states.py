@@ -69,15 +69,11 @@ class PureState:
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise InvalidInputError(f"state not normalized: |psi|^2 = {norm2!r}")
 
-    @property
-    def support(self) -> list[MultiIndex]:
-        return sorted(self.amplitudes)
-
     @cached_property
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The support as sorted ranks, its ``(k, n)`` digits, and the real and
         imaginary parts of its amplitudes."""
-        support = self.support
+        support = sorted(self.amplitudes)
         digits = np.array([eta.digits for eta in support], dtype=np.int64).reshape(-1, self.n)
         amps = np.array([complex(self.amplitudes[eta]) for eta in support], dtype=complex)
         return digits @ place_values(self.n, self.d), digits, amps.real.copy(), amps.imag.copy()

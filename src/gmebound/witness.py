@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -45,6 +44,7 @@ from .indices import (
     IndexPair,
     MultiIndex,
     cut_masks,
+    digit_strings,
     enumerate_bipartitions,
     place_values,
     rank_positions,
@@ -59,53 +59,65 @@ class NRVariant(Enum):
     MAXIMAL = "max"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
-    """An ordered, duplicate-free selection of index pairs over fixed (n, d)."""
+    """An ordered, duplicate-free selection of index pairs over fixed (n, d).
 
-    pairs: tuple[IndexPair, ...]
+    ``digits`` is an ``(|R|, 2, n)`` int64 array holding each pair's lower
+    index first; iterating yields :class:`IndexPair` objects, for output.
+    Repeats are found on rank tuples, exact for object ranks too.
+    """
+
+    digits: np.ndarray
     n: int
     d: int
 
     def __post_init__(self) -> None:
-        seen = set()
-        for pair in self.pairs:
-            if pair.n != self.n or pair.d != self.d:
-                raise InvalidInputError(f"pair {pair} does not match n={self.n}, d={self.d}")
-            if pair in seen:
-                raise InvalidInputError(f"duplicate pair {pair}")
-            seen.add(pair)
-        if not self.pairs:
+        if not len(self.digits):
             raise InvalidInputError("empty pair selection")
+        digits = self.digits
+        if digits.shape[1:] != (2, self.n) or not 0 <= digits.min() <= digits.max() < self.d:
+            raise InvalidInputError(f"pair digits do not match n={self.n}, d={self.d}")
+        if not (self.ranks[:, 0] < self.ranks[:, 1]).all():
+            raise InvalidInputError("each pair needs two distinct indices, the lower first")
+        if len(set(map(tuple, self.ranks.tolist()))) < len(self):
+            raise InvalidInputError("duplicate pair")
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """``(|R|, 2)``: the ranks of each pair's lower and higher index."""
+        return self.digits @ place_values(self.n, self.d)
 
     @classmethod
-    def of(cls, pairs: Iterable[IndexPair], n: int, d: int) -> "PairSet":
-        out: list[IndexPair] = []
-        seen = set()
-        for pair in pairs:
-            if pair not in seen:
-                out.append(pair)
-                seen.add(pair)
-        return cls(tuple(out), n, d)
+    def of(cls, digits: np.ndarray, n: int, d: int) -> "PairSet":
+        """Pairs from any array of shape ``(..., 2, n)``: each put lower index
+        first, repeats dropped."""
+        digits = np.asarray(digits, dtype=np.int64).reshape(-1, 2, n)
+        ranks = digits @ place_values(n, d)
+        digits = np.where((ranks[:, 0] > ranks[:, 1])[:, None, None], digits[:, ::-1], digits)
+        first: dict[tuple, int] = {}
+        for row, key in enumerate(map(tuple, np.sort(ranks, axis=1).tolist())):
+            first.setdefault(key, row)
+        return cls(digits[list(first.values())], n, d)
 
     @classmethod
     def from_strings(cls, entries: Sequence[Sequence[str]], n: int, d: int) -> "PairSet":
         pairs = [
-            IndexPair.of(
-                MultiIndex.from_string(a, d, n), MultiIndex.from_string(b, d, n)
-            )
+            IndexPair.of(MultiIndex.from_string(a, d, n), MultiIndex.from_string(b, d, n))
             for a, b in entries
         ]
-        return cls.of(pairs, n, d)
+        return cls.of([[p.first.digits, p.second.digits] for p in pairs], n, d)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.digits)
 
-    def __iter__(self):
-        return iter(self.pairs)
+    def __iter__(self) -> Iterator[IndexPair]:
+        for first, second in self.digits.tolist():
+            yield IndexPair(MultiIndex(tuple(first), self.d), MultiIndex(tuple(second), self.d))
 
     def as_strings(self) -> list[list[str]]:
-        return [[str(p.first), str(p.second)] for p in self.pairs]
+        text = digit_strings(self.ranks.ravel(), self.n, self.d)
+        return [list(pair) for pair in zip(text[::2], text[1::2])]
 
 
 def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
@@ -216,7 +228,8 @@ class CompiledWitness:
     @cached_property
     def index_set(self) -> tuple[MultiIndex, ...]:
         """I(R): every index in a selected pair, sorted."""
-        return tuple(sorted({eta for p in self.r for eta in p.as_tuple()}))
+        n, d = self.n, self.d
+        return tuple(MultiIndex.from_rank(k, n, d) for k in self.reads.diagonals.tolist())
 
     @cached_property
     def n_eta(self) -> dict[MultiIndex, int]:
@@ -271,10 +284,8 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
     image it adds.
     """
     n, size = r.n, len(r)
-    digits = np.array([[p.first.digits, p.second.digits] for p in r], dtype=np.int64)
-    values = place_values(n, r.d)
-    ranks = digits @ values
-    delta = ((digits[:, 1] - digits[:, 0]) * values).T
+    digits, ranks = r.digits, r.ranks
+    delta = ((digits[:, 1] - digits[:, 0]) * place_values(n, r.d)).T
     differ = (digits[:, 0] != digits[:, 1]) @ place_values(n, 2)
     index_ranks = np.unique(ranks)
     members = np.searchsorted(index_ranks, ranks)
@@ -377,12 +388,11 @@ def auto_select_R(
     n = target.n
     ranks, digits, re, im = target.support_arrays
     kept = np.hypot(re, im) >= tau
-    support = [eta for eta, k in zip(target.support, kept.tolist()) if k]
     ranks, digits, re, im = ranks[kept], digits[kept], re[kept], im[kept]
     masks = cut_masks(n)
 
     # candidates in lexicographic order, so the first of equals is the smallest
-    a, b = np.triu_indices(len(support), 1)
+    a, b = np.triu_indices(len(ranks), 1)
     differ = (digits[a] != digits[b]) @ place_values(n, 2)
     cut_bits = masks @ place_values(n, 2)
     step = max(1, CHUNK_ENTRIES // len(masks))
@@ -418,22 +428,21 @@ def auto_select_R(
     # it is an image of a selected pair.
     pair_ranks = np.stack([ranks[a], ranks[b]], axis=1)
     delta = ((digits[b] - digits[a]) * place_values(n, target.d)).T
-    blocked = np.zeros(len(support) ** 2, dtype=bool)
+    blocked = np.zeros(len(ranks) ** 2, dtype=bool)
     chosen: list[int] = []
     for start in range(0, len(order), step):
         block = order[start : start + step]
         keys = _pair_keys(ranks, *_images(pair_ranks[block], delta[:, block], masks))
         for i, (c, images) in enumerate(zip(block, keys.T), start):
-            if i >= len(cover) and blocked[a[c] * len(support) + b[c]]:
+            if i >= len(cover) and blocked[a[c] * len(ranks) + b[c]]:
                 continue
             chosen.append(c)
             blocked[images[images >= 0]] = True
     if max_pairs is not None:
         # never cut into the covering prefix
         chosen = chosen[: max(max_pairs, len(cover))]
-    return PairSet.of(
-        (IndexPair(support[a[c]], support[b[c]]) for c in chosen), target.n, target.d
-    )
+    # the support is in rank order and a < b, so each pair is lower index first
+    return PairSet(np.stack([digits[a[chosen]], digits[b[chosen]]], axis=1), n, target.d)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +477,9 @@ def noise_threshold(w: CompiledWitness, target: PureState, xtol: float = 1e-12) 
 
 
 def isotropic_pairset(d: int) -> PairSet:
-    """All (jj, kk) pairs for the two-qudit maximally entangled target."""
-    pairs = [
-        IndexPair.of(MultiIndex((j, j), d), MultiIndex((k, k), d))
-        for j, k in combinations(range(d), 2)
-    ]
-    return PairSet.of(pairs, 2, d)
+    """All (jj, kk) pairs, j < k, for the two-qudit maximally entangled target."""
+    levels = np.stack(np.triu_indices(d, 1), axis=1)
+    return PairSet(np.repeat(levels[:, :, None], 2, axis=2), 2, d)
 
 
 def bipartite_bound_isotropic(d: int, p: float) -> float:

@@ -230,6 +230,27 @@ def q_value_direct(
     return (total - (d - 1) * m * (n - m - 1) * mass) / m
 
 
+def r_sigma_direct(n: int, d: int, m: int) -> list[tuple[str, str]]:
+    """The pair selection R_sigma behind Q, found among all digit strings.
+
+    A string is the pattern (l, S) when its digits are l + 1 on the m sites
+    of S and l elsewhere.  The patterns (l1, S1) and (l2, S2) form a pair of
+    R_sigma when l1 <= l2 and S1 != S2 share m - 1 sites.  Returns each
+    unordered pair once, as sorted strings, in sorted order.
+    """
+    patterns = {}
+    for digits in itertools.product(range(d), repeat=n):
+        for level in range(d - 1):
+            excited = frozenset(i for i, x in enumerate(digits) if x == level + 1)
+            if len(excited) == m and set(digits) <= {level, level + 1}:
+                patterns["".join(map(str, digits))] = (level, excited)
+    pairs = set()
+    for (s1, (l1, a)), (s2, (l2, b)) in itertools.product(patterns.items(), repeat=2):
+        if l1 <= l2 and a != b and len(a & b) == m - 1:
+            pairs.add(tuple(sorted((s1, s2))))
+    return sorted(pairs)
+
+
 # hand-written local operator table (independent of the package's generator)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

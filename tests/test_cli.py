@@ -227,6 +227,10 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         "dimensionality --n 4 --d 2 --m 2 --tol nan",
         "bound --preset w --n 3 --tol nan",
         "bound --preset w --n 3 --tau nan",
+        "bound --preset ghz --n 3 --p 0.2 --tol -1",
+        "bound --preset w --n 3 --tau -1",
+        "dicke --n 4 --d 2 --m 2 --tol -0.5",
+        "dimensionality --n 4 --d 2 --m 2 --tol -0.5",
         "ppt-compare --preset ghz --n 3 --pair 000111 --gamma 1",
         "ppt-compare --preset ghz --n 3 --pair 000,111 --gamma x",
         "threshold --preset w --n 3 --p-grid a,b",

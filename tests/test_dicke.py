@@ -13,11 +13,11 @@ from scipy.optimize import brentq
 
 import oracles
 
+import gmebound.dicke_witness as dicke_module
 from gmebound.dicke_witness import (
     DickeWitnessSpec,
     dimensionality_certificate,
     em_bound_from_q,
-    materialize_R_sigma,
     noise_threshold_q,
     q_witness,
     r_sigma_size,
@@ -55,7 +55,7 @@ def test_q_is_maximal_on_the_matching_dicke_state(n, d, m):
 def test_r_sigma_count_matches_closed_form(n, d, m):
     spec = DickeWitnessSpec(n, d, m)
     assert r_sigma_size(spec) == R_SIGMA_SIZES[(n, d, m)]
-    assert len(materialize_R_sigma(spec)) == r_sigma_size(spec)
+    assert em_bound_from_q(spec, 1.0).r_size == r_sigma_size(spec)
     # closed form: (d-1)^2 * C(n,m) * m * (n-m) / 2
     assert r_sigma_size(spec) == (d - 1) ** 2 * math.comb(n, m) * m * (n - m) // 2
 
@@ -130,6 +130,41 @@ def test_certificate_steps():
     assert dimensionality_certificate(1.0) == 2  # boundary: within tol of 1
     assert dimensionality_certificate(1.2) == 3
     assert dimensionality_certificate(2.0) == 3
+    assert dimensionality_certificate(1.0, tol=0.0) == 2
+    assert dimensionality_certificate(1.5, tol=0.6) == 2
+
+
+@pytest.mark.parametrize("tol", [-0.5, -1e-12, math.nan, math.inf, -math.inf])
+def test_certificate_refuses_negative_or_nonfinite_tol(tol):
+    # a negative tol would certify dimension 3 from Q = 1 on qubits
+    with pytest.raises(InvalidInputError):
+        dimensionality_certificate(1.0, tol=tol)
+
+
+R_SIGMA_SHAPES = [(n, d, m) for n in range(2, 6) for d in (2, 3) for m in range(1, n)]
+
+
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("n,d,m", R_SIGMA_SHAPES)
+def test_r_sigma_matches_direct_oracle(monkeypatch, n, d, m, ordered):
+    """The selection em_bound_from_q compiles is the oracle's R_sigma, for
+    either sigma_ordered, and its N_R is the oracle's under both variants."""
+    want = oracles.r_sigma_direct(n, d, m)
+    compiled = []
+    compile_witness = dicke_module.compile_witness
+
+    def recording(r, variant):
+        compiled.append(r)
+        return compile_witness(r, variant)
+
+    monkeypatch.setattr(dicke_module, "compile_witness", recording)
+    spec = DickeWitnessSpec(n, d, m, sigma_ordered=ordered)
+    for variant in NRVariant:
+        bound = em_bound_from_q(spec, 1.0, variant)
+        got = compiled[-1].as_strings()
+        assert len(got) == bound.r_size == len(want) == r_sigma_size(spec)
+        assert {frozenset(p) for p in got} == {frozenset(p) for p in want}
+        assert bound.n_r == oracles.compiled_fields_direct(want, n, d, variant.value)["n_r"]
 
 
 def test_em_bound_from_q_4_2_2():
@@ -255,6 +290,23 @@ def test_q_matches_recorded_bits(n, d, m, ordered, delta):
     prefix = f"{n},{d},{m}/{'ordered' if ordered else 'unordered'}/{delta}"
     for name, rho in _pinned_states(n, d, m).items():
         assert float.hex(q_witness(spec, rho)) == Q_PINS["q"][f"{prefix}/{name}"], name
+
+
+@pytest.mark.parametrize("variant", list(NRVariant), ids=["min", "max"])
+@pytest.mark.parametrize("n,d,m", CALIBRATION)
+def test_em_bound_matches_recorded_bits(n, d, m, variant):
+    """EmBound from Q under the default conventions, as recorded when R_sigma
+    was still built from MultiIndex/IndexPair objects ("em_bound")."""
+    spec = DickeWitnessSpec(n, d, m)
+    for name, rho in _pinned_states(n, d, m).items():
+        bound = em_bound_from_q(spec, q_witness(spec, rho), variant)
+        got = {
+            "weak": float.hex(bound.weak),
+            "strong": float.hex(bound.strong),
+            "r_size": bound.r_size,
+            "n_r": bound.n_r,
+        }
+        assert got == Q_PINS["em_bound"][f"{n},{d},{m}/{variant.value}/{name}"], name
 
 
 @pytest.mark.parametrize("delta", ["all", "singles"])

@@ -161,9 +161,7 @@ def test_settings_are_the_maximal_label_keys(n, d, size, seed, variant, include_
     """The identity-free keys are exactly what the all-pairs fold keeps."""
     rng = np.random.default_rng(seed)
     ranks = {tuple(sorted(rng.choice(d**n, size=2, replace=False))) for _ in range(size)}
-    r = PairSet.of(
-        (IndexPair.of(*(MultiIndex.from_rank(int(k), n, d) for k in p)) for p in ranks), n, d
-    )
+    r = PairSet.of([[MultiIndex.from_rank(int(k), n, d).digits for k in p] for p in ranks], n, d)
     try:
         w = compile_witness(r, variant)
     except DegenerateSelectionError:

@@ -28,19 +28,19 @@ from gmebound.states import (
 
 def test_w_state_support():
     w = make_w_state(3)
-    assert sorted(str(e) for e in w.support) == ["001", "010", "100"]
+    assert sorted(str(e) for e in w.amplitudes) == ["001", "010", "100"]
     assert all(abs(a - 1 / math.sqrt(3)) < 1e-15 for a in w.amplitudes.values())
 
 
 def test_ghz_defaults():
     g = make_ghz_state(3, 3)
-    assert sorted(str(e) for e in g.support) == ["000", "222"]
+    assert sorted(str(e) for e in g.amplitudes) == ["000", "222"]
 
 
 def test_dicke_state_term_count_and_norm():
     # (d-1) excitation levels, C(n,m) site subsets each
     psi = make_dicke_state(4, 3, 2)
-    assert len(psi.support) == 2 * 6
+    assert len(psi.amplitudes) == 2 * 6
     vec = psi.to_vector()
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
@@ -64,7 +64,7 @@ def test_embed_pure_widens_digits():
     psi = make_ghz_state(2, 2)
     wide = embed_pure(psi, 4)
     assert wide.d == 4
-    assert sorted(str(e) for e in wide.support) == ["00", "11"]
+    assert sorted(str(e) for e in wide.amplitudes) == ["00", "11"]
 
 
 def test_white_noise_mix_trace_and_interpolation():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
+from gmebound.dicke_witness import DickeWitnessSpec, em_bound_from_q, q_witness
 from gmebound.entropy import gme_measure_pure
 from gmebound.errors import (
     AnalysisError,
@@ -19,7 +21,7 @@ from gmebound.errors import (
     InvalidInputError,
     NotDetectingError,
 )
-from gmebound.indices import IndexPair, MultiIndex
+from gmebound.indices import Bipartition, IndexPair, MultiIndex
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -198,12 +200,40 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
     whole = [(auto_select_R(t), compile_witness(auto_select_R(t), variant)) for t in targets]
     monkeypatch.setattr(witness_module, "CHUNK_ENTRIES", 5)
     for target, (r, w) in zip(targets, whole):
-        assert auto_select_R(target) == r
+        assert auto_select_R(target).as_strings() == r.as_strings()
         chunked = compile_witness(r, variant)
         assert (chunked.n_r, chunked.n_eta) == (w.n_r, w.n_eta)
         assert chunked.noise_images == w.noise_images
         assert chunked.uncounted_profile == w.uncounted_profile
         assert evaluate(chunked, NoisyPureState(target, 0.7)) == evaluate(w, NoisyPureState(target, 0.7))
+
+
+def test_hot_paths_build_no_index_objects(monkeypatch):
+    """Selection, compilation, evaluation, root finding, Q and the E_m bridge
+    run on digit and rank arrays: none constructs a MultiIndex, IndexPair or
+    Bipartition (the states themselves are built beforehand)."""
+    targets = [make_w_state(6), make_dicke_state(5, 3, 2), make_singlet4(), make_ghz_state(4, 3)]
+    spec = DickeWitnessSpec(5, 3, 2)
+    built = Counter()
+    for cls in (MultiIndex, IndexPair, Bipartition):
+
+        def counted(self, check=cls.__post_init__):
+            built[type(self).__name__] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    for target in targets:
+        r = auto_select_R(target)
+        for variant in NRVariant:
+            w = compile_witness(r, variant)
+            evaluate(w, target)
+            evaluate(w, NoisyPureState(target, 0.7))
+            noise_threshold(w, target)
+    q = q_witness(spec, targets[1])
+    for variant in NRVariant:
+        em_bound_from_q(spec, q, variant)
+    assert built == Counter()
 
 
 def test_degenerate_single_fixed_pair_rejected():
@@ -257,9 +287,14 @@ def test_pairset_dedupes_and_validates():
     # builders drop repeats (after canonicalization), the raw constructor rejects
     r = PairSet.from_strings([["01", "10"], ["10", "01"]], 2, 2)
     assert len(r) == 1
-    dup = r.pairs[0]
+    assert r.digits.tolist() == [[[0, 1], [1, 0]]] and r.ranks.tolist() == [[1, 2]]
+    assert PairSet.of(np.array([[[1, 0], [0, 1]]] * 2), 2, 2).as_strings() == [["01", "10"]]
     with pytest.raises(InvalidInputError):
-        PairSet((dup, dup), 2, 2)
+        PairSet(np.repeat(r.digits, 2, axis=0), 2, 2)
+    with pytest.raises(InvalidInputError):
+        PairSet(r.digits[:, ::-1], 2, 2)  # higher index first
+    with pytest.raises(InvalidInputError):
+        PairSet(r.digits + 1, 2, 2)  # digit out of range
     with pytest.raises(InvalidInputError):
         PairSet.from_strings([["01", "100"]], 2, 2)
 
@@ -282,7 +317,7 @@ def test_max_pairs_keeps_cover_prefix():
     full = auto_select_R(s4)
     capped = auto_select_R(s4, max_pairs=1)
     assert len(capped) >= 1
-    assert capped.pairs[0] == full.pairs[0]
+    assert capped.as_strings()[0] == full.as_strings()[0]
 
 
 @settings(max_examples=35, deadline=None)
@@ -339,7 +374,7 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
     )
     wide = PureState(n, HUGE_D, {_widen(eta): c for eta, c in psi.amplitudes.items()})
     r = PairSet.from_strings(_random_selection(n, 3, size, rng), n, 3)
-    wide_r = PairSet.of((IndexPair(_widen(p.first), _widen(p.second)) for p in r), n, HUGE_D)
+    wide_r = PairSet.of(r.digits << 38, n, HUGE_D)
 
     def widen_pair(pair: IndexPair) -> IndexPair:
         return IndexPair(_widen(pair.first), _widen(pair.second))
@@ -365,10 +400,10 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
         with pytest.raises(AnalysisError):
             auto_select_R(wide)
     else:
-        assert auto_select_R(wide).pairs == tuple(map(widen_pair, chosen))
+        assert np.array_equal(auto_select_R(wide).digits, chosen.digits << 38)
     got = gme_measure_pure(wide).entropies
     assert list(got.values()) == list(gme_measure_pure(psi).entropies.values())
-    a, b = psi.support[0], psi.support[-1]
+    a, b = min(psi.amplitudes), max(psi.amplitudes)
     wide_ab = wide.elements(*(np.array([_widen(x).rank], dtype=object) for x in (a, b)))
     assert wide_ab[0] == psi.elements(np.array([a.rank]), np.array([b.rank]))[0]
 
@@ -390,12 +425,7 @@ def test_evaluate_matches_direct_recomputation(n, d, size, seed, variant):
     candidates = list(combinations(range(d**n), 2))
     picks = rng.choice(len(candidates), size=min(size, len(candidates)), replace=False)
     r = PairSet.of(
-        (
-            IndexPair.of(*(MultiIndex.from_rank(int(k), n, d) for k in candidates[i]))
-            for i in picks
-        ),
-        n,
-        d,
+        [[MultiIndex.from_rank(int(k), n, d).digits for k in candidates[i]] for i in picks], n, d
     )
     rho_mat = oracles.random_density(n, d, rng)
 
