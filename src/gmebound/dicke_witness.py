@@ -66,6 +66,20 @@ class DickeWitnessSpec:
         return np.argwhere(self.excited @ self.excited.T == self.m - 1)
 
     @cached_property
+    def r_sigma(self) -> PairSet:
+        """R_sigma: the patterns of alpha at level l1 and beta at l2 >= l1 over
+        the whole ordered sigma, whatever ``sigma_ordered`` says."""
+        a, b = self.sigma().T
+        l1, l2 = (levels[:, None, None] for levels in np.triu_indices(self.d - 1))
+        pairs = np.stack([l1 + self.excited[a], l2 + self.excited[b]], axis=2)
+        return PairSet.of(pairs, self.n, self.d)
+
+    @cached_property
+    def r_sigma_n_r(self) -> dict[NRVariant, int]:
+        """N_R of :attr:`r_sigma` per variant, each compiled on first use."""
+        return {}
+
+    @cached_property
     def reads(self) -> Reads:
         """Everything Q reads, in evaluation order: each coherence with its
         noise images, then the diagonal patterns.  Built once per spec, so a
@@ -171,16 +185,15 @@ class EmBound:
 def em_bound_from_q(
     spec: DickeWitnessSpec, q: float, variant: NRVariant = NRVariant.MINIMAL
 ) -> EmBound:
-    """Translate Q into lower bounds on E_m via the underlying pair selection.
+    """Translate Q into lower bounds on E_m via the pair selection R_sigma.
 
-    R_sigma pairs the patterns of alpha at level l1 and beta at l2 >= l1 over
-    the whole ordered sigma, whatever ``sigma_ordered`` says.
+    R_sigma and its N_R are kept on the spec, so repeated calls compile once
+    per variant.
     """
-    a, b = spec.sigma().T
-    l1, l2 = (levels[:, None, None] for levels in np.triu_indices(spec.d - 1))
-    pairs = np.stack([l1 + spec.excited[a], l2 + spec.excited[b]], axis=2)
-    r = PairSet.of(pairs, spec.n, spec.d)
-    compiled = compile_witness(r, variant)
+    r = spec.r_sigma
+    if variant not in spec.r_sigma_n_r:
+        spec.r_sigma_n_r[variant] = compile_witness(r, variant).n_r
+    n_r = spec.r_sigma_n_r[variant]
     weak = spec.m * math.sqrt(1.0 / len(r)) * q
-    strong = spec.m * math.sqrt(1.0 / (len(r) - compiled.n_r)) * q
-    return EmBound(weak=weak, strong=strong, r_size=len(r), n_r=compiled.n_r)
+    strong = spec.m * math.sqrt(1.0 / (len(r) - n_r)) * q
+    return EmBound(weak=weak, strong=strong, r_size=len(r), n_r=n_r)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -307,21 +308,251 @@ def partial_transpose(rho: DensityMatrix, gamma: Bipartition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file input
 
+_WHITESPACE = b" \t\n\r"
+# A dense matrix is read from the bytes of its array, not as JSON lists.  Its
+# key is the one "matrix" key, not after a backslash, opening an array; the
+# array ends at the first "]]]", the only place a valid matrix closes three
+# arrays at once.
+_MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
+_MATRIX_END = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\]")
+# ValueError covers JSONDecodeError, UnicodeDecodeError and ints past Python's digit limit
+_JSON_ERRORS = (ValueError, RecursionError)
+
+# Class codes of the bytes of a matrix array, 0 for a byte that cannot occur
+# there.  A number's leading "-" is MINUS and its leading "0" is LEAD; a
+# digit followed by whitespace is TAIL, which only "," or "]" may follow, so
+# deleting the whitespace cannot join "1 2" into 12.
+(_BAD, _OPEN, _CLOSE, _COMMA, _MINUS, _ZERO, _DIGIT, _DOT, _EXP, _SIGN, _LEAD, _TAIL,
+ _SPACE) = range(13)
+_FOLLOWED = 16  # flags a byte followed by whitespace, until whitespace is deleted
+
+
+def _byte_table(rule) -> bytes:
+    return bytes(rule(b) for b in range(256))
+
+
+def _pair_table(rule) -> bytes:
+    """A table over ``code << 4 | next_code``."""
+    return _byte_table(lambda b: rule(b >> 4, b & 15))
+
+
+_CLASSES = {b"[": _OPEN, b"]": _CLOSE, b",": _COMMA, b"-": _MINUS, b"0": _ZERO,
+            b"123456789": _DIGIT, b".": _DOT, b"eE": _EXP, b"+": _SIGN, _WHITESPACE: _SPACE}
+_CLASS = _byte_table(lambda b: next((c for chars, c in _CLASSES.items() if b in chars), _BAD))
+_BEFORE_SPACE = _byte_table(
+    lambda b: b if b < _FOLLOWED
+    else b & 15 if b & 15 in (_OPEN, _CLOSE, _COMMA)
+    else _TAIL if b & 15 in (_ZERO, _DIGIT)
+    else _BAD
+)
+# "-" after "e" signs the exponent; "0" after "[", "," or a leading "-" leads a number
+_EXP_SIGN = _pair_table(lambda a, b: _SIGN if (a, b) == (_EXP, _MINUS) else b)
+_LEADING = _pair_table(lambda a, b: _LEAD if b == _ZERO and a in (_OPEN, _COMMA, _MINUS) else b)
+# the codes that may follow each code once whitespace is gone: JSON's number
+# grammar between brackets and commas
+_STARTS = {_MINUS, _LEAD, _DIGIT, _TAIL}
+_AFTER_DIGIT = {_ZERO, _DIGIT, _TAIL, _DOT, _EXP, _COMMA, _CLOSE}
+_NEXT = {
+    _OPEN: {_OPEN} | _STARTS,
+    _COMMA: {_OPEN} | _STARTS,
+    _CLOSE: {_COMMA, _CLOSE},
+    _MINUS: {_LEAD, _DIGIT, _TAIL},
+    _LEAD: {_DOT, _EXP, _COMMA, _CLOSE},
+    _ZERO: _AFTER_DIGIT,
+    _DIGIT: _AFTER_DIGIT,
+    _DOT: {_ZERO, _DIGIT, _TAIL},
+    _EXP: {_SIGN, _ZERO, _DIGIT, _TAIL},
+    _SIGN: {_ZERO, _DIGIT, _TAIL},
+    _TAIL: {_COMMA, _CLOSE},
+}
+_VALID = _pair_table(lambda a, b: b in _NEXT.get(a, ()))
+_NUMBER_BODY = bytes([_MINUS, _ZERO, _DIGIT, _SIGN, _LEAD, _TAIL])
+# with the digits and signs gone, a number keeps "." and "e" in this order, each once
+_MISORDERED = (bytes([_DOT, _DOT]), bytes([_EXP, _EXP]), bytes([_EXP, _DOT]))
+
+
+def _codes(text: bytes) -> bytearray:
+    """The class codes of ``text`` with the whitespace deleted: a digit that
+    preceded whitespace is TAIL, an exponent's "-" is SIGN and a number's
+    leading "0" is LEAD."""
+    marked = bytearray(text.translate(_CLASS))
+    c = np.frombuffer(marked, np.uint8)
+    followed = (c[1:] == _SPACE).view(np.uint8)
+    followed <<= 4  # in place: one byte per byte of text at a time
+    c[:-1] |= followed
+    del c, followed
+    codes = marked.translate(_BEFORE_SPACE, bytes([_SPACE, _SPACE | _FOLLOWED]))
+    del marked
+    for table in (_EXP_SIGN, _LEADING):
+        codes = _pairs(codes).translate(table)
+    return codes
+
+
+def _pairs(codes: bytes) -> bytearray:
+    """Per class code, the one before it (a "," before the first) in the high
+    nibble and its own in the low nibble."""
+    c = np.frombuffer(codes, np.uint8)
+    out = bytearray(len(codes))
+    pairs = np.frombuffer(out, np.uint8)
+    pairs[0] = _COMMA << 4
+    np.left_shift(c[:-1], 4, out=pairs[1:])
+    pairs |= c
+    return out
+
+
+def _entry_at(codes: bytes, pos: int) -> tuple[int, int, int]:
+    """Row and column of the matrix entry at class code ``pos`` (the last one
+    opened), and how many arrays are open there."""
+    c = np.frombuffer(codes, np.uint8)[: pos + 1]
+    opens = c == _OPEN
+    depth = np.cumsum(opens, dtype=np.int64) - np.cumsum(c == _CLOSE)
+    rows = np.flatnonzero(opens & (depth == 2))
+    start = rows[-1] if len(rows) else 0
+    cols = np.count_nonzero(opens[start:] & (depth[start:] == 3))
+    inside = int(depth[pos - 1]) if 0 < pos <= len(depth) else 0
+    return max(len(rows) - 1, 0), max(cols - 1, 0), inside
+
+
+_NOT_A_PAIR = "is not [re, im] with two JSON numbers"
+
+
+def _entry_error(path: str | Path, row: int, col: int, problem: str) -> InvalidInputError:
+    return InvalidInputError(
+        f"state file {path}: matrix entry at row {row}, column {col} {problem}"
+    )
+
+
+def _skeleton(dim: int, size: int) -> bytes:
+    """The first ``size`` class codes of a ``dim x dim`` matrix of ``[re, im]``
+    entries, numbers left out; rows and entries past ``size`` are not built."""
+    entry = bytes([_OPEN, _COMMA, _CLOSE])
+    row = bytes([_OPEN]) + bytes([_COMMA]).join([entry] * min(dim, size // 4 + 1)) + bytes([_CLOSE])
+    rows = bytes([_COMMA]).join([row] * min(dim, size // len(row) + 1))
+    return (bytes([_OPEN]) + rows + bytes([_CLOSE]))[:size]
+
+
+def _parse_matrix(text: bytes, n: int, d: int, path: str | Path) -> np.ndarray:
+    """The ``(dim, dim)`` complex matrix written in ``text``, ``dim = d**n``:
+    a JSON array of ``dim`` rows of ``dim`` entries ``[re, im]``, each part a
+    JSON number.
+
+    The structure and the number grammar are checked in a few passes over
+    the bytes, one numpy conversion reads the numbers, and each entry equals
+    ``complex(re, im)`` of the numbers ``json`` would read, bit for bit.
+    """
+    # a d**n that could not fit in the text is refused before it is computed
+    if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(len(text)):
+        raise InvalidInputError(
+            f"state file {path}: a matrix of {len(text)} bytes has no {d}**{n} rows"
+        )
+    dim = d**n
+    if not isinstance(dim, int) or dim < 1:
+        raise InvalidInputError(f"state file {path}: d**n = {d}**{n} is not a matrix size")
+    codes = _codes(text)
+    bad = _pairs(codes).translate(_VALID).find(0)
+    if bad >= 0:
+        row, col, _ = _entry_at(codes, bad)
+        infinite = text.translate(None, _WHITESPACE).startswith((b"NaN", b"Infinity"), bad)
+        raise _entry_error(path, row, col, "is not a finite number" if infinite else _NOT_A_PAIR)
+    marks = codes.translate(None, _NUMBER_BODY)
+    del codes
+    for wrong in _MISORDERED:
+        at = marks.find(wrong)
+        if at >= 0:
+            row, col, _ = _entry_at(marks, at)
+            raise _entry_error(path, row, col, _NOT_A_PAIR)
+    skeleton = marks.translate(None, bytes([_DOT, _EXP]))
+    del marks
+    size = 4 * dim * dim + 2 * dim + 1
+    if len(skeleton) != size or skeleton != _skeleton(dim, size):
+        want = np.frombuffer(_skeleton(dim, len(skeleton) + 1), np.uint8)
+        got = np.frombuffer(skeleton, np.uint8)
+        common = min(len(got), len(want))
+        differ = np.flatnonzero(got[:common] != want[:common])
+        row, col, inside = _entry_at(skeleton, int(differ[0]) if len(differ) else common)
+        if inside >= 3:
+            raise _entry_error(path, row, col, _NOT_A_PAIR)
+        raise InvalidInputError(
+            f"state file {path}: matrix is not {dim} rows of {dim} [re, im] entries"
+            f" (it departs from that at row {row}, column {col})"
+        )
+    del skeleton
+    # JSON's integer -0 reads as 0, not -0.0 ("e-0" becoming "e0" keeps its value)
+    numbers = text.translate(None, b"[]" + _WHITESPACE).replace(b"-0,", b"0,")
+    if numbers.endswith(b"-0"):
+        numbers = numbers[:-2] + b"0"
+    values = np.fromstring(numbers, sep=",")
+    del numbers
+    if values.size != 2 * dim * dim:
+        raise InvalidInputError(
+            f"state file {path}: matrix holds {values.size} numbers, not {2 * dim * dim}"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)) // 2, dim)
+        raise _entry_error(path, row, col, "is not a finite number")
+    return values.view(complex).reshape(dim, dim)
+
+
+def _decode(text: bytes, path: str | Path) -> tuple[object, int]:
+    """The JSON value in ``text``, refusing a key repeated in any object, and
+    the number of objects with a "matrix" key."""
+    holders = 0
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        nonlocal holders
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise InvalidInputError(f"state file {path} repeats the key {repeated!r}")
+        holders += "matrix" in obj
+        return obj
+
+    return json.loads(text.decode("utf-8"), object_pairs_hook=unique_keys), holders
+
+
+def _read_state_file(path: str | Path) -> object:
+    """The JSON value in a state file, a mixed state's matrix left as its bytes.
+
+    The top-level "matrix" array of a mixed state is found in the bytes and
+    the rest of the file is parsed with that array replaced by null.  A file
+    where this finds no such array, or another one, is parsed whole.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read state file {path}: {exc}") from exc
+    keys = [m for m in _MATRIX_KEY.finditer(raw) if raw[m.start() - 1 : m.start()] != b"\\"]
+    end = _MATRIX_END.search(raw, keys[0].end() - 1) if len(keys) == 1 else None
+    if end is not None:
+        start, stop = keys[0].end() - 1, end.end()
+        try:
+            payload, holders = _decode(raw[:start] + b"null" + raw[stop:], path)
+        except _JSON_ERRORS:  # the whole-file parse below says why
+            payload, holders = None, 0
+        # one "matrix" key in the file, at the top level, and it held the span
+        top_level = holders == 1 and isinstance(payload, dict)
+        if top_level and payload.get("kind") == "mixed" and payload.get("matrix", False) is None:
+            payload["matrix"] = raw[start:stop]
+            return payload
+    try:
+        return _decode(raw, path)[0]
+    except InvalidInputError:
+        raise
+    except _JSON_ERRORS as exc:
+        raise InvalidInputError(f"state file {path} is not valid JSON: {exc}") from exc
+
 
 def load_state_json(path: str | Path) -> PureState | DensityMatrix:
     """Read a state description from JSON.
 
     Pure states carry ``"kind": "pure"`` and a list of ``{"index", "re", "im"}``
     amplitude records; mixed states carry ``"kind": "mixed"`` and a row-major
-    ``"matrix"`` of ``[re, im]`` entries.
+    ``"matrix"`` of ``[re, im]`` entries, each exactly two JSON numbers.  A
+    key repeated in any object is refused.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"state file {path} is not valid JSON: {exc}") from exc
-
+    payload = _read_state_file(path)
     try:
         n = int(payload["n"])
         d = int(payload["d"])
@@ -330,6 +561,8 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
         raise InvalidInputError(f"state file {path} missing n/d/kind: {exc}") from exc
 
     if kind == "pure":
+        if "amplitudes" not in payload:
+            raise InvalidInputError(f'state file {path} has no "amplitudes"')
         try:
             amplitudes: dict[MultiIndex, complex] = {}
             for rec in payload["amplitudes"]:
@@ -342,14 +575,15 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
         return PureState(n, d, amplitudes)
 
     if kind == "mixed":
-        try:
-            rows = payload["matrix"]
-            mat = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-                dtype=complex,
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise InvalidInputError(f"bad matrix entry in {path}: {exc}") from exc
-        return DensityMatrix(n, d, mat)
+        if "matrix" not in payload:
+            raise InvalidInputError(f'state file {path} has no "matrix"')
+        text = payload.pop("matrix")
+        if isinstance(text, list):  # found by the whole-file parse: checked the same way
+            text = json.dumps(text).encode()
+        if not isinstance(text, bytes):
+            raise InvalidInputError(f'state file {path}: "matrix" is not an array')
+        matrix = _parse_matrix(text, n, d, path)
+        del text  # validation below needs only the array
+        return DensityMatrix(n, d, matrix)
 
     raise InvalidInputError(f"unknown state kind {kind!r} in {path}")

@@ -7,7 +7,9 @@ actually means something.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -322,3 +324,41 @@ def round12_oracle(obj):
     if isinstance(obj, (list, tuple)):
         return [round12_oracle(v) for v in obj]
     return obj
+
+
+def mixed_matrix_oracle(text: str) -> np.ndarray:
+    """The matrix of a ``"kind": "mixed"`` state file, read with ``json`` and
+    the strict entry rules: no key repeated in any object, ``d**n`` rows of
+    ``d**n`` entries, each entry a list of exactly two finite JSON numbers
+    (``true``/``false`` are not numbers), the entry being ``complex(re, im)``.
+    Raises ValueError on anything else.  Trace, hermiticity and positivity
+    are not checked."""
+
+    def no_repeats(pairs):
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError("repeated key")
+        return dict(pairs)
+
+    payload = json.loads(text, object_pairs_hook=no_repeats)
+    try:
+        dim = int(payload["d"]) ** int(payload["n"])
+        if payload["kind"] != "mixed":
+            raise ValueError("not a mixed state")
+        rows = payload["matrix"]
+        entries = []
+        if not isinstance(rows, list) or len(rows) != dim:
+            raise ValueError("wrong row count")
+        for row in rows:
+            if not isinstance(row, list) or len(row) != dim:
+                raise ValueError("wrong entry count")
+            for entry in row:
+                if not isinstance(entry, list) or [type(x) in (int, float) for x in entry] != [True, True]:
+                    raise ValueError("entry is not two numbers")
+                z = complex(*entry)
+                if not cmath.isfinite(z):
+                    raise ValueError("not finite")
+                entries.append(z)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
+    return np.array(entries, dtype=complex).reshape(dim, dim)

@@ -389,3 +389,41 @@ def test_non_finite_output_is_analysis_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "gme_measure_pure", lambda psi, method: report)
     assert main(["entropy", "--preset", "w"]) == 1
     assert "'entropies/12|3'" in capsys.readouterr().err
+
+
+def _product_state_text() -> str:
+    """|10><10| over two qubits; its one nonzero entry is row 2, column 2."""
+    rows = [[[1.0 if i == j == 2 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    return json.dumps({"n": 2, "d": 2, "kind": "mixed", "matrix": rows})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_product_state_text(), None),
+        ('{"n": 1, "d": 2, "kind": "mixed"}', 'has no "matrix"'),
+        ('{"n": 2, "d": 2, "kind": "pure"}', 'has no "amplitudes"'),
+        (_product_state_text().replace("[1.0, 0.0]", "[1.0, 0.0, 7]"),
+         "row 2, column 2 is not [re, im] with two JSON numbers"),
+        (_product_state_text().replace("[1.0, 0.0]", "[true, false]"),
+         "row 2, column 2 is not [re, im] with two JSON numbers"),
+        (_product_state_text().replace("[1.0, 0.0]", "[NaN, 0.0]"), "row 2, column 2 is not a finite number"),
+        (_product_state_text().replace("[1.0, 0.0]", "[1.0, Infinity]"), "row 2, column 2 is not a finite number"),
+        (_product_state_text().replace('"matrix"', '"matrix": [], "matrix"'), "repeats the key 'matrix'"),
+        ('{"n": 2, "d": 2, "kind": "pure", "amplitudes": [{"index": "00", "re": 0.0, "re": 1.0}]}',
+         "repeats the key 're'"),
+    ],
+    ids=["valid", "no-matrix", "no-amplitudes", "three-numbers", "booleans", "nan", "infinity",
+         "two-matrix-keys", "two-re-keys"],
+)
+def test_state_file_errors_exit_2(tmp_path, capsys, text, message):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    pairs = tmp_path / "r.json"
+    pairs.write_text(json.dumps([["00", "11"]]))
+    code = main(["bound", "--state", str(state), "--r-set", str(pairs)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0, err
+    else:
+        assert code == 2 and message in err and "Traceback" not in err, err

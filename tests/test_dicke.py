@@ -167,6 +167,23 @@ def test_r_sigma_matches_direct_oracle(monkeypatch, n, d, m, ordered):
         assert bound.n_r == oracles.compiled_fields_direct(want, n, d, variant.value)["n_r"]
 
 
+def test_em_bound_compiles_r_sigma_once_per_variant(monkeypatch):
+    compiled = []
+    compile_witness = dicke_module.compile_witness
+
+    def recording(r, variant):
+        compiled.append(variant)
+        return compile_witness(r, variant)
+
+    monkeypatch.setattr(dicke_module, "compile_witness", recording)
+    spec = DickeWitnessSpec(4, 2, 2)
+    bounds = [em_bound_from_q(spec, q) for q in (0.5, 1.0, 0.5)]
+    em_bound_from_q(spec, 1.0, NRVariant.MAXIMAL)
+    em_bound_from_q(spec, 0.5, NRVariant.MAXIMAL)
+    assert compiled == [NRVariant.MINIMAL, NRVariant.MAXIMAL]
+    assert bounds[0] == bounds[2] == em_bound_from_q(DickeWitnessSpec(4, 2, 2), 0.5)
+
+
 def test_em_bound_from_q_4_2_2():
     spec = DickeWitnessSpec(4, 2, 2)
     bound = em_bound_from_q(spec, 1.0, NRVariant.MINIMAL)
