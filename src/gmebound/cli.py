@@ -37,6 +37,7 @@ from .states import (
     load_state_json,
     make_dicke_state,
     make_ghz_state,
+    make_max_entangled,
     make_singlet4,
     make_w_state,
 )
@@ -169,9 +170,7 @@ def _build_preset(args: argparse.Namespace) -> PureState:
     if name == "singlet4":
         return make_singlet4()
     if name == "isotropic":
-        d = 3 if args.d is None else args.d
-        amp = 1.0 / math.sqrt(d)
-        return PureState(2, d, {MultiIndex((j, j), d): amp for j in range(d)})
+        return make_max_entangled(3 if args.d is None else args.d)
     raise InvalidInputError(f"unknown preset {name!r}")
 
 

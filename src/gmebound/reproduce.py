@@ -38,6 +38,7 @@ from .states import (
     make_dicke_state,
     make_ghz_state,
     make_isotropic,
+    make_max_entangled,
     make_singlet4,
     make_w_state,
     partial_trace,
@@ -132,8 +133,7 @@ def check_isotropic() -> CheckResult:
         got = bipartite_bound_isotropic(3, p)
         want = 2.0 * (4.0 * p - 1.0) / math.sqrt(27.0)
         errs.append(abs(got - want))
-    phi = PureState(2, 3, {MultiIndex((j, j), 3): 1 / math.sqrt(3) for j in range(3)})
-    e_m = gme_measure_pure(phi).e_m
+    e_m = gme_measure_pure(make_max_entangled(3)).e_m
     tight_err = abs(bipartite_bound_isotropic(3, 1.0) - e_m)
     passed = max(errs) <= 1e-10 and tight_err <= 1e-10
     details = (

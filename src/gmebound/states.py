@@ -187,21 +187,10 @@ def make_w_state(n: int = 3) -> PureState:
     return PureState(n, 2, amplitudes)
 
 
-def make_ghz_state(
-    n: int = 3,
-    d: int = 2,
-    eta1: MultiIndex | None = None,
-    eta2: MultiIndex | None = None,
-) -> PureState:
-    """(|eta1> + |eta2>) / sqrt(2); defaults to |0...0>, |(d-1)...(d-1)>."""
-    if eta1 is None:
-        eta1 = MultiIndex((0,) * n, d)
-    if eta2 is None:
-        eta2 = MultiIndex((d - 1,) * n, d)
-    if eta1 == eta2:
-        raise InvalidInputError("GHZ endpoints must differ")
+def make_ghz_state(n: int = 3, d: int = 2) -> PureState:
+    """(|0...0> + |(d-1)...(d-1)>) / sqrt(2)."""
     amp = 1.0 / math.sqrt(2.0)
-    return PureState(n, d, {eta1: amp, eta2: amp})
+    return PureState(n, d, {MultiIndex((0,) * n, d): amp, MultiIndex((d - 1,) * n, d): amp})
 
 
 def make_dicke_state(n: int, d: int, m: int) -> PureState:
@@ -256,13 +245,15 @@ def white_noise_mix(pure: PureState, p: float) -> DensityMatrix:
     return DensityMatrix(pure.n, pure.d, rho, validate=False)
 
 
+def make_max_entangled(d: int) -> PureState:
+    """The two-qudit maximally entangled state sum_j |jj> / sqrt(d)."""
+    amp = 1.0 / math.sqrt(d)
+    return PureState(2, d, {MultiIndex((j, j), d): amp for j in range(d)})
+
+
 def make_isotropic(d: int, p: float) -> DensityMatrix:
     """Two-qudit isotropic state: white noise on the maximally entangled pair."""
-    amp = 1.0 / math.sqrt(d)
-    phi = PureState(
-        2, d, {MultiIndex((j, j), d): amp for j in range(d)}
-    )
-    return white_noise_mix(phi, p)
+    return white_noise_mix(make_max_entangled(d), p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,103 +300,34 @@ def partial_transpose(rho: DensityMatrix, gamma: Bipartition) -> np.ndarray:
 # file input
 
 _WHITESPACE = b" \t\n\r"
-# A dense matrix is read from the bytes of its array, not as JSON lists.  Its
-# key is the one "matrix" key, not after a backslash, opening an array; the
-# array ends at the first "]]]", the only place a valid matrix closes three
-# arrays at once.
+# A dense matrix's array is checked in its bytes and its numbers are read by
+# json, not built as nested lists.  Its key is the one "matrix" key, not after
+# a backslash, opening an array; the array ends at the first "]]]", the only
+# place a valid matrix closes three arrays at once.
 _MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 _MATRIX_END = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\]")
 # ValueError covers JSONDecodeError, UnicodeDecodeError and ints past Python's digit limit
 _JSON_ERRORS = (ValueError, RecursionError)
-
-# Class codes of the bytes of a matrix array, 0 for a byte that cannot occur
-# there.  A number's leading "-" is MINUS and its leading "0" is LEAD; a
-# digit followed by whitespace is TAIL, which only "," or "]" may follow, so
-# deleting the whitespace cannot join "1 2" into 12.
-(_BAD, _OPEN, _CLOSE, _COMMA, _MINUS, _ZERO, _DIGIT, _DOT, _EXP, _SIGN, _LEAD, _TAIL,
- _SPACE) = range(13)
-_FOLLOWED = 16  # flags a byte followed by whitespace, until whitespace is deleted
+_NUMBER_BYTES = b"0123456789.eE+-"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
+# numbers are read in slices of about this many bytes, so that no list of
+# Python floats for the whole matrix is ever built
+_SLICE_BYTES = 1 << 16
 
 
-def _byte_table(rule) -> bytes:
-    return bytes(rule(b) for b in range(256))
+def _int_as_float(digits: str) -> float:
+    """float(int(digits)) without int's digit limit: the same correctly
+    rounded value, inf past the float range, and JSON's -0 (the int 0) as 0.0."""
+    return float(digits) + 0.0
 
 
-def _pair_table(rule) -> bytes:
-    """A table over ``code << 4 | next_code``."""
-    return _byte_table(lambda b: rule(b >> 4, b & 15))
-
-
-_CLASSES = {b"[": _OPEN, b"]": _CLOSE, b",": _COMMA, b"-": _MINUS, b"0": _ZERO,
-            b"123456789": _DIGIT, b".": _DOT, b"eE": _EXP, b"+": _SIGN, _WHITESPACE: _SPACE}
-_CLASS = _byte_table(lambda b: next((c for chars, c in _CLASSES.items() if b in chars), _BAD))
-_BEFORE_SPACE = _byte_table(
-    lambda b: b if b < _FOLLOWED
-    else b & 15 if b & 15 in (_OPEN, _CLOSE, _COMMA)
-    else _TAIL if b & 15 in (_ZERO, _DIGIT)
-    else _BAD
-)
-# "-" after "e" signs the exponent; "0" after "[", "," or a leading "-" leads a number
-_EXP_SIGN = _pair_table(lambda a, b: _SIGN if (a, b) == (_EXP, _MINUS) else b)
-_LEADING = _pair_table(lambda a, b: _LEAD if b == _ZERO and a in (_OPEN, _COMMA, _MINUS) else b)
-# the codes that may follow each code once whitespace is gone: JSON's number
-# grammar between brackets and commas
-_STARTS = {_MINUS, _LEAD, _DIGIT, _TAIL}
-_AFTER_DIGIT = {_ZERO, _DIGIT, _TAIL, _DOT, _EXP, _COMMA, _CLOSE}
-_NEXT = {
-    _OPEN: {_OPEN} | _STARTS,
-    _COMMA: {_OPEN} | _STARTS,
-    _CLOSE: {_COMMA, _CLOSE},
-    _MINUS: {_LEAD, _DIGIT, _TAIL},
-    _LEAD: {_DOT, _EXP, _COMMA, _CLOSE},
-    _ZERO: _AFTER_DIGIT,
-    _DIGIT: _AFTER_DIGIT,
-    _DOT: {_ZERO, _DIGIT, _TAIL},
-    _EXP: {_SIGN, _ZERO, _DIGIT, _TAIL},
-    _SIGN: {_ZERO, _DIGIT, _TAIL},
-    _TAIL: {_COMMA, _CLOSE},
-}
-_VALID = _pair_table(lambda a, b: b in _NEXT.get(a, ()))
-_NUMBER_BODY = bytes([_MINUS, _ZERO, _DIGIT, _SIGN, _LEAD, _TAIL])
-# with the digits and signs gone, a number keeps "." and "e" in this order, each once
-_MISORDERED = (bytes([_DOT, _DOT]), bytes([_EXP, _EXP]), bytes([_EXP, _DOT]))
-
-
-def _codes(text: bytes) -> bytearray:
-    """The class codes of ``text`` with the whitespace deleted: a digit that
-    preceded whitespace is TAIL, an exponent's "-" is SIGN and a number's
-    leading "0" is LEAD."""
-    marked = bytearray(text.translate(_CLASS))
-    c = np.frombuffer(marked, np.uint8)
-    followed = (c[1:] == _SPACE).view(np.uint8)
-    followed <<= 4  # in place: one byte per byte of text at a time
-    c[:-1] |= followed
-    del c, followed
-    codes = marked.translate(_BEFORE_SPACE, bytes([_SPACE, _SPACE | _FOLLOWED]))
-    del marked
-    for table in (_EXP_SIGN, _LEADING):
-        codes = _pairs(codes).translate(table)
-    return codes
-
-
-def _pairs(codes: bytes) -> bytearray:
-    """Per class code, the one before it (a "," before the first) in the high
-    nibble and its own in the low nibble."""
-    c = np.frombuffer(codes, np.uint8)
-    out = bytearray(len(codes))
-    pairs = np.frombuffer(out, np.uint8)
-    pairs[0] = _COMMA << 4
-    np.left_shift(c[:-1], 4, out=pairs[1:])
-    pairs |= c
-    return out
-
-
-def _entry_at(codes: bytes, pos: int) -> tuple[int, int, int]:
-    """Row and column of the matrix entry at class code ``pos`` (the last one
-    opened), and how many arrays are open there."""
-    c = np.frombuffer(codes, np.uint8)[: pos + 1]
-    opens = c == _OPEN
-    depth = np.cumsum(opens, dtype=np.int64) - np.cumsum(c == _CLOSE)
+def _entry_at(text: bytes, pos: int) -> tuple[int, int, int]:
+    """Row and column of the matrix entry at byte ``pos`` of an array's text
+    (the last one opened), and how many arrays are open there."""
+    c = np.frombuffer(text, np.uint8)[: pos + 1]
+    opens = c == ord("[")
+    depth = np.cumsum(opens, dtype=np.int64) - np.cumsum(c == ord("]"))
     rows = np.flatnonzero(opens & (depth == 2))
     start = rows[-1] if len(rows) else 0
     cols = np.count_nonzero(opens[start:] & (depth[start:] == 3))
@@ -423,12 +345,11 @@ def _entry_error(path: str | Path, row: int, col: int, problem: str) -> InvalidI
 
 
 def _skeleton(dim: int, size: int) -> bytes:
-    """The first ``size`` class codes of a ``dim x dim`` matrix of ``[re, im]``
-    entries, numbers left out; rows and entries past ``size`` are not built."""
-    entry = bytes([_OPEN, _COMMA, _CLOSE])
-    row = bytes([_OPEN]) + bytes([_COMMA]).join([entry] * min(dim, size // 4 + 1)) + bytes([_CLOSE])
-    rows = bytes([_COMMA]).join([row] * min(dim, size // len(row) + 1))
-    return (bytes([_OPEN]) + rows + bytes([_CLOSE]))[:size]
+    """The first ``size`` brackets and commas of a ``dim x dim`` matrix of
+    ``[re, im]`` entries; rows and entries past ``size`` are not built."""
+    row = b"[" + b",".join([b"[,]"] * min(dim, size // 4 + 1)) + b"]"
+    rows = b",".join([row] * min(dim, size // len(row) + 1))
+    return (b"[" + rows + b"]")[:size]
 
 
 def _parse_matrix(text: bytes, n: int, d: int, path: str | Path) -> np.ndarray:
@@ -436,9 +357,10 @@ def _parse_matrix(text: bytes, n: int, d: int, path: str | Path) -> np.ndarray:
     a JSON array of ``dim`` rows of ``dim`` entries ``[re, im]``, each part a
     JSON number.
 
-    The structure and the number grammar are checked in a few passes over
-    the bytes, one numpy conversion reads the numbers, and each entry equals
-    ``complex(re, im)`` of the numbers ``json`` would read, bit for bit.
+    The bytes, the bracket structure and each number's place between the
+    brackets are checked first; ``json`` then reads the numbers as flat comma
+    lists, so each entry equals ``complex(re, im)`` of the numbers ``json``
+    reads for the whole file.
     """
     # a d**n that could not fit in the text is refused before it is computed
     if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(len(text)):
@@ -448,21 +370,13 @@ def _parse_matrix(text: bytes, n: int, d: int, path: str | Path) -> np.ndarray:
     dim = d**n
     if not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"state file {path}: d**n = {d}**{n} is not a matrix size")
-    codes = _codes(text)
-    bad = _pairs(codes).translate(_VALID).find(0)
-    if bad >= 0:
-        row, col, _ = _entry_at(codes, bad)
-        infinite = text.translate(None, _WHITESPACE).startswith((b"NaN", b"Infinity"), bad)
+    stray = text.translate(None, b"[]," + _WHITESPACE + _NUMBER_BYTES)
+    if stray:
+        bad = text.index(stray[:1])
+        row, col, _ = _entry_at(text, bad)
+        infinite = text.startswith((b"NaN", b"Infinity"), bad)
         raise _entry_error(path, row, col, "is not a finite number" if infinite else _NOT_A_PAIR)
-    marks = codes.translate(None, _NUMBER_BODY)
-    del codes
-    for wrong in _MISORDERED:
-        at = marks.find(wrong)
-        if at >= 0:
-            row, col, _ = _entry_at(marks, at)
-            raise _entry_error(path, row, col, _NOT_A_PAIR)
-    skeleton = marks.translate(None, bytes([_DOT, _EXP]))
-    del marks
+    skeleton = text.translate(None, _NUMBER_BYTES + _WHITESPACE)
     size = 4 * dim * dim + 2 * dim + 1
     if len(skeleton) != size or skeleton != _skeleton(dim, size):
         want = np.frombuffer(_skeleton(dim, len(skeleton) + 1), np.uint8)
@@ -477,16 +391,31 @@ def _parse_matrix(text: bytes, n: int, d: int, path: str | Path) -> np.ndarray:
             f" (it departs from that at row {row}, column {col})"
         )
     del skeleton
-    # JSON's integer -0 reads as 0, not -0.0 ("e-0" becoming "e0" keeps its value)
-    numbers = text.translate(None, b"[]" + _WHITESPACE).replace(b"-0,", b"0,")
-    if numbers.endswith(b"-0"):
-        numbers = numbers[:-2] + b"0"
-    values = np.fromstring(numbers, sep=",")
+    # the skeleton is right; a number moved across a bracket within its comma
+    # slot, which the flat comma list below cannot see, shows with whitespace
+    # gone and each number byte a 0 as "]0" or "0["
+    marked = text.translate(_NUMBERS_TO_ZEROS, _WHITESPACE)
+    moved = [pos for pos in (marked.find(b"]0"), marked.find(b"0[")) if pos >= 0]
+    if moved:
+        row, col, _ = _entry_at(marked, min(moved) + 1)
+        raise _entry_error(path, row, col, _NOT_A_PAIR)
+    del marked
+    # with the brackets blanked the numbers are one comma list, cut at commas
+    numbers = text.translate(_BRACKETS_TO_SPACES)
+    values = np.empty(2 * dim * dim)
+    start = filled = 0
+    while start < len(numbers):
+        stop = numbers.find(b",", start + _SLICE_BYTES)
+        stop = len(numbers) if stop < 0 else stop
+        try:
+            part = json.loads(b"[" + numbers[start:stop] + b"]", parse_int=_int_as_float)
+        except json.JSONDecodeError as exc:
+            row, col, _ = _entry_at(text, start + exc.pos - 1)
+            raise _entry_error(path, row, col, _NOT_A_PAIR) from None
+        values[filled : filled + len(part)] = part
+        filled += len(part)
+        start = stop + 1
     del numbers
-    if values.size != 2 * dim * dim:
-        raise InvalidInputError(
-            f"state file {path}: matrix holds {values.size} numbers, not {2 * dim * dim}"
-        )
     finite = np.isfinite(values)
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)) // 2, dim)
@@ -549,16 +478,20 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
 
     Pure states carry ``"kind": "pure"`` and a list of ``{"index", "re", "im"}``
     amplitude records; mixed states carry ``"kind": "mixed"`` and a row-major
-    ``"matrix"`` of ``[re, im]`` entries, each exactly two JSON numbers.  A
-    key repeated in any object is refused.
+    ``"matrix"`` of ``[re, im]`` entries, each exactly two JSON numbers.
+    ``"n"`` and ``"d"`` are JSON integers.  A key repeated in any object is
+    refused.
     """
     payload = _read_state_file(path)
     try:
-        n = int(payload["n"])
-        d = int(payload["d"])
-        kind = payload["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, d, kind = payload["n"], payload["d"], payload["kind"]
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"state file {path} missing n/d/kind: {exc}") from exc
+    for key, value in (("n", n), ("d", d)):
+        if type(value) is not int:  # bool is a subclass of int
+            raise InvalidInputError(
+                f'state file {path}: "{key}" must be a JSON integer, not {type(value).__name__}'
+            )
 
     if kind == "pure":
         if "amplitudes" not in payload:

@@ -412,9 +412,13 @@ def _product_state_text() -> str:
         (_product_state_text().replace('"matrix"', '"matrix": [], "matrix"'), "repeats the key 'matrix'"),
         ('{"n": 2, "d": 2, "kind": "pure", "amplitudes": [{"index": "00", "re": 0.0, "re": 1.0}]}',
          "repeats the key 're'"),
+        (_product_state_text().replace("[1.0, 0.0]", "[1.0,] 0.0"),
+         "row 2, column 2 is not [re, im] with two JSON numbers"),
+        (_product_state_text().replace("[1.0, 0.0]", "1.0 [, 0.0]"),
+         "row 2, column 2 is not [re, im] with two JSON numbers"),
     ],
     ids=["valid", "no-matrix", "no-amplitudes", "three-numbers", "booleans", "nan", "infinity",
-         "two-matrix-keys", "two-re-keys"],
+         "two-matrix-keys", "two-re-keys", "number-after-bracket", "number-before-bracket"],
 )
 def test_state_file_errors_exit_2(tmp_path, capsys, text, message):
     state = tmp_path / "state.json"

@@ -290,11 +290,14 @@ def test_single_byte_mutations_get_the_oracles_verdict(tmp_path_factory, text, d
         ("[0.25]", "is not [re, im] with two JSON numbers"),
         ("[true, false]", "is not [re, im] with two JSON numbers"),
         ('["0.25", 0.0]', "is not [re, im] with two JSON numbers"),
+        ("[0.25,] 0.0", "is not [re, im] with two JSON numbers"),
+        ("0.25 [, 0.0]", "is not [re, im] with two JSON numbers"),
         ("[NaN, 0.0]", "is not a finite number"),
         ("[0.25, Infinity]", "is not a finite number"),
         ("[0.25, -Infinity]", "is not a finite number"),
         ("[1e400, 0.0]", "is not a finite number"),
         ("[" + "9" * 400 + ", 0.0]", "is not a finite number"),
+        ("[" + "9" * 5000 + ", 0.0]", "is not a finite number"),
     ],
 )
 def test_mixed_file_names_the_bad_entry(tmp_path, entry, problem):
@@ -331,9 +334,17 @@ def test_mixed_file_refuses_what_json_refuses(tmp_path, number):
         (b'{"n": ' + b"1" * 5000 + b', "d": 2, "kind": "mixed", "matrix": [[[1, 0]]]}', "is not valid JSON"),
         (b'{"n": 1, "d": 2, "kind": "pure", "amplitudes": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
          "is not valid JSON"),
+        (b'{"n": 1, "d": 2, "kind": "mixed", "matrix": [1[[,0],[0,0]],[[0,0],[0.5,0]]]}',
+         "row 0, column 0 is not [re, im] with two JSON numbers"),
+        (b'{"n": 2.9, "d": 2, "kind": "pure", "amplitudes": [{"index": "00", "re": 1}]}',
+         '"n" must be a JSON integer, not float'),
+        (b'{"n": true, "d": 2, "kind": "pure", "amplitudes": [{"index": "0", "re": 1}]}',
+         '"n" must be a JSON integer, not bool'),
+        (b'{"n": 1, "d": "2", "kind": "pure", "amplitudes": [{"index": "0", "re": 1}]}',
+         '"d" must be a JSON integer, not str'),
     ],
     ids=["matrix-not-array", "wrong-shape", "repeated-key", "not-utf8", "huge-shape", "huge-int",
-         "nested-too-deep"],
+         "nested-too-deep", "number-before-row", "float-n", "bool-n", "string-d"],
 )
 def test_state_file_structure_errors(tmp_path, text, message):
     path = tmp_path / "bad.json"
