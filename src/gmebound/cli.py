@@ -437,7 +437,7 @@ def cmd_dimensionality(args: argparse.Namespace) -> int:
     rows = []
     for f in range(1, args.d + 1):
         if f == 1:
-            state = PureState(args.n, args.d, {MultiIndex((0,) * args.n, args.d): 1.0})
+            state = PureState(args.n, args.d, [[0] * args.n], [1.0])
         else:
             state = embed_pure(make_dicke_state(args.n, f, args.m), args.d)
         q = q_witness(spec, state)

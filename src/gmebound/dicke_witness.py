@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import cut_masks, place_values
+from .indices import cut_masks, excitation_rows, place_values
 from .states import ElementSource, NoisyPureState, PureState
 from .witness import NRVariant, PairSet, Reads, _images, _noise_root, compile_witness
 
@@ -50,15 +49,11 @@ class DickeWitnessSpec:
         """The diagonal-penalty multiplicity N_D."""
         return (self.d - 1) * self.m * (self.n - self.m - 1)
 
-    @cached_property
+    @property
     def excited(self) -> np.ndarray:
         """One 0/1 row per excitation subset (size m), in combinations order;
         the pattern at level l is ``l + excited[i]``."""
-        subsets = np.array(list(combinations(range(self.n), self.m)))
-        out = np.zeros((len(subsets), self.n), dtype=np.int64)
-        out[np.arange(len(subsets))[:, None], subsets] = 1
-        out.flags.writeable = False
-        return out
+        return excitation_rows(self.n, self.m)
 
     def sigma(self) -> np.ndarray:
         """``(|sigma|, 2)`` rows (a, b) of :attr:`excited`: the ordered pairs

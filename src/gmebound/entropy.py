@@ -73,9 +73,9 @@ def linear_entropy_coeff(psi: PureState, gamma: Bipartition) -> float:
 def _coeff_entropies(psi: PureState, masks: np.ndarray) -> np.ndarray:
     """:func:`linear_entropy_coeff` across each cut of a ``(cuts, n)`` 0/1 mask,
     many cuts per array pass when the support is small."""
-    ranks, digits, re, im = psi.support_arrays
+    ranks, re, im = psi.ranks, psi.amplitudes.real, psi.amplitudes.imag
     size = len(ranks)
-    weighted = (digits * place_values(psi.n, psi.d)).T
+    weighted = (psi.digits * place_values(psi.n, psi.d)).T
     here_re, here_im = complex_product(re[:, None], im[:, None], re, im)
     cut_step = max(1, CHUNK_ENTRIES // size**2)
     row_step = max(1, CHUNK_ENTRIES // (cut_step * size))

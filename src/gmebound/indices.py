@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -73,11 +74,10 @@ class MultiIndex:
         """Parse a bare digit string such as "0011"."""
         if n is not None and len(text) != n:
             raise InvalidInputError(f"index '{text}' has length {len(text)}, expected {n}")
-        try:
-            digits = tuple(int(ch) for ch in text)
-        except ValueError as exc:
-            raise InvalidInputError(f"index '{text}' contains a non-digit") from exc
-        return cls(digits, d)
+        # ASCII only: int() also reads the decimal digits of other scripts
+        if not all("0" <= ch <= "9" for ch in text):
+            raise InvalidInputError(f"index '{text}' contains a non-digit")
+        return cls(tuple(int(ch) for ch in text), d)
 
     def __str__(self) -> str:
         return "".join(str(x) for x in self.digits)
@@ -219,11 +219,29 @@ def place_values(n: int, base: int) -> np.ndarray:
     return np.array([base**k for k in range(n - 1, -1, -1)], dtype=rank_dtype(n, base))
 
 
+def rank_digits(ranks: np.ndarray, n: int, base: int) -> np.ndarray:
+    """The ``(k, n)`` big-endian digits of each of ``k`` ranks; the inverse of
+    multiplying by :func:`place_values`."""
+    return ranks[:, None] // place_values(n, base) % base
+
+
 def digit_strings(ranks: np.ndarray, n: int, d: int) -> list[str]:
     """The bare digit string of each rank, as :class:`MultiIndex` prints it (``d <= 10``)."""
-    digits = ranks[:, None] // place_values(n, d) % d
+    digits = rank_digits(ranks, n, d)
     chars = (digits + ord("0")).astype(np.uint8)
     return chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+
+
+@lru_cache(maxsize=None)
+def excitation_rows(n: int, m: int) -> np.ndarray:
+    """One 0/1 row per m-subset of the n sites, marking its sites, in the
+    order of :func:`itertools.combinations`; a read-only ``(C(n, m), n)``
+    int64 array."""
+    subsets = np.array(list(combinations(range(n), m)), dtype=np.int64)
+    rows = np.zeros((len(subsets), n), dtype=np.int64)
+    rows[np.arange(len(subsets))[:, None], subsets] = 1
+    rows.flags.writeable = False
+    return rows
 
 
 def rank_positions(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
 from .errors import AnalysisError
-from .indices import Bipartition, IndexPair, MultiIndex, enumerate_bipartitions
+from .indices import Bipartition, IndexPair, MultiIndex, enumerate_bipartitions, rank_digits
 from .observables import decompose_diagonal, decompose_offdiagonal, plan_settings, reconstruct
 from .ppt import (
     build_ppt_witness,
@@ -37,12 +36,10 @@ from .states import (
     PureState,
     make_dicke_state,
     make_ghz_state,
-    make_isotropic,
     make_max_entangled,
     make_singlet4,
     make_w_state,
     partial_trace,
-    white_noise_mix,
 )
 from .witness import (
     NRVariant,
@@ -277,9 +274,7 @@ def _random_sparse_pure(rng: np.random.Generator, n: int, d: int) -> PureState:
     ranks = rng.choice(dim, size=k, replace=False)
     amps = rng.normal(size=k) + 1j * rng.normal(size=k)
     amps /= np.linalg.norm(amps)
-    return PureState(
-        n, d, {MultiIndex.from_rank(int(r), n, d): complex(c) for r, c in zip(ranks, amps)}
-    )
+    return PureState(n, d, rank_digits(ranks, n, d), amps)
 
 
 def random_product_state(
@@ -414,15 +409,8 @@ def check_dicke_em_bounds(seed: int = SEED) -> CheckResult:
         for _ in range(40):
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             vec /= np.linalg.norm(vec)
-            psi = PureState(
-                spec.n,
-                spec.d,
-                {
-                    MultiIndex.from_rank(i, spec.n, spec.d): complex(vec[i])
-                    for i in range(dim)
-                    if abs(vec[i]) > 0
-                },
-            )
+            support = np.flatnonzero(vec)
+            psi = PureState(spec.n, spec.d, rank_digits(support, spec.n, spec.d), vec[support])
             q = q_witness(spec, psi)
             bound = em_bound_from_q(spec, q).weak
             worst_gap = max(worst_gap, bound - gme_measure_pure(psi).e_m)

@@ -1,11 +1,11 @@
 """State containers and reference states.
 
-Pure states are stored sparsely (amplitudes keyed by :class:`MultiIndex`);
-density matrices are dense ``(d**n, d**n)`` complex arrays whose row/column
-order follows :attr:`MultiIndex.rank`; white noise on a pure state is a view
-that is never materialised.  All three answer ``elements(rows, cols)`` on
-arrays of ranks, which is the one way the package reads matrix entries; a
-single entry is a gather of length one.
+Pure states are stored sparsely, as the digit array of their support and its
+amplitudes, in rank order; density matrices are dense ``(d**n, d**n)``
+complex arrays whose row/column order follows :attr:`MultiIndex.rank`; white
+noise on a pure state is a view that is never materialised.  All three
+answer ``elements(rows, cols)`` on arrays of ranks, which is the one way the
+package reads matrix entries; a single entry is a gather of length one.
 
 Arithmetic on amplitudes goes component by component through
 :func:`complex_product`, in the operation order of Python's complex product,
@@ -14,19 +14,16 @@ so an entry read in bulk equals the one read alone bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, MultiIndex, place_values, rank_positions
+from .indices import Bipartition, MultiIndex, excitation_rows, place_values, rank_positions
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -42,6 +39,10 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _label(row: np.ndarray) -> str:  # a digit row as MultiIndex prints it
+    return "".join(map(str, row.tolist()))
+
+
 def complex_product(
     ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -50,47 +51,65 @@ def complex_product(
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized n-qudit ket with sparse amplitudes."""
+    """A normalized n-qudit ket with sparse amplitudes.
+
+    ``digits`` is the ``(k, n)`` int64 array of the support's basis indices
+    and ``amplitudes`` the ``(k,)`` complex array of their coefficients, both
+    in rank order, with the ranks in ``ranks``.  Rows may be given in any
+    order; a repeated row is refused.
+    """
 
     n: int
     d: int
-    amplitudes: dict[MultiIndex, complex]
+    digits: np.ndarray
+    amplitudes: np.ndarray
+    ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 2:
-            raise InvalidInputError(f"bad shape n={self.n}, d={self.d}")
-        for eta, c in self.amplitudes.items():
-            if eta.n != self.n or eta.d != self.d:
-                raise InvalidInputError(f"amplitude index {eta} does not match n={self.n}, d={self.d}")
-            if not cmath.isfinite(c):
-                raise InvalidInputError(f"amplitude of {eta} is not finite: {c!r}")
-        norm2 = sum(abs(c) ** 2 for c in self.amplitudes.values())
+        n, d = self.n, self.d
+        if n < 1 or d < 2:
+            raise InvalidInputError(f"bad shape n={n}, d={d}")
+        digits = np.asarray(self.digits, dtype=np.int64)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if not amps.size:
+            raise InvalidInputError("state not normalized: |psi|^2 = 0")
+        if digits.ndim != 2 or digits.shape[1] != n or amps.shape != digits.shape[:1]:
+            raise InvalidInputError(f"digits {digits.shape} and amplitudes {amps.shape} do not fit n={n}")
+        if digits.min() < 0 or digits.max() >= d:
+            row = np.argmax(((digits < 0) | (digits >= d)).any(axis=1))
+            raise InvalidInputError(f"digits {tuple(digits[row].tolist())} out of range for d={d}")
+        finite = np.isfinite(amps)
+        if not finite.all():
+            row = np.argmin(finite)
+            raise InvalidInputError(
+                f"amplitude of {_label(digits[row])} is not finite: {complex(amps[row])!r}"
+            )
+        ranks = digits @ place_values(n, d)
+        order = np.argsort(ranks)
+        ranks, digits, ordered = ranks[order], digits[order], amps[order]
+        repeated = ranks[1:] == ranks[:-1]
+        if repeated.any():
+            raise InvalidInputError(f"duplicate amplitude index {_label(digits[np.argmax(repeated)])}")
+        norm2 = sum(abs(c) ** 2 for c in amps.tolist())  # in the given order
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise InvalidInputError(f"state not normalized: |psi|^2 = {norm2!r}")
-
-    @cached_property
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The support as sorted ranks, its ``(k, n)`` digits, and the real and
-        imaginary parts of its amplitudes."""
-        support = sorted(self.amplitudes)
-        digits = np.array([eta.digits for eta in support], dtype=np.int64).reshape(-1, self.n)
-        amps = np.array([complex(self.amplitudes[eta]) for eta in support], dtype=complex)
-        return digits @ place_values(self.n, self.d), digits, amps.real.copy(), amps.imag.copy()
+        for name, array in (("digits", digits), ("amplitudes", ordered), ("ranks", ranks)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def amplitudes_at(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real and imaginary amplitude parts at the given ranks (0 off the
         support), and whether each rank is in the support."""
-        support, _, re, im = self.support_arrays
-        pos = rank_positions(support, ranks)
+        pos = rank_positions(self.ranks, ranks)
         hit = pos >= 0
-        return np.where(hit, re[pos], 0.0), np.where(hit, im[pos], 0.0), hit
+        amps = self.amplitudes[pos]
+        return np.where(hit, amps.real, 0.0), np.where(hit, amps.imag, 0.0), hit
 
     def to_vector(self) -> np.ndarray:
         vec = np.zeros(self.d**self.n, dtype=complex)
-        for eta, c in self.amplitudes.items():
-            vec[eta.rank] = c
+        vec[self.ranks] = self.amplitudes
         return vec
 
     def density(self) -> "DensityMatrix":
@@ -161,10 +180,6 @@ class DensityMatrix:
             if eigmin < EIGMIN_ATOL:
                 raise InvalidInputError(f"density matrix has negative eigenvalue {eigmin!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
     def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.matrix[rows, cols]
 
@@ -179,18 +194,13 @@ ElementSource = PureState | NoisyPureState | DensityMatrix
 
 def make_w_state(n: int = 3) -> PureState:
     """(|10...0> + |010...> + ... + |0...01>) / sqrt(n)."""
-    amp = 1.0 / math.sqrt(n)
-    amplitudes = {}
-    for k in range(n):
-        digits = tuple(1 if i == k else 0 for i in range(n))
-        amplitudes[MultiIndex(digits, 2)] = amp
-    return PureState(n, 2, amplitudes)
+    return PureState(n, 2, np.eye(n, dtype=np.int64), np.full(n, 1.0 / math.sqrt(n)))
 
 
 def make_ghz_state(n: int = 3, d: int = 2) -> PureState:
     """(|0...0> + |(d-1)...(d-1)>) / sqrt(2)."""
-    amp = 1.0 / math.sqrt(2.0)
-    return PureState(n, d, {MultiIndex((0,) * n, d): amp, MultiIndex((d - 1,) * n, d): amp})
+    digits = np.array([[0], [d - 1]], dtype=np.int64).repeat(n, axis=1)
+    return PureState(n, d, digits, np.full(2, 1.0 / math.sqrt(2.0)))
 
 
 def make_dicke_state(n: int, d: int, m: int) -> PureState:
@@ -203,37 +213,23 @@ def make_dicke_state(n: int, d: int, m: int) -> PureState:
         raise InvalidInputError(f"need 1 <= m <= n-1, got m={m}, n={n}")
     if d < 2:
         raise InvalidInputError(f"need d >= 2, got d={d}")
-    amp = 1.0 / math.sqrt(math.comb(n, m) * (d - 1))
-    amplitudes: dict[MultiIndex, complex] = {}
-    for level in range(d - 1):
-        for excited in combinations(range(n), m):
-            digits = tuple(level + 1 if i in excited else level for i in range(n))
-            amplitudes[MultiIndex(digits, d)] = amp
-    return PureState(n, d, amplitudes)
+    levels = np.arange(d - 1, dtype=np.int64)
+    digits = (levels[:, None, None] + excitation_rows(n, m)).reshape(-1, n)
+    return PureState(n, d, digits, np.full(len(digits), 1.0 / math.sqrt(math.comb(n, m) * (d - 1))))
 
 
 def make_singlet4() -> PureState:
     """Four-qubit singlet (1/sqrt(3))(|0011> + |1100> - (|0101> + |0110> + |1001> + |1010>)/2)."""
     s3 = math.sqrt(3.0)
-    amps = {
-        "0011": 1 / s3,
-        "1100": 1 / s3,
-        "0101": -1 / (2 * s3),
-        "0110": -1 / (2 * s3),
-        "1001": -1 / (2 * s3),
-        "1010": -1 / (2 * s3),
-    }
-    return PureState(
-        4, 2, {MultiIndex.from_string(k, 2): complex(v) for k, v in amps.items()}
-    )
+    digits = [[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 0]]
+    return PureState(4, 2, digits, [1 / s3, 1 / s3] + [-1 / (2 * s3)] * 4)
 
 
 def embed_pure(psi: PureState, d: int) -> PureState:
     """Reinterpret a state's digits inside a larger local dimension."""
     if d < psi.d:
         raise InvalidInputError(f"cannot embed d={psi.d} into smaller d={d}")
-    amplitudes = {MultiIndex(eta.digits, d): c for eta, c in psi.amplitudes.items()}
-    return PureState(psi.n, d, amplitudes)
+    return PureState(psi.n, d, psi.digits, psi.amplitudes)
 
 
 def white_noise_mix(pure: PureState, p: float) -> DensityMatrix:
@@ -247,8 +243,8 @@ def white_noise_mix(pure: PureState, p: float) -> DensityMatrix:
 
 def make_max_entangled(d: int) -> PureState:
     """The two-qudit maximally entangled state sum_j |jj> / sqrt(d)."""
-    amp = 1.0 / math.sqrt(d)
-    return PureState(2, d, {MultiIndex((j, j), d): amp for j in range(d)})
+    digits = np.arange(d, dtype=np.int64)[:, None].repeat(2, axis=1)
+    return PureState(2, d, digits, np.full(d, 1.0 / math.sqrt(d)))
 
 
 def make_isotropic(d: int, p: float) -> DensityMatrix:
@@ -260,18 +256,13 @@ def make_isotropic(d: int, p: float) -> DensityMatrix:
 # subsystem operations
 
 
-def _axis_order(n: int, gamma: Bipartition) -> tuple[list[int], list[int]]:
-    keep = [p - 1 for p in gamma.sorted_parties()]
-    drop = [i for i in range(n) if i not in keep]
-    return keep, drop
-
-
 def partial_trace(rho: DensityMatrix, gamma: Bipartition) -> DensityMatrix:
     """Trace out the complement of gamma; subsystem order follows sorted gamma."""
     if gamma.n != rho.n:
         raise InvalidInputError(f"gamma over n={gamma.n}, state over n={rho.n}")
     n, d = rho.n, rho.d
-    keep, drop = _axis_order(n, gamma)
+    keep = [p - 1 for p in gamma.sorted_parties()]
+    drop = [i for i in range(n) if i not in keep]
     tensor = rho.matrix.reshape((d,) * (2 * n))
     # bring kept row axes first, kept column axes next, traced axes last
     perm = keep + [n + i for i in keep] + drop + [n + i for i in drop]
@@ -477,8 +468,10 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
     """Read a state description from JSON.
 
     Pure states carry ``"kind": "pure"`` and a list of ``{"index", "re", "im"}``
-    amplitude records; mixed states carry ``"kind": "mixed"`` and a row-major
-    ``"matrix"`` of ``[re, im]`` entries, each exactly two JSON numbers.
+    amplitude records: a string of ASCII digits and two JSON numbers, ``"im"``
+    0 when left out, each index once; mixed states carry ``"kind": "mixed"``
+    and a row-major ``"matrix"`` of ``[re, im]`` entries, each exactly two
+    JSON numbers.
     ``"n"`` and ``"d"`` are JSON integers.  A key repeated in any object is
     refused.
     """
@@ -496,16 +489,20 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
     if kind == "pure":
         if "amplitudes" not in payload:
             raise InvalidInputError(f'state file {path} has no "amplitudes"')
+        digits, amplitudes = [], []
         try:
-            amplitudes: dict[MultiIndex, complex] = {}
             for rec in payload["amplitudes"]:
-                eta = MultiIndex.from_string(rec["index"], d, n)
-                if eta in amplitudes:
-                    raise InvalidInputError(f"duplicate amplitude record for index {eta}")
-                amplitudes[eta] = complex(float(rec["re"]), float(rec.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+                index, parts = rec["index"], (rec["re"], rec.get("im", 0.0))
+                if type(index) is not str or any(type(x) not in (int, float) for x in parts):
+                    raise InvalidInputError(
+                        f"state file {path}: amplitude record {json.dumps(rec)} needs a string"
+                        ' "index" and JSON numbers "re" and "im"'
+                    )
+                digits.append(MultiIndex.from_string(index, d, n).digits)
+                amplitudes.append(complex(*parts))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(f"bad amplitude record in {path}: {exc}") from exc
-        return PureState(n, d, amplitudes)
+        return PureState(n, d, np.array(digits, dtype=np.int64), amplitudes)
 
     if kind == "mixed":
         if "matrix" not in payload:

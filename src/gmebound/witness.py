@@ -386,9 +386,9 @@ def auto_select_R(
     by decreasing |c_a c_b|.
     """
     n = target.n
-    ranks, digits, re, im = target.support_arrays
+    re, im = target.amplitudes.real, target.amplitudes.imag
     kept = np.hypot(re, im) >= tau
-    ranks, digits, re, im = ranks[kept], digits[kept], re[kept], im[kept]
+    ranks, digits, re, im = target.ranks[kept], target.digits[kept], re[kept], im[kept]
     masks = cut_masks(n)
 
     # candidates in lexicographic order, so the first of equals is the smallest

@@ -5,11 +5,20 @@ witness on the white-noise singlet line.  Faithful evaluation of the Q
 formula puts the crossing at 27/43 instead (see the check's details and the
 README); the test states the published number and is expected to fail until
 that discrepancy is resolved upstream.
+
+``battery_pins.json`` pins every check's details string, timings masked, at
+the default seed and at seed 1.
 """
+
+import json
+import re
+from pathlib import Path
 
 import pytest
 
 from gmebound import reproduce
+
+BATTERY_PINS = json.loads((Path(__file__).parent / "battery_pins.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +65,13 @@ def test_criterion_8_soundness_sweeps(battery):
 
 def test_criterion_9_pair_counts_and_em_bridge(battery):
     _assert_passed(battery[9])
+
+
+@pytest.mark.parametrize("seed", [reproduce.SEED, 1])
+def test_battery_details_match_pins(battery, seed):
+    results = battery.values() if seed == reproduce.SEED else reproduce.run_all(seed=seed)
+    details = [re.sub(r"elapsed [0-9.]+s", "elapsed …s", res.details) for res in results]
+    assert details == BATTERY_PINS[str(seed)]
 
 
 def test_total_runtime_under_budget(battery):

@@ -233,6 +233,7 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         "dimensionality --n 4 --d 2 --m 2 --tol -0.5",
         "ppt-compare --preset ghz --n 3 --pair 000111 --gamma 1",
         "ppt-compare --preset ghz --n 3 --pair 000,111 --gamma x",
+        "ppt-compare --preset ghz --n 3 --pair \u0660\u0660\u0660,111 --gamma 1",
         "threshold --preset w --n 3 --p-grid a,b",
         "threshold --preset w --n 3 --p-grid 0:1:x",
         "threshold --preset w --n 3 --p-grid 0:1:100000000000",
@@ -263,6 +264,20 @@ BAD_PURE_FILES = {
         "not finite",
     ),
     "duplicate index": (BELL + [{"index": "00", "re": 0.0}], "duplicate"),
+    "non-ascii digit": ([{"index": "0\u0661", "re": 1.0}], "contains a non-digit"),
+    "string amplitude": (
+        [{"index": "00", "re": "0.7071067811865476", "im": False}, BELL[1]],
+        'amplitude record {"index": "00", "re": "0.7071067811865476", "im": false} needs',
+    ),
+    "string im": (
+        [{"index": "00", "re": 0.5**0.5, "im": "0"}, BELL[1]],
+        'amplitude record {"index": "00", "re": 0.7071067811865476, "im": "0"} needs',
+    ),
+    "huge number": ([{"index": "00", "re": 10**400}], "int too large to convert to float"),
+    "bool im": (
+        [{"index": "00", "re": 0.5**0.5, "im": False}, BELL[1]],
+        'amplitude record {"index": "00", "re": 0.7071067811865476, "im": false} needs',
+    ),
 }
 
 
@@ -279,8 +294,10 @@ def test_malformed_pure_records_are_input_errors(tmp_path, capsys, command, case
 
 @pytest.mark.parametrize(
     "entries",
-    [[["0011"]], [1, 2], [["0011", 5]], ["0011"], [["0011", "0101", "0110"]]],
-    ids=["one index", "bare numbers", "number index", "bare string", "three indices"],
+    [[["0011"]], [1, 2], [["0011", 5]], ["0011"], [["0011", "0101", "0110"]],
+     [["0\u066011", "0101"]]],
+    ids=["one index", "bare numbers", "number index", "bare string", "three indices",
+         "non-ascii digit"],
 )
 def test_malformed_pair_entries_are_input_errors(tmp_path, capsys, entries):
     """Every --r-set entry must be a list of two index strings."""

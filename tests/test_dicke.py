@@ -23,7 +23,7 @@ from gmebound.dicke_witness import (
     r_sigma_size,
 )
 from gmebound.errors import InvalidInputError, NotDetectingError
-from gmebound.indices import MultiIndex
+from gmebound.indices import rank_digits
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -103,7 +103,7 @@ def test_singlet_q_value_and_crossing():
 
 def test_noise_threshold_q_refuses_undetected_target():
     spec = DickeWitnessSpec(3, 2, 1)
-    product = PureState(3, 2, {MultiIndex.from_string("000", 2): 1.0})
+    product = PureState(3, 2, [[0, 0, 0]], [1.0])
     with pytest.raises(NotDetectingError):
         noise_threshold_q(spec, product)
 
@@ -113,7 +113,7 @@ def test_embedded_dicke_rows_3_3_1():
     rows = {}
     for f in (1, 2, 3):
         if f == 1:
-            state = PureState(3, 3, {MultiIndex.from_string("000", 3): 1.0})
+            state = PureState(3, 3, [[0, 0, 0]], [1.0])
         else:
             state = embed_pure(make_dicke_state(3, f, 1), 3)
         rows[f] = q_witness(spec, state.density())
@@ -200,8 +200,7 @@ def test_delta_modes_agree_at_n3():
     for _ in range(5):
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         vec /= np.linalg.norm(vec)
-        amps = {MultiIndex.from_rank(i, 3, 2): complex(v) for i, v in enumerate(vec)}
-        rho = PureState(3, 2, amps).density()
+        rho = PureState(3, 2, rank_digits(np.arange(8), 3, 2), vec).density()
         q_all = q_witness(DickeWitnessSpec(3, 2, 1, delta_subsets="all"), rho)
         q_single = q_witness(DickeWitnessSpec(3, 2, 1, delta_subsets="singles"), rho)
         assert q_all == pytest.approx(q_single, abs=1e-12)
@@ -211,8 +210,7 @@ def test_delta_all_subtracts_more_at_n4():
     rng = np.random.default_rng(6)
     vec = rng.normal(size=81) + 1j * rng.normal(size=81)
     vec /= np.linalg.norm(vec)
-    amps = {MultiIndex.from_rank(i, 4, 3): complex(v) for i, v in enumerate(vec)}
-    rho = PureState(4, 3, amps).density()
+    rho = PureState(4, 3, rank_digits(np.arange(81), 4, 3), vec).density()
     q_all = q_witness(DickeWitnessSpec(4, 3, 1, delta_subsets="all"), rho)
     q_single = q_witness(DickeWitnessSpec(4, 3, 1, delta_subsets="singles"), rho)
     assert q_all <= q_single + 1e-12
@@ -230,11 +228,7 @@ def test_spec_validation():
 def test_q_bisep_spot_check():
     # |0> x (bell pair) is biseparable across {1}: Q must not be positive
     bell = 1 / math.sqrt(2)
-    amps = {
-        MultiIndex.from_string("000", 2): bell,
-        MultiIndex.from_string("011", 2): bell,
-    }
-    rho = PureState(3, 2, amps).density()
+    rho = PureState(3, 2, [[0, 0, 0], [0, 1, 1]], [bell, bell]).density()
     for mode in ("all", "singles"):
         assert q_witness(DickeWitnessSpec(3, 2, 1, delta_subsets=mode), rho) <= 1e-9
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gmebound.entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
-from gmebound.indices import Bipartition, MultiIndex
+from gmebound.indices import Bipartition, rank_digits
 from gmebound.states import PureState, make_ghz_state, make_singlet4, make_w_state
 
 W_CUT_ENTROPY = 8.0 / 9.0  # every cut of |W_3| reduces to eigenvalues (1/3, 2/3)
@@ -27,7 +27,7 @@ def test_ghz_measure_is_one():
 
 
 def test_product_state_measure_is_zero():
-    psi = PureState(3, 2, {MultiIndex.from_string("010", 2): 1.0})
+    psi = PureState(3, 2, [[0, 1, 0]], [1.0])
     assert gme_measure_pure(psi).e_m == 0.0
 
 
@@ -44,9 +44,7 @@ def _random_sparse(n, d, size, rng):
     ranks = rng.choice(d**n, size=min(size, d**n), replace=False)
     amps = rng.normal(size=len(ranks)) + 1j * rng.normal(size=len(ranks))
     amps /= np.linalg.norm(amps)
-    return PureState(
-        n, d, {MultiIndex.from_rank(int(r), n, d): complex(a) for r, a in zip(ranks, amps)}
-    )
+    return PureState(n, d, rank_digits(ranks, n, d), amps)
 
 
 @settings(max_examples=40, deadline=None)

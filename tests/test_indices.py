@@ -15,6 +15,7 @@ from gmebound.indices import (
     digit_strings,
     enumerate_bipartitions,
     place_values,
+    rank_digits,
     rank_positions,
 )
 
@@ -99,6 +100,7 @@ def test_cut_masks_follow_size_then_lexicographic_order(n):
 def test_place_values_give_the_rank(d, n, data):
     digits = tuple(data.draw(st.integers(0, d - 1)) for _ in range(n))
     assert int(np.array(digits) @ place_values(n, d)) == MultiIndex(digits, d).rank
+    assert rank_digits(np.array([MultiIndex(digits, d).rank]), n, d).tolist() == [list(digits)]
 
 
 def test_place_values_switch_to_python_ints_beyond_int64():

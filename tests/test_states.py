@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gmebound.errors import InvalidInputError
-from gmebound.indices import Bipartition, MultiIndex
+from gmebound.indices import Bipartition, digit_strings, rank_digits
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -28,15 +28,19 @@ from gmebound.states import (
 )
 
 
+def _support(psi: PureState) -> list[str]:
+    return digit_strings(psi.ranks, psi.n, psi.d)
+
+
 def test_w_state_support():
     w = make_w_state(3)
-    assert sorted(str(e) for e in w.amplitudes) == ["001", "010", "100"]
-    assert all(abs(a - 1 / math.sqrt(3)) < 1e-15 for a in w.amplitudes.values())
+    assert _support(w) == ["001", "010", "100"]
+    assert all(abs(a - 1 / math.sqrt(3)) < 1e-15 for a in w.amplitudes)
 
 
 def test_ghz_defaults():
     g = make_ghz_state(3, 3)
-    assert sorted(str(e) for e in g.amplitudes) == ["000", "222"]
+    assert _support(g) == ["000", "222"]
 
 
 def test_dicke_state_term_count_and_norm():
@@ -49,7 +53,7 @@ def test_dicke_state_term_count_and_norm():
 
 def test_singlet4_amplitudes():
     s = make_singlet4()
-    amp = {str(e): a for e, a in s.amplitudes.items()}
+    amp = dict(zip(_support(s), s.amplitudes.tolist()))
     assert set(amp) == {"0011", "1100", "0101", "0110", "1001", "1010"}
     assert amp["0011"] == pytest.approx(1 / math.sqrt(3))
     assert amp["0101"] == pytest.approx(-0.5 / math.sqrt(3))
@@ -59,14 +63,44 @@ def test_singlet4_amplitudes():
 
 def test_pure_state_rejects_bad_norm():
     with pytest.raises(InvalidInputError):
-        PureState(2, 2, {MultiIndex.from_string("00", 2): 0.5})
+        PureState(2, 2, [[0, 0]], [0.5])
+
+
+HALF = 0.5**0.5
+
+
+@pytest.mark.parametrize(
+    "digits, amplitudes, message",
+    [
+        ([[0, 1], [0, 1]], [HALF, HALF], "duplicate amplitude index 01"),
+        ([[0, 2]], [1.0], "digits (0, 2) out of range for d=2"),
+        ([[0, -1]], [1.0], "digits (0, -1) out of range for d=2"),
+        ([[0, 0], [1, 1]], [1.0], "do not fit n=2"),
+        ([[0, 0, 0]], [1.0], "do not fit n=2"),
+        ([[0, 0], [1, 1]], [HALF, float("nan")], "amplitude of 11 is not finite: (nan+0j)"),
+        ([[0, 0]], [0.5], "state not normalized: |psi|^2 = 0.25"),
+    ],
+    ids=["repeated-row", "digit-too-large", "negative-digit", "length-mismatch", "wrong-n",
+         "nan-amplitude", "quarter-norm"],
+)
+def test_pure_state_refuses_malformed_arrays(digits, amplitudes, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        PureState(2, 2, digits, amplitudes)
+
+
+def test_pure_state_keeps_rows_in_rank_order():
+    psi = PureState(2, 2, [[1, 1], [0, 1], [1, 0]], [0.6, 0.0, 0.8j])
+    assert psi.digits.tolist() == [[0, 1], [1, 0], [1, 1]]
+    assert psi.amplitudes.tolist() == [0.0, 0.8j, 0.6]
+    assert psi.ranks.tolist() == [1, 2, 3]
+    assert _support(psi) == ["01", "10", "11"]
 
 
 def test_embed_pure_widens_digits():
     psi = make_ghz_state(2, 2)
     wide = embed_pure(psi, 4)
     assert wide.d == 4
-    assert sorted(str(e) for e in wide.amplitudes) == ["00", "11"]
+    assert _support(wide) == ["00", "11"]
 
 
 def test_white_noise_mix_trace_and_interpolation():
@@ -92,9 +126,7 @@ def test_noisy_view_matches_dense_mixture(n, d, seed, p):
     ranks = rng.choice(dim, size=k, replace=False)
     amps = rng.normal(size=k) + 1j * rng.normal(size=k)
     amps /= np.linalg.norm(amps)
-    psi = PureState(
-        n, d, {MultiIndex.from_rank(int(r), n, d): complex(a) for r, a in zip(ranks, amps)}
-    )
+    psi = PureState(n, d, rank_digits(ranks, n, d), amps)
     rows, cols = (g.ravel() for g in np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij"))
     for state, dense in (
         (NoisyPureState(psi, p), white_noise_mix(psi, p).matrix),
@@ -115,7 +147,7 @@ def test_noisy_view_rejects_weight_outside_unit_interval(p):
 
 def test_isotropic_is_white_noise_on_max_entangled_pair():
     d = 3
-    phi = PureState(2, d, {MultiIndex((j, j), d): 1 / math.sqrt(d) for j in range(d)})
+    phi = PureState(2, d, [[j, j] for j in range(d)], [1 / math.sqrt(d)] * d)
     assert np.allclose(
         make_isotropic(d, 0.37).matrix, white_noise_mix(phi, 0.37).matrix, atol=1e-14
     )
@@ -170,7 +202,7 @@ def test_load_state_json_pure_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     st_loaded = load_state_json(path)
     assert isinstance(st_loaded, PureState)
-    assert st_loaded.amplitudes[MultiIndex.from_string("11", 2)] == pytest.approx(
+    assert dict(zip(_support(st_loaded), st_loaded.amplitudes))["11"] == pytest.approx(
         1j / math.sqrt(2)
     )
 

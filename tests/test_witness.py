@@ -21,14 +21,17 @@ from gmebound.errors import (
     InvalidInputError,
     NotDetectingError,
 )
-from gmebound.indices import Bipartition, IndexPair, MultiIndex
+from gmebound import reproduce
+from gmebound.indices import Bipartition, IndexPair, MultiIndex, rank_digits
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
     PureState,
+    embed_pure,
     make_dicke_state,
     make_ghz_state,
     make_isotropic,
+    make_max_entangled,
     make_singlet4,
     make_w_state,
     white_noise_mix,
@@ -209,10 +212,9 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
 
 
 def test_hot_paths_build_no_index_objects(monkeypatch):
-    """Selection, compilation, evaluation, root finding, Q and the E_m bridge
-    run on digit and rank arrays: none constructs a MultiIndex, IndexPair or
-    Bipartition (the states themselves are built beforehand)."""
-    targets = [make_w_state(6), make_dicke_state(5, 3, 2), make_singlet4(), make_ghz_state(4, 3)]
+    """Building the states, selection, compilation, evaluation, root finding,
+    the coeff entropies, Q and the E_m bridge run on digit and rank arrays:
+    none constructs a MultiIndex, IndexPair or Bipartition."""
     spec = DickeWitnessSpec(5, 3, 2)
     built = Counter()
     for cls in (MultiIndex, IndexPair, Bipartition):
@@ -223,7 +225,18 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
 
+    rng = np.random.default_rng(4)
+    targets = [
+        make_w_state(6),
+        make_dicke_state(5, 3, 2),
+        make_singlet4(),
+        make_ghz_state(4, 3),
+        make_max_entangled(3),
+        embed_pure(make_dicke_state(4, 2, 2), 3),
+        reproduce._random_sparse_pure(rng, 3, 3),
+    ]
     for target in targets:
+        gme_measure_pure(target, method="coeff")
         r = auto_select_R(target)
         for variant in NRVariant:
             w = compile_witness(r, variant)
@@ -256,9 +269,7 @@ def test_auto_select_skips_cycle_partners():
     amps = {"10": 0.16666520612146444, "01": 0.7250706001036722,
             "00": 0.6482226312372988, "11": 0.16514243740029727}
     norm = math.sqrt(sum(a * a for a in amps.values()))
-    psi = PureState(
-        2, 2, {MultiIndex.from_string(k, 2): v / norm for k, v in amps.items()}
-    )
+    psi = PureState(2, 2, [[int(c) for c in k] for k in amps], [v / norm for v in amps.values()])
     r = auto_select_R(psi)
     assert r.as_strings() == [["01", "10"]]
     compiled = compile_witness(r, NRVariant.MINIMAL)
@@ -334,9 +345,7 @@ def test_witness_never_exceeds_measure(shape, size, seed, variant):
     ranks = rng.choice(d**n, size=min(size, d**n), replace=False)
     amps = rng.normal(size=len(ranks)) + 1j * rng.normal(size=len(ranks))
     amps /= np.linalg.norm(amps)
-    psi = PureState(
-        n, d, {MultiIndex.from_rank(int(r), n, d): complex(a) for r, a in zip(ranks, amps)}
-    )
+    psi = PureState(n, d, rank_digits(ranks, n, d), amps)
     try:
         compiled = compile_witness(auto_select_R(psi), variant)
     except AnalysisError:
@@ -369,10 +378,8 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
     ranks = rng.choice(3**n, size=min(size, 3**n), replace=False)
     amps = rng.normal(size=len(ranks)) + 1j * rng.normal(size=len(ranks))
     amps /= np.linalg.norm(amps)
-    psi = PureState(
-        n, 3, {MultiIndex.from_rank(int(k), n, 3): complex(a) for k, a in zip(ranks, amps)}
-    )
-    wide = PureState(n, HUGE_D, {_widen(eta): c for eta, c in psi.amplitudes.items()})
+    psi = PureState(n, 3, rank_digits(ranks, n, 3), amps)
+    wide = PureState(n, HUGE_D, psi.digits << 38, psi.amplitudes)
     r = PairSet.from_strings(_random_selection(n, 3, size, rng), n, 3)
     wide_r = PairSet.of(r.digits << 38, n, HUGE_D)
 
@@ -403,7 +410,7 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
         assert np.array_equal(auto_select_R(wide).digits, chosen.digits << 38)
     got = gme_measure_pure(wide).entropies
     assert list(got.values()) == list(gme_measure_pure(psi).entropies.values())
-    a, b = min(psi.amplitudes), max(psi.amplitudes)
+    a, b = (MultiIndex(tuple(row), 3) for row in psi.digits[[0, -1]].tolist())
     wide_ab = wide.elements(*(np.array([_widen(x).rank], dtype=object) for x in (a, b)))
     assert wide_ab[0] == psi.elements(np.array([a.rank]), np.array([b.rank]))[0]
 
@@ -456,15 +463,15 @@ def test_singlet_evaluate_matches_direct_recomputation_both_variants():
 
 
 def _max_entangled(d: int) -> PureState:
-    return PureState(2, d, {MultiIndex((j, j), d): 1 / math.sqrt(d) for j in range(d)})
+    return PureState(2, d, [[j, j] for j in range(d)], [1 / math.sqrt(d)] * d)
 
 
 def _dense_oracle_threshold(psi: PureState, pairs: list[tuple[str, str]], variant: str) -> float:
     """Root of the oracle bound on p|psi><psi| + (1-p) I/d**n, built as dense arrays."""
     dim = psi.d**psi.n
     vec = np.zeros(dim, dtype=complex)
-    for eta, c in psi.amplitudes.items():
-        vec[int(str(eta), psi.d)] = c
+    for digits, c in zip(psi.digits.tolist(), psi.amplitudes.tolist()):
+        vec[int("".join(map(str, digits)), psi.d)] = c
     proj = np.outer(vec, vec.conj())
     noise = np.eye(dim) / dim
 
