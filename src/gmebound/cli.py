@@ -56,6 +56,11 @@ MAX_GRID_POINTS = 10**6
 _CONTAINERS = (dict, list, tuple)
 
 
+class _Shared(dict):
+    """A dict that sits at many places of one payload; :func:`_dump` renders
+    its text once per indent."""
+
+
 class _NotFinite(ValueError):
     """A float JSON cannot hold; ``keys`` collects the dict keys above it, innermost first."""
 
@@ -90,9 +95,10 @@ def _dump(obj: Any, pad: str = "", cache: dict | None = None) -> str:
     significant digits (stable output), in one walk.
 
     Dict keys are strings; tuples render as lists.  ``cache`` holds, per
-    output, the text of each all-str tuple at each indent, so a label tuple
-    shared by many entries is rendered once.  Leaves are rendered in place
-    rather than through a call of their own.
+    output, the text of each all-str tuple and of each :class:`_Shared` dict
+    at each indent, so a label tuple or a measurement-plan term that many
+    entries share is rendered once.  Leaves are rendered in place rather
+    than through a call of their own.
     """
     if not isinstance(obj, _CONTAINERS):
         return _scalar(obj)
@@ -100,24 +106,29 @@ def _dump(obj: Any, pad: str = "", cache: dict | None = None) -> str:
         return "{}" if isinstance(obj, dict) else "[]"
     if cache is None:
         cache = {}
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        parts = []
-        for k, v in obj.items():
-            try:
-                text = _dump(v, inner, cache) if isinstance(v, _CONTAINERS) else _scalar(v)
-            except _NotFinite as exc:
-                exc.keys.append(k)
-                raise
-            parts.append(f"{encode_basestring_ascii(k)}: {text}")
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    if type(obj) is tuple and all(type(v) is str for v in obj):
+    write = _members if isinstance(obj, dict) else _items
+    if type(obj) is _Shared:
+        key: tuple = (id(obj), pad)  # the payload holds obj, so no other object takes its id
+    elif type(obj) is tuple and all(type(v) is str for v in obj):
         key = (obj, pad)
-        text = cache.get(key)
-        if text is None:
-            text = cache[key] = _items(obj, pad, inner, cache)
-        return text
-    return _items(obj, pad, inner, cache)
+    else:
+        return write(obj, pad, pad + "  ", cache)
+    text = cache.get(key)
+    if text is None:
+        text = cache[key] = write(obj, pad, pad + "  ", cache)
+    return text
+
+
+def _members(obj: dict, pad: str, inner: str, cache: dict) -> str:
+    parts = []
+    for k, v in obj.items():
+        try:
+            text = _dump(v, inner, cache) if isinstance(v, _CONTAINERS) else _scalar(v)
+        except _NotFinite as exc:
+            exc.keys.append(k)
+            raise
+        parts.append(f"{encode_basestring_ascii(k)}: {text}")
+    return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
 
 
 def _items(obj: list | tuple, pad: str, inner: str, cache: dict) -> str:
@@ -408,9 +419,12 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
     r = _resolve_pairset(args, pure, n, d)
     w = compile_witness(r, _variant(args))
     plan = plan_settings(w, include_imag=args.include_imag)
-    # one "id"-filled label tuple per distinct key, shared by every term that has it
-    keys = {labs for el in plan.elements for _, labs in el.terms}
-    filled = {labs: tuple("id" if lab is None else lab for lab in labs) for labs in keys}
+    # one record per distinct (coeff, labels) term, shared by every element that has it
+    distinct = {term for el in plan.elements for term in el.terms}
+    records = {
+        (c, labs): _Shared(coeff=c, labels=tuple("id" if lab is None else lab for lab in labs))
+        for c, labs in distinct
+    }
     payload = {
         "n": plan.n,
         "d": plan.d,
@@ -418,11 +432,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
         "setting_count": plan.setting_count,
         "settings": plan.settings,
         "elements": [
-            {
-                "kind": el.kind,
-                "indices": el.indices,
-                "terms": [{"coeff": c, "labels": filled[labs]} for c, labs in el.terms],
-            }
+            {"kind": el.kind, "indices": el.indices, "terms": [records[t] for t in el.terms]}
             for el in plan.elements
         ],
     }

@@ -214,9 +214,13 @@ def rank_dtype(n: int, base: int) -> np.dtype:
     return np.dtype(np.int64 if base**n <= 2**63 else object)
 
 
+@lru_cache(maxsize=None)
 def place_values(n: int, base: int) -> np.ndarray:
-    """``base**(n-1), ..., base, 1``: a digit array times this is its big-endian rank."""
-    return np.array([base**k for k in range(n - 1, -1, -1)], dtype=rank_dtype(n, base))
+    """``base**(n-1), ..., base, 1``: a digit array times this is its big-endian
+    rank.  Read-only, one array per ``(n, base)``."""
+    values = np.array([base**k for k in range(n - 1, -1, -1)], dtype=rank_dtype(n, base))
+    values.flags.writeable = False
+    return values
 
 
 def rank_digits(ranks: np.ndarray, n: int, base: int) -> np.ndarray:

@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import IndexPair, MultiIndex, digit_strings
+from .indices import IndexPair, MultiIndex, digit_strings, rank_digits
 from .states import DensityMatrix
 from .witness import CompiledWitness
 
@@ -72,51 +73,60 @@ def term_operator(labels: tuple[Label, ...], d: int) -> np.ndarray:
 # single-site factors
 
 
-def _site_factor(a: int, b: int, d: int) -> list[tuple[complex, Label]]:
-    """Decomposition of |b><a| on one site (bra digit a, ket digit b)."""
+@lru_cache(maxsize=None)
+def _site_factor(a: int, b: int, d: int) -> tuple[np.ndarray, tuple[Label, ...]]:
+    """Decomposition of |b><a| on one site (bra digit a, ket digit b): the
+    read-only complex weights and their labels."""
     if a == b:
         terms: list[tuple[complex, Label]] = [(1.0 / d, None)]
         for l in range(max(a, 1), d):
             scale = math.sqrt(2.0 / (l * (l + 1)))
             terms.append(((scale if a < l else -l * scale) / 2.0, f"d{l}"))
-        return terms
-    lo, hi = (a, b) if a < b else (b, a)
-    sign = -1.0j if a < b else 1.0j  # |hi><lo| carries -i a, |lo><hi| carries +i a
-    return [(0.5, f"s{lo}:{hi}"), (sign * 0.5, f"a{lo}:{hi}")]
+    else:
+        lo, hi = (a, b) if a < b else (b, a)
+        sign = -1.0j if a < b else 1.0j  # |hi><lo| carries -i a, |lo><hi| carries +i a
+        terms = [(0.5, f"s{lo}:{hi}"), (sign * 0.5, f"a{lo}:{hi}")]
+    weights, labels = zip(*terms)
+    out = np.array(weights, dtype=complex)
+    out.flags.writeable = False
+    return out, labels
 
 
-def _product_terms(eta1: MultiIndex, eta2: MultiIndex) -> list[tuple[complex, tuple[Label, ...]]]:
-    """<eta1| rho |eta2> = sum z_k <O_k>: all tensor terms with complex weights."""
-    factors = [
-        _site_factor(a, b, eta1.d) for a, b in zip(eta1.digits, eta2.digits)
-    ]
-    out = []
-    for combo in product(*factors):
-        z = 1.0 + 0.0j
-        labels = []
-        for coeff, lab in combo:
-            z *= coeff
-            labels.append(lab)
-        out.append((z, tuple(labels)))
-    return out
+def _product_terms(
+    first: Sequence[int], second: Sequence[int], d: int
+) -> tuple[np.ndarray, list[tuple[Label, ...]]]:
+    """<first| rho |second> = sum z_k <O_k> over all tensor terms: the complex
+    weights z and the label tuples, the last site varying fastest.
+
+    The weights are a Kronecker product of the site factors, taken in site
+    order, so each is the same left-to-right product of floats as a
+    term-by-term loop would give.
+    """
+    factors = [_site_factor(a, b, d) for a, b in zip(first, second)]
+    z = factors[0][0]
+    for weights, _ in factors[1:]:
+        z = np.multiply.outer(z, weights).ravel()
+    return z, list(product(*(labels for _, labels in factors)))
+
+
+def _nonzero(weights: np.ndarray, labels: list[tuple[Label, ...]]) -> tuple[Term, ...]:
+    """The terms whose weight is not zero, in order."""
+    keep = weights != 0.0
+    return tuple(zip(weights[keep].tolist(), compress(labels, keep.tolist())))
 
 
 def decompose_offdiagonal(pair: IndexPair, part: str) -> list[Term]:
     """Real or imaginary part of <eta1| rho |eta2> over local observables."""
     if part not in ("re", "im"):
         raise InvalidInputError(f"part must be 're' or 'im', got {part!r}")
-    take = (lambda z: z.real) if part == "re" else (lambda z: z.imag)
-    terms = []
-    for z, labels in _product_terms(pair.first, pair.second):
-        c = take(z)
-        if c != 0.0:
-            terms.append((c, labels))
-    return terms
+    z, labels = _product_terms(pair.first.digits, pair.second.digits, pair.d)
+    return list(_nonzero(z.real if part == "re" else z.imag, labels))
 
 
 def decompose_diagonal(eta: MultiIndex) -> list[Term]:
     """rho_eta_eta over local observables (all weights real)."""
-    return [(z.real, labels) for z, labels in _product_terms(eta, eta) if z.real != 0.0]
+    z, labels = _product_terms(eta.digits, eta.digits, eta.d)
+    return list(_nonzero(z.real, labels))
 
 
 def reconstruct(terms: list[Term], rho: DensityMatrix) -> float:
@@ -163,20 +173,18 @@ def plan_settings(w: CompiledWitness, include_imag: bool = False) -> Decompositi
     ``include_imag`` asks for full complex reconstruction.
     """
     elements: list[PlanElement] = []
-    for pair, strings in zip(w.r, w.r.as_strings()):
-        elements.append(
-            PlanElement("offdiag_re", tuple(strings), tuple(decompose_offdiagonal(pair, "re")))
-        )
+    for pair, strings in zip(w.r.digits.tolist(), w.r.as_strings()):
+        z, labels = _product_terms(*pair, w.d)
+        elements.append(PlanElement("offdiag_re", tuple(strings), _nonzero(z.real, labels)))
         if include_imag:
-            elements.append(
-                PlanElement("offdiag_im", tuple(strings), tuple(decompose_offdiagonal(pair, "im")))
-            )
+            elements.append(PlanElement("offdiag_im", tuple(strings), _nonzero(z.imag, labels)))
 
     first, second, _ = w.reads.images
     diagonals = np.unique(np.concatenate([first, second, w.reads.diagonals[w.eta_counts > 0]]))
-    for rank, text in zip(diagonals.tolist(), digit_strings(diagonals, w.n, w.d)):
-        eta = MultiIndex.from_rank(rank, w.n, w.d)
-        elements.append(PlanElement("diag", (text,), tuple(decompose_diagonal(eta))))
+    texts = digit_strings(diagonals, w.n, w.d)
+    for digits, text in zip(rank_digits(diagonals, w.n, w.d).tolist(), texts):
+        z, labels = _product_terms(digits, digits, w.d)
+        elements.append(PlanElement("diag", (text,), _nonzero(z.real, labels)))
 
     # The settings are the label keys with no identity slot, and no fold is
     # needed.  Every identity slot comes from a diagonal site, whose factor

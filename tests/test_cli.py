@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,10 @@ from hypothesis import strategies as st
 import gmebound.cli as cli
 import oracles
 from gmebound.cli import main
+from gmebound.errors import DegenerateSelectionError
+from gmebound.indices import digit_strings
+from gmebound.observables import plan_settings
+from gmebound.witness import NRVariant, PairSet, compile_witness
 
 SINGLET_R = [["0011", "0101"], ["0011", "0110"], ["0011", "1001"], ["0011", "1010"]]
 
@@ -363,8 +368,13 @@ PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
 
 @pytest.mark.parametrize("command", sorted(PINS))
 def test_output_matches_recorded_digest(capsys, command):
-    """sha256 of the stdout each command gave at 0556fd2, the commit before the
-    one-walk emitter and the array-built payloads; output must stay byte for byte."""
+    """sha256 of the stdout each command gave; output must stay byte for byte.
+
+    The ten pins without ``--include-imag`` on GHZ qutrits or singlet4 were
+    recorded at 0556fd2, the commit before the one-walk emitter and the
+    array-built payloads; the two measure-plan pins for ``--preset ghz --n 4
+    --d 3 --include-imag`` and ``--preset singlet4 --include-imag`` at 8a93f85,
+    the commit before term records were rendered once per distinct term."""
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[command]
 
@@ -388,10 +398,57 @@ PAYLOADS = st.recursive(
 
 @given(PAYLOADS, st.lists(st.text(), max_size=3).map(tuple))
 def test_dump_matches_stdlib_json(payload, labels):
-    """One walk gives what the stdlib gives after rounding; ``labels`` sits at
-    two depths, so a tuple's cached text must be keyed by its indent."""
-    for doc in (payload, {"top": labels, "deep": [[labels, payload], labels]}):
+    """One walk gives what the stdlib gives after rounding; ``labels`` and a
+    shared record sit at two depths, so a cached text must be keyed by its
+    indent."""
+    shared = cli._Shared(coeff=0.1 + 0.2, labels=labels, payload=payload)
+    deep = {"top": labels, "deep": [[labels, payload], labels], "records": [shared, [shared]]}
+    for doc in (payload, deep, shared):
         assert cli._dump(doc) == json.dumps(oracles.round12_oracle(doc), indent=2, allow_nan=False)
+
+
+def _random_witness(rng):
+    """A random pair selection at n <= 4, d <= 3 that compiles."""
+    while True:
+        n, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        pairs = [rng.choice(d**n, size=2, replace=False) for _ in range(rng.integers(1, 6))]
+        entries = [digit_strings(pair, n, d) for pair in pairs]
+        try:
+            return entries, compile_witness(PairSet.from_strings(entries, n, d), NRVariant.MINIMAL)
+        except DegenerateSelectionError:
+            continue
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("include_imag", [False, True])
+def test_measure_plan_text_is_the_plan_through_stdlib_json(tmp_path, capsys, seed, include_imag):
+    """Each term record is rendered once and shared, yet the text is what
+    ``json.dumps`` gives for the plan written out in full."""
+    entries, w = _random_witness(np.random.default_rng(seed))
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(entries))
+    argv = ["measure-plan", "--r-set", str(path), "--n", str(w.n), "--d", str(w.d)]
+    assert main(argv + ["--include-imag"] * include_imag) == 0
+    plan = plan_settings(w, include_imag=include_imag)
+    reference = {
+        "n": plan.n,
+        "d": plan.d,
+        "element_count": len(plan.elements),
+        "setting_count": len(plan.settings),
+        "settings": [list(s) for s in plan.settings],
+        "elements": [
+            {
+                "kind": el.kind,
+                "indices": list(el.indices),
+                "terms": [
+                    {"coeff": float(f"{c:.12g}"), "labels": ["id" if x is None else x for x in labs]}
+                    for c, labs in el.terms
+                ],
+            }
+            for el in plan.elements
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
 
 
 def test_non_finite_output_is_analysis_error(monkeypatch, tmp_path, capsys):

@@ -111,6 +111,15 @@ def test_place_values_switch_to_python_ints_beyond_int64():
     assert np.array(digits) @ place_values(64, 2) == MultiIndex(digits, 2).rank == 2**64 - 1
 
 
+@pytest.mark.parametrize("n, base", [(4, 3), (64, 2)])
+def test_place_values_are_one_read_only_array_per_shape(n, base):
+    values = place_values(n, base)
+    assert place_values(n, base) is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0
+
+
 def test_rank_positions_mark_absent_ranks():
     got = rank_positions(np.array([2, 5, 9]), np.array([[9, 3], [2, 10]]))
     assert got.tolist() == [[2, -1], [0, -1]]

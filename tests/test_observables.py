@@ -1,6 +1,7 @@
 """Local-operator decompositions and measurement-setting planning."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import oracles
 from gmebound.errors import DegenerateSelectionError
 from gmebound.indices import IndexPair, MultiIndex
 from gmebound.observables import (
+    _product_terms,
+    _site_factor,
     decompose_diagonal,
     decompose_offdiagonal,
     op_matrix,
@@ -102,6 +105,44 @@ def test_offdiagonal_parts_reconstruct_element(d, strings):
         element = mat[pair.first.rank, pair.second.rank]
         assert reconstruct(re_terms, rho) == pytest.approx(element.real, abs=1e-12)
         assert reconstruct(im_terms, rho) == pytest.approx(element.imag, abs=1e-12)
+
+
+def _loop_terms(first, second, d):
+    """Every tensor term of |second><first| as a term-by-term product loop."""
+    factors = [list(zip(*_site_factor(a, b, d))) for a, b in zip(first, second)]
+    out = []
+    for combo in product(*factors):
+        z = 1.0 + 0.0j
+        for coeff, _ in combo:
+            z *= complex(coeff)
+        out.append((z, tuple(lab for _, lab in combo)))
+    return out
+
+
+def _bits(terms):
+    return [(float.hex(c), labels) for c, labels in terms]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3)])
+def test_kronecker_weights_match_the_product_loop_bit_for_bit(n, d):
+    """The Kronecker-built weights are the loop's floats, in the loop's
+    order, and the zero filter drops the same terms."""
+    digits = list(product(range(d), repeat=n))
+    for first, second in product(digits, repeat=2):
+        want = _loop_terms(first, second, d)
+        z, labels = _product_terms(first, second, d)
+        assert labels == [labs for _, labs in want]
+        assert [(c.real.hex(), c.imag.hex()) for c in z.tolist()] == [
+            (c.real.hex(), c.imag.hex()) for c, _ in want
+        ]
+        if first == second:
+            got = decompose_diagonal(MultiIndex(first, d))
+            assert _bits(got) == _bits((c.real, labs) for c, labs in want if c.real != 0.0)
+        elif first < second:
+            pair = IndexPair(MultiIndex(first, d), MultiIndex(second, d))
+            for part, take in (("re", lambda c: c.real), ("im", lambda c: c.imag)):
+                got = decompose_offdiagonal(pair, part)
+                assert _bits(got) == _bits((take(c), labs) for c, labs in want if take(c) != 0.0)
 
 
 def test_reconstruct_agrees_with_dense_expectations():

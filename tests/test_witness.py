@@ -23,6 +23,7 @@ from gmebound.errors import (
 )
 from gmebound import reproduce
 from gmebound.indices import Bipartition, IndexPair, MultiIndex, rank_digits
+from gmebound.observables import plan_settings
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -213,8 +214,9 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
 
 def test_hot_paths_build_no_index_objects(monkeypatch):
     """Building the states, selection, compilation, evaluation, root finding,
-    the coeff entropies, Q and the E_m bridge run on digit and rank arrays:
-    none constructs a MultiIndex, IndexPair or Bipartition."""
+    the coeff entropies, Q, the E_m bridge and the measurement planner run on
+    digit and rank arrays: none constructs a MultiIndex, IndexPair or
+    Bipartition."""
     spec = DickeWitnessSpec(5, 3, 2)
     built = Counter()
     for cls in (MultiIndex, IndexPair, Bipartition):
@@ -243,6 +245,7 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
             evaluate(w, target)
             evaluate(w, NoisyPureState(target, 0.7))
             noise_threshold(w, target)
+            plan_settings(w, include_imag=True)
     q = q_witness(spec, targets[1])
     for variant in NRVariant:
         em_bound_from_q(spec, q, variant)
