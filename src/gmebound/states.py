@@ -29,6 +29,8 @@ NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGMIN_ATOL = -1e-10
+# the Gershgorin accept keeps this much to spare; see _gershgorin_floor
+PSD_MARGIN = -EIGMIN_ATOL / 2
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -154,9 +156,39 @@ class NoisyPureState:
         return _complex(re, self.p * pure.imag)
 
 
+def _gershgorin_floor(m: np.ndarray) -> float:
+    """A lower bound on the smallest eigenvalue of the Hermitian matrix held
+    in the lower triangle of ``m``, the one ``eigvalsh`` reads: the least
+    ``Re m_ii - sum_{j<i} |m_ij| - sum_{j>i} |m_ji|``.
+
+    Every sum has nonnegative terms, so row ``i``'s computed value is within
+    ``(D + 4) * 2**-53 * max(|Re m_ii|, sum_{j != i} |m_ij|)`` of the exact one,
+    to first order.  On a trace-1 matrix whose floor is at least
+    ``-PSD_MARGIN`` that scale is at most about 1, so the error stays below
+    ``PSD_MARGIN / 2`` for any ``D`` below 2e5, past any matrix that fits in
+    memory."""
+    lower = np.tril(np.abs(m), -1)
+    return float((m.diagonal().real - lower.sum(axis=1) - lower.sum(axis=0)).min())
+
+
 @dataclass
 class DensityMatrix:
-    """A dense n-qudit density matrix in the computational basis."""
+    """A dense n-qudit density matrix in the computational basis.
+
+    With ``validate`` (the default) the ``(d**n, d**n)`` matrix must be:
+
+    - Hermitian: every entry within ``HERMITICITY_ATOL`` (1e-12, absolute)
+      of the conjugate of its transpose;
+    - of trace 1 within ``TRACE_ATOL`` (1e-12);
+    - positive semidefinite: the Hermitian matrix in its lower triangle has
+      no eigenvalue below ``EIGMIN_ATOL`` (-1e-10).
+
+    Positivity is first tested by a Gershgorin disc bound, which accepts with
+    ``PSD_MARGIN`` (half of ``-EIGMIN_ATOL``) to spare, so only matrices whose
+    exact smallest eigenvalue is above ``EIGMIN_ATOL``.  Only when the bound
+    does not accept does ``eigvalsh`` run, and it decides and names the
+    eigenvalue.
+    """
 
     n: int
     d: int
@@ -171,14 +203,16 @@ class DensityMatrix:
                 f"matrix shape {self.matrix.shape} does not match d**n = {dim}"
             )
         if self.validate:
-            if not np.allclose(self.matrix, self.matrix.conj().T, atol=HERMITICITY_ATOL):
+            m = self.matrix
+            if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
                 raise InvalidInputError("density matrix is not Hermitian")
-            tr = np.trace(self.matrix).real
+            tr = np.trace(m).real
             if abs(tr - 1.0) > TRACE_ATOL:
                 raise InvalidInputError(f"density matrix has trace {tr!r}, expected 1")
-            eigmin = float(np.linalg.eigvalsh(self.matrix).min())
-            if eigmin < EIGMIN_ATOL:
-                raise InvalidInputError(f"density matrix has negative eigenvalue {eigmin!r}")
+            if _gershgorin_floor(m) < -PSD_MARGIN:
+                eigmin = float(np.linalg.eigvalsh(m).min())
+                if eigmin < EIGMIN_ATOL:
+                    raise InvalidInputError(f"density matrix has negative eigenvalue {eigmin!r}")
 
     def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.matrix[rows, cols]

@@ -362,3 +362,15 @@ def mixed_matrix_oracle(text: str) -> np.ndarray:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from exc
     return np.array(entries, dtype=complex).reshape(dim, dim)
+
+
+def density_matrix_verdict(m: np.ndarray) -> bool:
+    """Whether a square matrix is a density matrix: every entry within 1e-12
+    (absolute) of the conjugate of its transpose, trace 1 within 1e-12, and
+    no eigenvalue of the Hermitian matrix in its lower triangle below -1e-10."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.abs(m - m.conj().T) <= 1e-12):
+        return False
+    if not abs(np.trace(m).real - 1.0) <= 1e-12:
+        return False
+    return bool(np.linalg.eigvalsh(m).min() >= -1e-10)

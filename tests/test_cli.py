@@ -471,6 +471,14 @@ def _product_state_text() -> str:
     return json.dumps({"n": 2, "d": 2, "kind": "mixed", "matrix": rows})
 
 
+def _near_hermitian_text() -> str:
+    """Two qubits whose [0, 3] and [3, 0] entries differ by 1.5e-6: Hermitian
+    only to a relative tolerance, not to the absolute 1e-12."""
+    rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][3], rows[3][0] = [0.2, 0.0], [0.2 - 1.5e-6, 0.0]
+    return json.dumps({"n": 2, "d": 2, "kind": "mixed", "matrix": rows})
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -490,9 +498,11 @@ def _product_state_text() -> str:
          "row 2, column 2 is not [re, im] with two JSON numbers"),
         (_product_state_text().replace("[1.0, 0.0]", "1.0 [, 0.0]"),
          "row 2, column 2 is not [re, im] with two JSON numbers"),
+        (_near_hermitian_text(), "density matrix is not Hermitian"),
     ],
     ids=["valid", "no-matrix", "no-amplitudes", "three-numbers", "booleans", "nan", "infinity",
-         "two-matrix-keys", "two-re-keys", "number-after-bracket", "number-before-bracket"],
+         "two-matrix-keys", "two-re-keys", "number-after-bracket", "number-before-bracket",
+         "near-hermitian"],
 )
 def test_state_file_errors_exit_2(tmp_path, capsys, text, message):
     state = tmp_path / "state.json"

@@ -160,6 +160,83 @@ def test_density_matrix_validation():
         DensityMatrix(2, 2, mat)
     with pytest.raises(InvalidInputError):
         DensityMatrix(2, 2, np.eye(4, dtype=complex))  # trace 4
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 3], mat[3, 0] = 0.2, 0.2 - 1.5e-6  # off by 1.5e6 times the tolerance
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        DensityMatrix(2, 2, mat)
+
+
+def _planted(n: int, d: int, eigmin: float, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
+    """An exactly Hermitian trace-1 matrix whose smallest eigenvalue is
+    ``eigmin``, in an eigenbasis that is the identity at ``spread`` 0 and a
+    random unitary at ``spread`` 1."""
+    dim = d**n
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(np.eye(dim) + spread * g)
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    ev = np.concatenate([[eigmin], rest / rest.sum() * (1.0 - eigmin)])
+    m = (q * ev) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_density_matrix_refuses_a_negative_eigenvalue_and_names_it():
+    m = _planted(2, 2, -2e-10, np.random.default_rng(3))
+    with pytest.raises(InvalidInputError, match="negative eigenvalue") as info:
+        DensityMatrix(2, 2, m)
+    named = float(str(info.value).rsplit(" ", 1)[1])
+    assert named == pytest.approx(-2e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("eigmin", [-5e-11, 0.0, 1e-3])
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+def test_density_matrix_accepts_eigenvalues_within_tolerance(eigmin, spread):
+    m = _planted(2, 3, eigmin, np.random.default_rng(5), spread)
+    DensityMatrix(2, 3, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    d=st.integers(2, 3),
+    eigmin=st.floats(-1e-9, 1e-9),
+    spread=st.sampled_from([0.0, 1e-3, 1.0]),
+    seed=st.integers(0, 2**31),
+)
+def test_positivity_verdict_matches_eigvalsh_oracle(n, d, eigmin, spread, seed):
+    m = _planted(n, d, eigmin, np.random.default_rng(seed), spread)
+    try:
+        DensityMatrix(n, d, m)
+    except InvalidInputError as exc:
+        assert "negative eigenvalue" in str(exc)
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == oracles.density_matrix_verdict(m)
+
+
+def test_eigvalsh_runs_only_where_gershgorin_does_not_accept(monkeypatch, tmp_path):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    n, p, coherence = 4, 0.8, 0.4 * complex(math.cos(0.3), math.sin(0.3))
+    rows = [[[((1 - p) / 16 + (p / 2 if i in (5, 10) else 0.0)) if i == j else 0.0, 0.0]
+             for j in range(16)] for i in range(16)]
+    rows[5][10], rows[10][5] = [coherence.real, -coherence.imag], [coherence.real, coherence.imag]
+    path = tmp_path / "noisy_ghz.json"
+    path.write_text(json.dumps({"n": n, "d": 2, "kind": "mixed", "matrix": rows}))
+    load_state_json(path)
+    DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))  # floor exactly 0
+    assert calls == []
+    DensityMatrix(3, 2, make_w_state(3).density().matrix)  # Gershgorin fails, eigvalsh accepts
+    assert calls == [(8, 8)]
+    with pytest.raises(InvalidInputError, match="negative eigenvalue"):
+        DensityMatrix(2, 2, _planted(2, 2, -2e-10, np.random.default_rng(3)))
+    assert calls == [(8, 8), (4, 4)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -307,8 +384,9 @@ def test_single_byte_mutations_get_the_oracles_verdict(tmp_path_factory, text, d
     path.write_text(mutated)
     try:
         want = oracles.mixed_matrix_oracle(mutated)
-        DensityMatrix(1, len(want), want)
-    except ValueError:  # InvalidInputError is one too
+    except ValueError:
+        want = None
+    if want is None or not oracles.density_matrix_verdict(want):
         with pytest.raises(InvalidInputError):
             load_state_json(path)
     else:
