@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
@@ -393,7 +394,11 @@ def cmd_ppt_compare(args: argparse.Namespace) -> int:
         MultiIndex.from_string(first, rho.d, rho.n),
         MultiIndex.from_string(second, rho.d, rho.n),
     )
-    parties = frozenset(_number(int, tok, "--gamma") for tok in args.gamma.split(","))
+    listed = [_number(int, tok, "--gamma") for tok in args.gamma.split(",")]
+    parties = frozenset(listed)
+    if len(parties) < len(listed):
+        party = next(p for p, count in Counter(listed).items() if count > 1)
+        raise InvalidInputError(f"--gamma names party {party} more than once")
     gamma = Bipartition.of(parties, rho.n)
     cmp = compare_with_witness_bracket(pair, gamma, rho)
     payload = {

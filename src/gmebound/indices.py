@@ -250,6 +250,6 @@ def excitation_rows(n: int, m: int) -> np.ndarray:
 
 def rank_positions(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Position of each rank in the nonempty ``sorted_ranks``, or -1 where it is absent."""
-    pos = np.minimum(np.searchsorted(sorted_ranks, ranks), len(sorted_ranks) - 1)
+    pos = np.minimum(sorted_ranks.searchsorted(ranks), len(sorted_ranks) - 1)
     return np.where(sorted_ranks[pos] == ranks, pos, -1)
 

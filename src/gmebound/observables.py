@@ -63,9 +63,15 @@ def op_matrix(label: Label, d: int) -> np.ndarray:
 
 
 def term_operator(labels: tuple[Label, ...], d: int) -> np.ndarray:
+    """The Kronecker product of the site matrices, in site order.
+
+    Each factor is one broadcast multiply and a reshape, the same products
+    ``np.kron`` forms, so the bits are those of a ``np.kron`` loop.
+    """
     out = np.array([[1.0 + 0.0j]])
     for lab in labels:
-        out = np.kron(out, op_matrix(lab, d))
+        rows, cols = out.shape
+        out = (out[:, None, :, None] * op_matrix(lab, d)[:, None]).reshape(rows * d, cols * d)
     return out
 
 
@@ -134,7 +140,7 @@ def reconstruct(terms: list[Term], rho: DensityMatrix) -> float:
     total = 0.0
     for coeff, labels in terms:
         op = term_operator(labels, rho.d)
-        total += coeff * float(np.trace(rho.matrix @ op).real)
+        total += coeff * float((rho.matrix @ op).trace().real)
     return total
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, IndexPair, MultiIndex, place_values, rank_dtype
+from .indices import Bipartition, IndexPair, place_values, rank_digits, rank_dtype
 from .states import DensityMatrix, ElementSource, partial_transpose
-from .witness import _images
+from .witness import PairSet, _images
 
 
 def _check_antipodal(pair: IndexPair) -> None:
@@ -67,6 +67,8 @@ class PptWitness:
     pair: IndexPair
     gamma: Bipartition
     operator: np.ndarray
+    # the ranks of the pair with its gamma digits exchanged, lower first
+    images: tuple[int, int]
 
 
 def build_ppt_witness(pair: IndexPair, gamma: Bipartition) -> PptWitness:
@@ -76,7 +78,8 @@ def build_ppt_witness(pair: IndexPair, gamma: Bipartition) -> PptWitness:
     lam[img1] = 1.0 / math.sqrt(2.0)
     lam[img2] = -1.0 / math.sqrt(2.0)
     projector = DensityMatrix(n, d, np.outer(lam, lam.conj()), validate=False)
-    return PptWitness(pair=pair, gamma=gamma, operator=partial_transpose(projector, gamma))
+    operator = partial_transpose(projector, gamma)
+    return PptWitness(pair=pair, gamma=gamma, operator=operator, images=(img1, img2))
 
 
 def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
@@ -86,7 +89,7 @@ def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
 
 def ppt_expectation_elements(w: PptWitness, rho: ElementSource) -> float:
     """The same expectation from four matrix elements."""
-    return _omega(*_reads(w.pair, *_image_ranks(w.pair, w.gamma), rho))
+    return _omega(*_reads(w.pair, *w.images, rho))
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,9 @@ def compare_with_witness_bracket(
     return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + atol)
 
 
-def enumerate_ghz_pairs(n: int, d: int) -> list[IndexPair]:
-    """All antipodal pairs; (d**n - 1)/2 of them for odd d, d**n / 2 for even."""
-    pairs = []
-    for rank in range(d**n):
-        eta = MultiIndex.from_rank(rank, n, d)
-        mirror = MultiIndex(tuple(d - 1 - x for x in eta.digits), d)
-        if eta.digits < mirror.digits:
-            pairs.append(IndexPair.of(eta, mirror))
-    return pairs
+def enumerate_ghz_pairs(n: int, d: int) -> PairSet:
+    """All antipodal pairs, in rank order of their lower index: rank r with
+    its mirror d**n - 1 - r, for r < d**n - 1 - r.  That is (d**n - 1)/2
+    pairs for odd d, d**n / 2 for even."""
+    lower = rank_digits(np.arange(d**n // 2), n, d)
+    return PairSet(np.stack([lower, d - 1 - lower], axis=1), n, d)

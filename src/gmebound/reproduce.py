@@ -205,7 +205,7 @@ def check_ppt(seed: int = SEED) -> CheckResult:
         d = int(rng.integers(2, 4))
         rho = _random_density(rng, n, d)
         pairs = enumerate_ghz_pairs(n, d)
-        p = pairs[int(rng.integers(len(pairs)))]
+        p = pairs[int(rng.integers(len(pairs)))]  # the one IndexPair built
         gammas = enumerate_bipartitions(n)
         g = gammas[int(rng.integers(len(gammas)))]
         wt = build_ppt_witness(p, g)

@@ -178,7 +178,8 @@ class DensityMatrix:
     With ``validate`` (the default) the ``(d**n, d**n)`` matrix must be:
 
     - Hermitian: every entry within ``HERMITICITY_ATOL`` (1e-12, absolute)
-      of the conjugate of its transpose;
+      of the conjugate of its transpose (an infinite or NaN entry is
+      refused here);
     - of trace 1 within ``TRACE_ATOL`` (1e-12);
     - positive semidefinite: the Hermitian matrix in its lower triangle has
       no eigenvalue below ``EIGMIN_ATOL`` (-1e-10).
@@ -204,7 +205,13 @@ class DensityMatrix:
             )
         if self.validate:
             m = self.matrix
-            if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_ATOL):
+            # the verdict of allclose(rtol=0) on finite entries; a non-finite
+            # entry makes its difference non-finite, so it is refused here
+            with np.errstate(invalid="ignore"):
+                spread = np.abs(m - m.conj().T).max()
+            if not spread <= HERMITICITY_ATOL:
+                if not np.isfinite(m).all():
+                    raise InvalidInputError("density matrix has a non-finite entry")
                 raise InvalidInputError("density matrix is not Hermitian")
             tr = np.trace(m).real
             if abs(tr - 1.0) > TRACE_ATOL:

@@ -64,8 +64,15 @@ class PairSet:
     """An ordered, duplicate-free selection of index pairs over fixed (n, d).
 
     ``digits`` is an ``(|R|, 2, n)`` int64 array holding each pair's lower
-    index first; iterating yields :class:`IndexPair` objects, for output.
-    Repeats are found on rank tuples, exact for object ranks too.
+    index first; iterating or indexing yields :class:`IndexPair` objects, for
+    output.  Repeats are found on rank tuples, exact for object ranks too.
+
+    Two results are cached on first use, both read-only: ``ranks``, and
+    ``cut_images``, the part of :func:`compile_witness` that does not depend
+    on the N_R variant (the cut images, R^gamma membership, the noise images
+    and their owners, and I(R) with each pair's positions in it).  So the
+    second variant compiled from one selection redoes only N_R, the prefactor
+    and N_eta.
     """
 
     digits: np.ndarray
@@ -86,7 +93,12 @@ class PairSet:
     @cached_property
     def ranks(self) -> np.ndarray:
         """``(|R|, 2)``: the ranks of each pair's lower and higher index."""
-        return self.digits @ place_values(self.n, self.d)
+        return _read_only(self.digits @ place_values(self.n, self.d))
+
+    @cached_property
+    def cut_images(self) -> "CutImages":
+        """The variant-free part of :func:`compile_witness`, computed once."""
+        return _cut_images(self)
 
     @classmethod
     def of(cls, digits: np.ndarray, n: int, d: int) -> "PairSet":
@@ -113,11 +125,23 @@ class PairSet:
 
     def __iter__(self) -> Iterator[IndexPair]:
         for first, second in self.digits.tolist():
-            yield IndexPair(MultiIndex(tuple(first), self.d), MultiIndex(tuple(second), self.d))
+            yield _index_pair(first, second, self.d)
+
+    def __getitem__(self, row: int) -> IndexPair:
+        return _index_pair(*self.digits[row].tolist(), self.d)
 
     def as_strings(self) -> list[list[str]]:
         text = digit_strings(self.ranks.ravel(), self.n, self.d)
         return [list(pair) for pair in zip(text[::2], text[1::2])]
+
+
+def _index_pair(first: list[int], second: list[int], d: int) -> IndexPair:
+    return IndexPair(MultiIndex(tuple(first), d), MultiIndex(tuple(second), d))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
@@ -162,12 +186,13 @@ class Reads:
         """``coherences`` and ``images`` are ``(k, 2)`` rank arrays; ``owner``
         (nondecreasing) names the coherence each image belongs to."""
         k = len(coherences)
-        return cls(
-            rows=np.concatenate([coherences[:, 0], images[:, 0], images[:, 1], diagonals]),
-            cols=np.concatenate([coherences[:, 1], images[:, 0], images[:, 1], diagonals]),
-            coherence_at=np.arange(k) + np.searchsorted(owner, np.arange(k)),
-            image_at=np.arange(len(images)) + owner + 1,
+        arrays = (
+            np.concatenate([coherences[:, 0], images[:, 0], images[:, 1], diagonals]),
+            np.concatenate([coherences[:, 1], images[:, 0], images[:, 1], diagonals]),
+            np.arange(k) + owner.searchsorted(np.arange(k)),
+            np.arange(len(images)) + owner + 1,
         )
+        return cls(*map(_read_only, arrays))
 
     @property
     def images(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -192,7 +217,7 @@ class Reads:
         terms = np.empty(k + m)
         terms[self.coherence_at] = np.hypot(coherence.real, coherence.imag)
         terms[self.image_at] = -np.sqrt(first * second)
-        return float(np.cumsum(terms)[-1]), values[k + 2 * m :].real
+        return float(terms.cumsum()[-1]), values[k + 2 * m :].real
 
 
 @dataclass(frozen=True)
@@ -276,54 +301,86 @@ def _pair_keys(sorted_ranks: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     return np.where((pos_lo >= 0) & (pos_hi >= 0), pos_lo * len(sorted_ranks) + pos_hi, -1)
 
 
-def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> CompiledWitness:
-    """Precompute image sets, the prefactor, and the diagonal multiplicities.
+@dataclass(frozen=True)
+class CutImages:
+    """What a selection's witness takes from its cuts, for either N_R variant.
 
-    Each chunk of cuts maps every pair to its image in one matmul; that one
-    image decides both whether the pair belongs to R^gamma and which noise
-    image it adds.
+    All arrays are read-only; :attr:`PairSet.cut_images` holds one per
+    selection.
     """
+
+    # the coherences, the noise images and I(R), as CompiledWitness.reads
+    reads: Reads
+    # (|R|, 2): the positions of each pair's two indices in I(R)
+    members: np.ndarray
+    # (cuts, |R|): whether the pair belongs to R^gamma at that cut
+    stays: np.ndarray
+    # |R^gamma| per cut
+    profile: np.ndarray
+
+
+def _cut_chunks(cuts: int, size: int) -> list[slice]:
+    """Blocks of cuts small enough that a (block, size) temporary stays near CHUNK_ENTRIES."""
+    step = max(1, CHUNK_ENTRIES // size)
+    return [slice(start, start + step) for start in range(0, cuts, step)]
+
+
+def _cut_images(r: PairSet) -> CutImages:
+    """Each chunk of cuts maps every pair to its image in one matmul; that one
+    image decides both whether the pair belongs to R^gamma and which noise
+    image it adds."""
     n, size = r.n, len(r)
     digits, ranks = r.digits, r.ranks
     delta = ((digits[:, 1] - digits[:, 0]) * place_values(n, r.d)).T
     differ = (digits[:, 0] != digits[:, 1]) @ place_values(n, 2)
     index_ranks = np.unique(ranks)
-    members = np.searchsorted(index_ranks, ranks)
-    r_keys = members[:, 0] * len(index_ranks) + members[:, 1]
-    pair_ids = np.arange(size)
+    members = index_ranks.searchsorted(ranks)
+    r_keys = np.sort(members[:, 0] * len(index_ranks) + members[:, 1])
 
     masks = cut_masks(n)
     cut_bits = masks @ place_values(n, 2)
-    step = max(1, CHUNK_ENTRIES // size)
-    chunks = [slice(start, start + step) for start in range(0, len(masks), step)]
-
     # R^gamma: pairs whose gamma-image is again in R.  This covers pairs fixed
     # by gamma (their own image) and pairs exchanged with another selected
     # pair; neither kind carries usable coherence across that cut, so both
     # fall back to the diagonal penalty.
     stays = np.empty((len(masks), size), dtype=bool)
     found = []  # per chunk: the first (id, cut, lo, hi) of each noise image
-    for rows in chunks:
+    for rows in _cut_chunks(len(masks), size):
         lo, hi = _images(ranks, delta, masks[rows])
-        inside = np.isin(_pair_keys(index_ranks, lo, hi), r_keys)
+        inside = rank_positions(r_keys, _pair_keys(index_ranks, lo, hi)) >= 0
         stays[rows] = inside
+        # pair-major: each pair's images in cut order
+        pair, at = (~inside.T).nonzero()
         # an image is named by its pair and the exchanged parties where the
         # pair differs, up to exchanging all of them (S and differ - S give
         # the same unordered pair)
-        swapped = cut_bits[rows, None] & differ
-        image_id = (pair_ids << n) | np.minimum(swapped, swapped ^ differ)
-        outside = ~inside.T  # pair-major: each pair's images in cut order
-        cut = np.broadcast_to(np.arange(len(masks))[rows], outside.shape)
-        entries = [a[outside] for a in (image_id.T, cut, lo.T, hi.T)]
-        _, first = np.unique(entries[0], return_index=True)
+        swapped = cut_bits[rows][at] & differ[pair]
+        image_id = (pair << n) | np.minimum(swapped, swapped ^ differ[pair])
+        entries = (image_id, at + rows.start, lo[at, pair], hi[at, pair])
+        _, first = np.unique(image_id, return_index=True)
         found.append([a[first] for a in entries])
     image_id, cut, lo, hi = (np.concatenate(parts) for parts in zip(*found))
     _, first = np.unique(image_id, return_index=True)
     first = first[np.lexsort((cut[first], image_id[first] >> n))]
     image_ranks = np.stack([lo[first], hi[first]], axis=1)
-    image_owner = image_id[first] >> n
+    return CutImages(
+        reads=Reads.build(ranks, image_ranks, image_id[first] >> n, index_ranks),
+        members=_read_only(members),
+        stays=_read_only(stays),
+        profile=_read_only(stays.sum(axis=1)),
+    )
 
-    profile = stays.sum(axis=1)
+
+def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> CompiledWitness:
+    """Precompute image sets, the prefactor, and the diagonal multiplicities.
+
+    The cut images, R^gamma and the noise images do not depend on the
+    variant; they come from ``r.cut_images``, computed on the first compile
+    of ``r`` and read-only.  Each call computes only N_R, the prefactor and
+    N_eta.
+    """
+    size, cuts = len(r), r.cut_images
+    profile, stays, members = cuts.profile, cuts.stays, cuts.members
     n_r = int(profile.min() if variant is NRVariant.MINIMAL else profile.max())
     if size == n_r:
         raise DegenerateSelectionError(
@@ -336,14 +393,14 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
     # one cut.  In the minimal variant every pair outside R^gamma is counted,
     # leaving exactly R^gamma.  In the maximal variant only |R| - N_R pairs
     # are counted (taken in selection order); the excess joins R^gamma.
-    m = len(index_ranks)
+    m = len(cuts.reads.diagonals)
     counts = np.zeros(m, dtype=np.int64)
-    for rows in chunks:
+    for rows in _cut_chunks(len(stays), size):
         survives = stays[rows]
         if variant is NRVariant.MAXIMAL:
             moving = ~survives
-            survives = survives | (moving & (np.cumsum(moving, axis=1) > size - n_r))
-        row, pair = np.nonzero(survives)
+            survives = survives | (moving & (moving.cumsum(axis=1) > size - n_r))
+        row, pair = survives.nonzero()
         slots = (row[:, None] * m + members[pair]).ravel()
         per_cut = np.bincount(slots, minlength=len(survives) * m).reshape(-1, m)
         counts = np.maximum(counts, per_cut.max(axis=0))
@@ -353,7 +410,7 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
         variant=variant,
         n_r=n_r,
         prefactor=prefactor,
-        reads=Reads.build(ranks, image_ranks, image_owner, index_ranks),
+        reads=cuts.reads,
         profile=profile,
         eta_counts=counts,
     )
@@ -366,7 +423,7 @@ def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
             f"witness over (n={w.n}, d={w.d}), state over (n={rho.n}, d={rho.d})"
         )
     bracket, diagonal = w.reads.read(rho)
-    penalty = 0.5 * float(np.cumsum(w.eta_counts * np.maximum(diagonal, 0.0))[-1])
+    penalty = 0.5 * float((w.eta_counts * np.maximum(diagonal, 0.0)).cumsum()[-1])
     return w.prefactor * (bracket - penalty)
 
 
@@ -392,7 +449,8 @@ def auto_select_R(
     masks = cut_masks(n)
 
     # candidates in lexicographic order, so the first of equals is the smallest
-    a, b = np.triu_indices(len(ranks), 1)
+    support = np.arange(len(ranks))
+    a, b = (support[:, None] < support).nonzero()
     differ = (digits[a] != digits[b]) @ place_values(n, 2)
     cut_bits = masks @ place_values(n, 2)
     step = max(1, CHUNK_ENTRIES // len(masks))
@@ -419,7 +477,9 @@ def auto_select_R(
         cover.append(best)
         uncovered &= ~covered[best]
 
-    rest = np.setdiff1d(np.arange(len(a)), cover)
+    rest = np.ones(len(a), dtype=bool)
+    rest[cover] = False
+    rest = np.flatnonzero(rest)
     order = cover + rest[np.argsort(-weight[rest], kind="stable")].tolist()
     # after the cover, skip pairs that some cut exchanges with an already
     # selected pair: the two coherences cancel out of the entropy across that
@@ -428,16 +488,18 @@ def auto_select_R(
     # it is an image of a selected pair.
     pair_ranks = np.stack([ranks[a], ranks[b]], axis=1)
     delta = ((digits[b] - digits[a]) * place_values(n, target.d)).T
-    blocked = np.zeros(len(ranks) ** 2, dtype=bool)
+    # one slot past the pair keys takes the -1 of images off the support
+    blocked = np.zeros(len(ranks) ** 2 + 1, dtype=bool)
+    own_keys = (a * len(ranks) + b).tolist()
     chosen: list[int] = []
     for start in range(0, len(order), step):
         block = order[start : start + step]
         keys = _pair_keys(ranks, *_images(pair_ranks[block], delta[:, block], masks))
         for i, (c, images) in enumerate(zip(block, keys.T), start):
-            if i >= len(cover) and blocked[a[c] * len(ranks) + b[c]]:
+            if i >= len(cover) and blocked[own_keys[c]]:
                 continue
             chosen.append(c)
-            blocked[images[images >= 0]] = True
+            blocked[images] = True
     if max_pairs is not None:
         # never cut into the covering prefix
         chosen = chosen[: max(max_pairs, len(cover))]

@@ -253,6 +253,17 @@ def r_sigma_direct(n: int, d: int, m: int) -> list[tuple[str, str]]:
     return sorted(pairs)
 
 
+def ghz_pairs_direct(n: int, d: int) -> list[tuple[str, str]]:
+    """Every antipodal pair (digits summing to d-1 at each site) as digit
+    strings, lower string first, in the order of the lower string."""
+    pairs = []
+    for digits in itertools.product(range(d), repeat=n):
+        mirror = tuple(d - 1 - x for x in digits)
+        if digits < mirror:
+            pairs.append(("".join(map(str, digits)), "".join(map(str, mirror))))
+    return pairs
+
+
 # hand-written local operator table (independent of the package's generator)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

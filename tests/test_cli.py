@@ -174,6 +174,15 @@ def test_ppt_compare_rejects_non_antipodal(capsys):
     assert main(["ppt-compare", "--preset", "ghz", "--pair", "000,110", "--gamma", "1"]) == 2
 
 
+@pytest.mark.parametrize("gamma", ["1,1", "2,1,2", "1, 1"])
+def test_ppt_compare_rejects_repeated_party(capsys, gamma):
+    """A party listed twice is a typo, not the cut of the parties listed once."""
+    ghz = ["ppt-compare", "--preset", "ghz", "--n", "3", "--pair", "000,111"]
+    assert main([*ghz, "--gamma", gamma]) == 2
+    party = gamma.replace(" ", "").split(",")[-1]
+    assert capsys.readouterr().err == f"error: --gamma names party {party} more than once\n"
+
+
 def test_measure_plan_w(capsys):
     code, payload = _run_json(capsys, ["measure-plan", "--preset", "w"])
     assert code == 0
@@ -239,6 +248,7 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         "ppt-compare --preset ghz --n 3 --pair 000111 --gamma 1",
         "ppt-compare --preset ghz --n 3 --pair 000,111 --gamma x",
         "ppt-compare --preset ghz --n 3 --pair \u0660\u0660\u0660,111 --gamma 1",
+        "ppt-compare --preset ghz --n 3 --pair 000,111 --gamma 1,1",
         "threshold --preset w --n 3 --p-grid a,b",
         "threshold --preset w --n 3 --p-grid 0:1:x",
         "threshold --preset w --n 3 --p-grid 0:1:100000000000",

@@ -19,6 +19,7 @@ from gmebound.observables import (
     op_matrix,
     plan_settings,
     reconstruct,
+    term_operator,
 )
 from gmebound.states import DensityMatrix, make_w_state
 from gmebound.witness import (
@@ -143,6 +144,18 @@ def test_kronecker_weights_match_the_product_loop_bit_for_bit(n, d):
             for part, take in (("re", lambda c: c.real), ("im", lambda c: c.imag)):
                 got = decompose_offdiagonal(pair, part)
                 assert _bits(got) == _bits((take(c), labs) for c, labs in want if take(c) != 0.0)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3)])
+def test_term_operator_equals_a_kron_loop_bit_for_bit(n, d):
+    """Every label tuple, the identity slot both ways, against np.kron."""
+    for labels in product([None, *_basis_labels(d)], repeat=n):
+        want = np.array([[1.0 + 0.0j]])
+        for lab in labels:
+            want = np.kron(want, op_matrix(lab, d))
+        got = term_operator(labels, d)
+        assert got.shape == want.shape == (d**n, d**n)
+        assert (got.view(np.int64) == want.view(np.int64)).all(), labels
 
 
 def test_reconstruct_agrees_with_dense_expectations():

@@ -89,6 +89,13 @@ def test_enumerate_ghz_pairs_counts():
     assert len(enumerate_ghz_pairs(2, 2)) == 2
 
 
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3, 4) for d in (2, 3, 4)])
+def test_enumerate_ghz_pairs_matches_object_loop_oracle(n, d):
+    pairs = enumerate_ghz_pairs(n, d)
+    assert (pairs.n, pairs.d) == (n, d)
+    assert pairs.as_strings() == [list(p) for p in oracles.ghz_pairs_direct(n, d)]
+
+
 def test_enumerate_ghz_pairs_are_antipodal():
     for pair in enumerate_ghz_pairs(3, 3):
         digits = zip(pair.first.digits, pair.second.digits)

@@ -166,6 +166,33 @@ def test_density_matrix_validation():
         DensityMatrix(2, 2, mat)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): INF},  # passes an allclose Hermiticity test; only the trace is wrong
+        {(0, 0): INF, (1, 1): -INF},
+        {(0, 1): INF, (1, 0): INF},
+        {(0, 1): complex(0, INF), (1, 0): complex(0, -INF)},
+        {(0, 1): NAN, (1, 0): NAN},
+        {(2, 2): NAN},
+        {(0, 0): complex(0.25, INF)},
+    ],
+    ids=["inf-diagonal", "inf-minus-inf", "inf-pair", "imag-inf-pair", "nan-pair",
+         "nan-diagonal", "imag-inf-diagonal"],
+)
+def test_density_matrix_refuses_non_finite_entries(entries):
+    """Each is refused before the trace or positivity is looked at, with no
+    warning and no linear-algebra error."""
+    mat = np.eye(4, dtype=complex) / 4
+    for at, value in entries.items():
+        mat[at] = value
+    with pytest.raises(InvalidInputError, match="^density matrix has a non-finite entry$"):
+        DensityMatrix(2, 2, mat)
+
+
 def _planted(n: int, d: int, eigmin: float, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
     """An exactly Hermitian trace-1 matrix whose smallest eigenvalue is
     ``eigmin``, in an eigenbasis that is the identity at ``spread`` 0 and a

@@ -24,6 +24,7 @@ from gmebound.errors import (
 from gmebound import reproduce
 from gmebound.indices import Bipartition, IndexPair, MultiIndex, rank_digits
 from gmebound.observables import plan_settings
+from gmebound.ppt import enumerate_ghz_pairs
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -172,6 +173,50 @@ def test_compile_matches_digit_string_oracle(n, d, size, seed, variant):
     assert {str(eta): k for eta, k in w.n_eta.items()} == want["n_eta"]
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and bool((a == b).all())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(2, 3),
+    st.integers(1, 8),
+    st.integers(0, 2**31),
+    st.sampled_from([list(NRVariant), list(NRVariant)[::-1]]),
+)
+def test_compile_from_cached_cuts_equals_a_fresh_compile(n, d, size, seed, variants):
+    """Both variants in either order from one selection, each against a
+    compile on a fresh selection: every field exactly equal."""
+    pairs = _random_selection(n, d, size, np.random.default_rng(seed))
+    r = PairSet.from_strings(pairs, n, d)
+    for variant in variants:
+        fresh_r = PairSet.from_strings(pairs, n, d)
+        try:
+            fresh = compile_witness(fresh_r, variant)
+        except DegenerateSelectionError:
+            with pytest.raises(DegenerateSelectionError):
+                compile_witness(r, variant)
+            continue
+        w = compile_witness(r, variant)
+        assert (w.n_r, w.prefactor.hex()) == (fresh.n_r, fresh.prefactor.hex())
+        for name in ("rows", "cols", "coherence_at", "image_at"):
+            assert _same(getattr(w.reads, name), getattr(fresh.reads, name)), name
+        assert _same(w.profile, fresh.profile)
+        assert _same(w.eta_counts, fresh.eta_counts)
+
+
+def test_cached_arrays_are_read_only():
+    r = PairSet.from_strings(SINGLET_R, 4, 2)
+    w = compile_witness(r)
+    assert compile_witness(r, NRVariant.MAXIMAL).reads is w.reads
+    cuts = r.cut_images
+    reads = [w.reads.rows, w.reads.cols, w.reads.coherence_at, w.reads.image_at]
+    for array in [r.ranks, cuts.members, cuts.stays, cuts.profile, w.profile, *reads]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
 @pytest.mark.parametrize("variant", list(NRVariant))
 def test_compile_permutes_each_pair_once_per_cut(monkeypatch, variant):
     """Every selected pair gets exactly one image under every canonical cut."""
@@ -205,7 +250,8 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
     monkeypatch.setattr(witness_module, "CHUNK_ENTRIES", 5)
     for target, (r, w) in zip(targets, whole):
         assert auto_select_R(target).as_strings() == r.as_strings()
-        chunked = compile_witness(r, variant)
+        # a fresh selection, so that its cut images are computed in chunks
+        chunked = compile_witness(PairSet(r.digits, r.n, r.d), variant)
         assert (chunked.n_r, chunked.n_eta) == (w.n_r, w.n_eta)
         assert chunked.noise_images == w.noise_images
         assert chunked.uncounted_profile == w.uncounted_profile
@@ -213,10 +259,10 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
 
 
 def test_hot_paths_build_no_index_objects(monkeypatch):
-    """Building the states, selection, compilation, evaluation, root finding,
-    the coeff entropies, Q, the E_m bridge and the measurement planner run on
-    digit and rank arrays: none constructs a MultiIndex, IndexPair or
-    Bipartition."""
+    """Building the states, selection, compilation of both variants,
+    evaluation, root finding, the coeff entropies, Q, the E_m bridge, the
+    measurement planner and the antipodal pairs run on digit and rank arrays:
+    none constructs a MultiIndex, IndexPair or Bipartition."""
     spec = DickeWitnessSpec(5, 3, 2)
     built = Counter()
     for cls in (MultiIndex, IndexPair, Bipartition):
@@ -240,7 +286,7 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
     for target in targets:
         gme_measure_pure(target, method="coeff")
         r = auto_select_R(target)
-        for variant in NRVariant:
+        for variant in NRVariant:  # the second reads the cut images cached on r
             w = compile_witness(r, variant)
             evaluate(w, target)
             evaluate(w, NoisyPureState(target, 0.7))
@@ -249,6 +295,8 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
     q = q_witness(spec, targets[1])
     for variant in NRVariant:
         em_bound_from_q(spec, q, variant)
+    enumerate_ghz_pairs(3, 3)
+    enumerate_ghz_pairs(2, 2)
     assert built == Counter()
 
 
