@@ -22,12 +22,7 @@ from .errors import (
     InvalidInputError,
     NotDetectingError,
 )
-from .indices import (
-    Bipartition,
-    IndexPair,
-    MultiIndex,
-    enumerate_bipartitions,
-)
+from .indices import IndexPair, MultiIndex
 from .observables import DecompositionPlan, plan_settings, reconstruct
 from .ppt import build_ppt_witness, compare_with_witness_bracket, enumerate_ghz_pairs
 from .states import (
@@ -61,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
-    "Bipartition",
     "CompiledWitness",
     "CoverageError",
     "DecompositionPlan",
@@ -85,7 +79,6 @@ __all__ = [
     "dimensionality_certificate",
     "em_bound_from_q",
     "embed_pure",
-    "enumerate_bipartitions",
     "enumerate_ghz_pairs",
     "evaluate",
     "gme_measure_pure",

@@ -26,9 +26,9 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure
 from .errors import AnalysisError, InvalidInputError
-from .indices import Bipartition, IndexPair, MultiIndex, cut_labels, digit_strings
+from .indices import IndexPair, MultiIndex, cut_labels, digit_strings
 from .observables import plan_settings
-from .ppt import compare_with_witness_bracket
+from .ppt import build_ppt_witness, compare_with_witness_bracket
 from .reproduce import SEED, run_all
 from .states import (
     ElementSource,
@@ -395,15 +395,24 @@ def cmd_ppt_compare(args: argparse.Namespace) -> int:
         MultiIndex.from_string(second, rho.d, rho.n),
     )
     listed = [_number(int, tok, "--gamma") for tok in args.gamma.split(",")]
-    parties = frozenset(listed)
+    parties = sorted(set(listed))
     if len(parties) < len(listed):
         party = next(p for p, count in Counter(listed).items() if count > 1)
         raise InvalidInputError(f"--gamma names party {party} more than once")
-    gamma = Bipartition.of(parties, rho.n)
-    cmp = compare_with_witness_bracket(pair, gamma, rho)
+    n = rho.n
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 parties, got n={n}")
+    if len(parties) >= n:
+        raise InvalidInputError("gamma must be a nonempty proper subset of the parties")
+    if not 1 <= parties[0] <= parties[-1] <= n:
+        raise InvalidInputError(f"party labels {parties} out of range for n={n}")
+    # the mask keeps the side given, which need not hold party 1
+    gamma = [int(p in parties) for p in range(1, n + 1)]
+    w = build_ppt_witness([pair.first.digits, pair.second.digits], rho.d, gamma)
+    cmp = compare_with_witness_bracket(w, rho)
     payload = {
         "pair": [str(pair.first), str(pair.second)],
-        "gamma": sorted(parties),
+        "gamma": parties,
         "omega": cmp.omega,
         "minus_w": cmp.minus_w,
         "dominance": cmp.dominance,

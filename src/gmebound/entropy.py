@@ -21,33 +21,21 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import (
-    CHUNK_ENTRIES,
-    Bipartition,
-    cut_masks,
-    enumerate_bipartitions,
-    place_values,
-)
-from .states import PureState, complex_product
+from .indices import CHUNK_ENTRIES, cut_labels, cut_masks, place_values
+from .states import PureState, _cut_sides, complex_product
 
 
-def _check_cut(psi: PureState, gamma: Bipartition) -> None:
-    if gamma.n != psi.n:
-        raise InvalidInputError(f"gamma over n={gamma.n}, state over n={psi.n}")
-
-
-def linear_entropy_trace(psi: PureState, gamma: Bipartition) -> float:
-    """S_L of the gamma reduction, from the statevector reshaped across the cut.
+def linear_entropy_trace(psi: PureState, gamma: np.ndarray) -> float:
+    """S_L of the reduction to the parties of the 0/1 mask row gamma, from the
+    statevector reshaped across the cut.
 
     The reduced matrix is summed from the products of the reshaped
     statevector, laid out as the dense route's ``|psi><psi|`` had them, so
     every float equals the partial trace of ``psi.density()``; no
     ``d**n x d**n`` matrix is built.
     """
-    _check_cut(psi, gamma)
     n, d = psi.n, psi.d
-    keep = [p - 1 for p in gamma.sorted_parties()]
-    drop = [i for i in range(n) if i not in keep]
+    keep, drop = _cut_sides(n, gamma)
     psi_matrix = psi.to_vector().reshape((d,) * n).transpose(keep + drop).reshape(d ** len(keep), -1)
     # products psi_ik * conj(psi_jk) with j innermost, then a sequential sum over k
     products = psi_matrix[:, :, None] * np.ascontiguousarray(psi_matrix.conj().T)[None, :, :]
@@ -56,17 +44,17 @@ def linear_entropy_trace(psi: PureState, gamma: Bipartition) -> float:
     return 2.0 * (1.0 - purity)
 
 
-def linear_entropy_coeff(psi: PureState, gamma: Bipartition) -> float:
-    """S_L of the gamma reduction, from amplitudes alone.
+def linear_entropy_coeff(psi: PureState, gamma: np.ndarray) -> float:
+    """S_L of the reduction to the parties of the 0/1 mask row gamma, from
+    amplitudes alone.
 
     The sum runs over all ordered pairs of distinct basis indices, but a term
     survives only if the pair or its gamma-permuted image lies in the support,
     so the work is quadratic in the support size.  The terms are added in the
     row-major order of the support pairs, each pair's correction right after it.
     """
-    _check_cut(psi, gamma)
     mask = np.zeros((1, psi.n), dtype=np.int8)
-    mask[0, [p - 1 for p in gamma.parties]] = 1
+    mask[0, _cut_sides(psi.n, gamma)[0]] = 1
     return float(_coeff_entropies(psi, mask)[0])
 
 
@@ -111,8 +99,7 @@ class EntropyReport:
     """Per-bipartition linear entropies and the resulting pure-state measure.
 
     ``values`` holds S_L across each canonical cut in the row order of
-    :func:`cut_masks`, and ``best`` the row of the minimizer; ``entropies``
-    and ``minimizer`` are object views of them, built on first access.
+    :func:`cut_masks`, and ``best`` the row of the minimizer.
     """
 
     n: int
@@ -121,12 +108,9 @@ class EntropyReport:
     e_m: float
 
     @cached_property
-    def entropies(self) -> dict[Bipartition, float]:
-        return dict(zip(enumerate_bipartitions(self.n), self.values))
-
-    @property
-    def minimizer(self) -> Bipartition:
-        return Bipartition.of((np.flatnonzero(cut_masks(self.n)[self.best]) + 1).tolist(), self.n)
+    def entropies(self) -> dict[str, float]:
+        """S_L per cut, keyed by its label in :func:`cut_labels`."""
+        return dict(zip(cut_labels(self.n), self.values))
 
 
 def gme_measure_pure(psi: PureState, method: str = "coeff") -> EntropyReport:
@@ -138,7 +122,7 @@ def gme_measure_pure(psi: PureState, method: str = "coeff") -> EntropyReport:
     if method == "coeff":
         values = tuple(_coeff_entropies(psi, masks).tolist())
     else:
-        values = tuple(linear_entropy_trace(psi, g) for g in enumerate_bipartitions(psi.n))
+        values = tuple(linear_entropy_trace(psi, g) for g in masks)
     low = min(values)
     tied = [i for i, v in enumerate(values) if v == low]
     best = min(tied, key=lambda i: np.flatnonzero(masks[i]).tolist())

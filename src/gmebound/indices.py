@@ -5,15 +5,15 @@ Conventions used throughout the package:
 * parties are 1-based, ``1 .. n``;
 * a basis index is a length-``n`` digit tuple over ``{0 .. d-1}``, big-endian
   (leftmost digit = party 1), written as a bare digit string like ``"0011"``;
-* a bipartition gamma|gamma-bar is canonically represented by the side that
-  contains party 1, so there are ``2**(n-1) - 1`` of them.
+* a bipartition gamma|gamma-bar is a length-``n`` 0/1 mask row marking the
+  parties of gamma; canonically gamma is the side that contains party 1, so
+  there are ``2**(n-1) - 1`` of them, the rows of :func:`cut_masks`.
 
-Hot paths work on integer arrays instead of these objects: a basis index is
-its rank (see :func:`rank_dtype`), a set of indices is a ``(k, n)`` digit
-array, and the canonical cuts are the ``(G, n)`` 0/1 array of
-:func:`cut_masks`.  A cut exchanges the digits of an index pair at its
-parties, which on ranks moves the place-valued digit differences at those
-parties from one rank to the other (``witness._images``).
+Hot paths work on integer arrays instead of the index objects: a basis index
+is its rank (see :func:`rank_dtype`) and a set of indices is a ``(k, n)``
+digit array.  A cut exchanges the digits of an index pair at its parties,
+which on ranks moves the place-valued digit differences at those parties from
+one rank to the other (``witness._images``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -84,43 +83,6 @@ class MultiIndex:
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """A nonempty proper subset of parties {1..n}, identified with its complement."""
-
-    parties: frozenset[int]
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidInputError(f"need at least 2 parties, got n={self.n}")
-        if not self.parties or len(self.parties) >= self.n:
-            raise InvalidInputError("gamma must be a nonempty proper subset of the parties")
-        if any(not (1 <= p <= self.n) for p in self.parties):
-            raise InvalidInputError(f"party labels {sorted(self.parties)} out of range for n={self.n}")
-
-    @classmethod
-    def of(cls, parties: Iterable[int], n: int) -> "Bipartition":
-        return cls(frozenset(parties), n)
-
-    @property
-    def is_canonical(self) -> bool:
-        return 1 in self.parties
-
-    def complement(self) -> "Bipartition":
-        return Bipartition(frozenset(range(1, self.n + 1)) - self.parties, self.n)
-
-    def canonical(self) -> "Bipartition":
-        return self if self.is_canonical else self.complement()
-
-    def sorted_parties(self) -> tuple[int, ...]:
-        return tuple(sorted(self.parties))
-
-    def __str__(self) -> str:
-        inside = ",".join(str(p) for p in self.sorted_parties())
-        return "{" + inside + "}"
-
-
-@dataclass(frozen=True)
 class IndexPair:
     """An unordered pair of distinct basis indices, stored with first < second."""
 
@@ -170,14 +132,6 @@ def cut_masks(n: int) -> np.ndarray:
     masks = masks[np.lexsort((-rest, masks.sum(axis=1)))]
     masks.flags.writeable = False
     return masks
-
-
-def enumerate_bipartitions(n: int) -> list[Bipartition]:
-    """All 2**(n-1) - 1 canonical bipartitions, in the row order of :func:`cut_masks`."""
-    return [
-        Bipartition(frozenset(p for p, bit in enumerate(row, start=1) if bit), n)
-        for row in cut_masks(n).tolist()
-    ]
 
 
 @lru_cache(maxsize=None)

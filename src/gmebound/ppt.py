@@ -1,9 +1,10 @@
 """Linear PPT-based witnesses for antipodal index pairs.
 
 For a pair (eta1, eta2) with digitwise eta1 + eta2 = d-1 and a bipartition
-gamma, the operator is the partial transpose (on gamma) of the projector onto
-(|eta1'> - |eta2'>)/sqrt(2), where the primed pair has its gamma digits
-exchanged.  Its expectation has the closed form
+gamma, given as a 0/1 mask row over the parties, the operator is the partial
+transpose (on gamma) of the projector onto (|eta1'> - |eta2'>)/sqrt(2), where
+the primed pair has its gamma digits exchanged.  Its expectation has the
+closed form
 
     Omega = (rho_e1'e1' + rho_e2'e2') / 2 - Re rho_e1e2
 
@@ -15,71 +16,73 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, IndexPair, place_values, rank_digits, rank_dtype
+from .indices import place_values, rank_digits
 from .states import DensityMatrix, ElementSource, partial_transpose
 from .witness import PairSet, _images
 
 
-def _check_antipodal(pair: IndexPair) -> None:
-    d = pair.d
-    for x, y in zip(pair.first.digits, pair.second.digits):
-        if x + y != d - 1:
-            raise InvalidInputError(
-                f"pair {pair} is not antipodal: digits must sum to d-1 = {d - 1} sitewise"
-            )
+@dataclass(frozen=True, eq=False)
+class PptWitness:
+    """The witness of one antipodal pair and one cut, kept as the entries it
+    reads; the dense operator is built only when asked for."""
+
+    d: int
+    # the 0/1 mask row of the transposed parties
+    gamma: np.ndarray
+    # the entries Omega reads, by rank: the pair's coherence, then the
+    # diagonals of its gamma image, lower rank first
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """The dense ``d**n x d**n`` operator."""
+        n, d = len(self.gamma), self.d
+        img1, img2 = self.rows[1:].tolist()
+        lam = np.zeros(d**n, dtype=complex)
+        lam[img1] = 1.0 / math.sqrt(2.0)
+        lam[img2] = -1.0 / math.sqrt(2.0)
+        projector = DensityMatrix(n, d, np.outer(lam, lam.conj()), validate=False)
+        return partial_transpose(projector, self.gamma)
 
 
-def _image_ranks(pair: IndexPair, gamma: Bipartition) -> tuple[int, int]:
-    """The ranks of the pair with its gamma digits exchanged, lower first, for
-    a valid pair and cut."""
-    _check_antipodal(pair)
-    if gamma.n != pair.n:
-        raise InvalidInputError(f"gamma over n={gamma.n}, pair over n={pair.n}")
-    digits = np.array([pair.first.digits, pair.second.digits], dtype=np.int64)
-    values = place_values(pair.n, pair.d)
-    mask = np.zeros((1, pair.n), dtype=np.int8)
-    mask[0, [p - 1 for p in gamma.parties]] = 1
-    lo, hi = _images((digits @ values)[None], ((digits[1] - digits[0]) * values)[:, None], mask)
-    return lo.item(), hi.item()
+def build_ppt_witness(pair: np.ndarray, d: int, gamma: np.ndarray) -> PptWitness:
+    """The witness of the ``(2, n)`` digit array of an antipodal pair over
+    ``d`` levels and the cut with 0/1 mask row gamma."""
+    pair, gamma = np.asarray(pair, dtype=np.int64), (np.asarray(gamma) != 0).astype(np.int8)
+    if not (pair.sum(axis=0) == d - 1).all():
+        text = ",".join("".join(map(str, digits)) for digits in pair.tolist())
+        raise InvalidInputError(
+            f"pair ({text}) is not antipodal: digits must sum to d-1 = {d - 1} sitewise"
+        )
+    n = pair.shape[1]
+    if gamma.shape != (n,):
+        raise InvalidInputError(f"gamma over n={gamma.size}, pair over n={n}")
+    values = place_values(n, d)
+    ranks = pair @ values
+    lo, hi = _images(ranks[None], ((pair[1] - pair[0]) * values)[:, None], gamma[None])
+    images = np.concatenate([lo[0], hi[0]])
+    return PptWitness(
+        d=d,
+        gamma=gamma,
+        rows=np.concatenate([ranks[:1], images]),
+        cols=np.concatenate([ranks[1:], images]),
+    )
 
 
-def _reads(
-    pair: IndexPair, img1: int, img2: int, rho: ElementSource
-) -> tuple[complex, float, float]:
+def _reads(w: PptWitness, rho: ElementSource) -> tuple[complex, float, float]:
     """rho_e1e2 and the diagonals at the two image ranks, in one gather."""
-    dtype = rank_dtype(pair.n, pair.d)
-    rows = np.array([pair.first.rank, img1, img2], dtype=dtype)
-    cols = np.array([pair.second.rank, img1, img2], dtype=dtype)
-    coherence, diag1, diag2 = rho.elements(rows, cols).tolist()
+    coherence, diag1, diag2 = rho.elements(w.rows, w.cols).tolist()
     return coherence, diag1.real, diag2.real
 
 
 def _omega(coherence: complex, diag1: float, diag2: float) -> float:
     return 0.5 * (diag1 + diag2) - coherence.real
-
-
-@dataclass(frozen=True)
-class PptWitness:
-    pair: IndexPair
-    gamma: Bipartition
-    operator: np.ndarray
-    # the ranks of the pair with its gamma digits exchanged, lower first
-    images: tuple[int, int]
-
-
-def build_ppt_witness(pair: IndexPair, gamma: Bipartition) -> PptWitness:
-    img1, img2 = _image_ranks(pair, gamma)
-    n, d = pair.n, pair.d
-    lam = np.zeros(d**n, dtype=complex)
-    lam[img1] = 1.0 / math.sqrt(2.0)
-    lam[img2] = -1.0 / math.sqrt(2.0)
-    projector = DensityMatrix(n, d, np.outer(lam, lam.conj()), validate=False)
-    operator = partial_transpose(projector, gamma)
-    return PptWitness(pair=pair, gamma=gamma, operator=operator, images=(img1, img2))
 
 
 def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
@@ -89,7 +92,7 @@ def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
 
 def ppt_expectation_elements(w: PptWitness, rho: ElementSource) -> float:
     """The same expectation from four matrix elements."""
-    return _omega(*_reads(w.pair, *w.images, rho))
+    return _omega(*_reads(w, rho))
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,10 @@ class PptComparison:
 
 
 def compare_with_witness_bracket(
-    pair: IndexPair, gamma: Bipartition, rho: ElementSource, atol: float = 1e-12
+    w: PptWitness, rho: ElementSource, atol: float = 1e-12
 ) -> PptComparison:
     """Omega from its matrix elements, read in one gather; the dense operator is never built."""
-    coherence, diag1, diag2 = _reads(pair, *_image_ranks(pair, gamma), rho)
+    coherence, diag1, diag2 = _reads(w, rho)
     omega = _omega(coherence, diag1, diag2)
     minus_w = math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
     return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + atol)

@@ -22,7 +22,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
 from .errors import AnalysisError
-from .indices import Bipartition, IndexPair, MultiIndex, enumerate_bipartitions, rank_digits
+from .indices import IndexPair, MultiIndex, cut_masks, rank_digits
 from .observables import decompose_diagonal, decompose_offdiagonal, plan_settings, reconstruct
 from .ppt import (
     build_ppt_witness,
@@ -159,7 +159,7 @@ def check_w_chain() -> CheckResult:
     t0 = time.perf_counter()
     w = make_w_state(3)
     route_errs = []
-    for g in enumerate_bipartitions(3):
+    for g in cut_masks(3):
         route_errs.append(abs(linear_entropy_trace(w, g) - 8.0 / 9.0))
         route_errs.append(abs(linear_entropy_coeff(w, g) - 8.0 / 9.0))
 
@@ -167,7 +167,7 @@ def check_w_chain() -> CheckResult:
     rho = w.density()
     oracle = min(
         math.sqrt(2.0 * (1.0 - float((np.linalg.eigvalsh(partial_trace(rho, g).matrix) ** 2).sum())))
-        for g in enumerate_bipartitions(3)
+        for g in cut_masks(3)
     )
     e_m = gme_measure_pure(w).e_m
     em_err = max(abs(oracle - 2.0 * math.sqrt(2.0) / 3.0), abs(e_m - oracle))
@@ -188,9 +188,7 @@ def check_ppt(seed: int = SEED) -> CheckResult:
     """PPT operator entries, route equality, and dominance over the bracket."""
     t0 = time.perf_counter()
     # the reference operator for pair (001,110), cut {1}
-    pair = IndexPair.of(MultiIndex.from_string("001", 2), MultiIndex.from_string("110", 2))
-    g1 = Bipartition.of({1}, 3)
-    op = build_ppt_witness(pair, g1).operator
+    op = build_ppt_witness(np.array([[0, 0, 1], [1, 1, 0]]), 2, np.array([1, 0, 0])).operator
     want = np.zeros((8, 8), dtype=complex)
     want[2, 2] = want[5, 5] = 0.5  # |010><010|, |101><101|
     want[1, 6] = want[6, 1] = -0.5  # |001><110| + h.c.
@@ -204,14 +202,13 @@ def check_ppt(seed: int = SEED) -> CheckResult:
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4))
         rho = _random_density(rng, n, d)
-        pairs = enumerate_ghz_pairs(n, d)
-        p = pairs[int(rng.integers(len(pairs)))]  # the one IndexPair built
-        gammas = enumerate_bipartitions(n)
-        g = gammas[int(rng.integers(len(gammas)))]
-        wt = build_ppt_witness(p, g)
+        pairs = enumerate_ghz_pairs(n, d).digits
+        p = pairs[int(rng.integers(len(pairs)))]
+        masks = cut_masks(n)
+        g = masks[int(rng.integers(len(masks)))]
+        wt = build_ppt_witness(p, d, g)
         route_err = max(route_err, abs(ppt_expectation(wt, rho) - ppt_expectation_elements(wt, rho)))
-        cmp_ = compare_with_witness_bracket(p, g, rho)
-        dominance_ok = dominance_ok and cmp_.dominance
+        dominance_ok = dominance_ok and compare_with_witness_bracket(wt, rho).dominance
         count += 1
     passed = entry_ok and route_err <= 1e-12 and dominance_ok
     details = (
@@ -277,38 +274,34 @@ def _random_sparse_pure(rng: np.random.Generator, n: int, d: int) -> PureState:
     return PureState(n, d, rank_digits(ranks, n, d), amps)
 
 
-def random_product_state(
-    n: int, d: int, parties: frozenset[int], rng: np.random.Generator
-) -> np.ndarray:
-    """Statevector of a pure product across the given bipartition."""
-    ga = sorted(parties)
-    gb = [p for p in range(1, n + 1) if p not in parties]
+def random_product_state(d: int, gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Statevector of a pure product across the cut with 0/1 mask row gamma."""
+    ga, gb = np.flatnonzero(gamma), np.flatnonzero(gamma == 0)
     u = rng.normal(size=d ** len(ga)) + 1j * rng.normal(size=d ** len(ga))
     v = rng.normal(size=d ** len(gb)) + 1j * rng.normal(size=d ** len(gb))
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
     t = np.tensordot(u.reshape((d,) * len(ga)), v.reshape((d,) * len(gb)), axes=0)
-    order = ga + gb
-    perm = [order.index(p) for p in range(1, n + 1)]
-    return t.transpose(perm).reshape(d**n)
+    # axis k of t holds party (ga, gb)[k]; put the parties back in order
+    return t.transpose(np.argsort(np.concatenate([ga, gb]))).reshape(d ** len(gamma))
 
 
 def _biseparable_states(
     n: int, d: int, rng: np.random.Generator, products: int, mixtures: int
 ) -> list[DensityMatrix]:
-    bips = enumerate_bipartitions(n)
+    masks = cut_masks(n)
     out = []
-    for g in bips:
+    for g in masks:
         for _ in range(products):
-            vec = random_product_state(n, d, g.parties, rng)
+            vec = random_product_state(d, g, rng)
             out.append(DensityMatrix(n, d, np.outer(vec, vec.conj()), validate=False))
     for _ in range(mixtures):
         k = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(k))
         mat = np.zeros((d**n, d**n), dtype=complex)
         for wgt in weights:
-            g = bips[int(rng.integers(len(bips)))]
-            vec = random_product_state(n, d, g.parties, rng)
+            g = masks[int(rng.integers(len(masks)))]
+            vec = random_product_state(d, g, rng)
             mat += wgt * np.outer(vec, vec.conj())
         out.append(DensityMatrix(n, d, mat, validate=False))
     return out

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import Bipartition, MultiIndex, excitation_rows, place_values, rank_positions
+from .indices import MultiIndex, excitation_rows, place_values, rank_positions
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -297,13 +297,19 @@ def make_isotropic(d: int, p: float) -> DensityMatrix:
 # subsystem operations
 
 
-def partial_trace(rho: DensityMatrix, gamma: Bipartition) -> DensityMatrix:
-    """Trace out the complement of gamma; subsystem order follows sorted gamma."""
-    if gamma.n != rho.n:
-        raise InvalidInputError(f"gamma over n={gamma.n}, state over n={rho.n}")
+def _cut_sides(n: int, gamma: np.ndarray) -> tuple[list[int], list[int]]:
+    """The 0-based parties of the 0/1 mask row gamma over ``n`` parties, and the rest."""
+    side = np.asarray(gamma) != 0
+    if side.shape != (n,):
+        raise InvalidInputError(f"gamma over n={side.size}, state over n={n}")
+    return np.flatnonzero(side).tolist(), np.flatnonzero(~side).tolist()
+
+
+def partial_trace(rho: DensityMatrix, gamma: np.ndarray) -> DensityMatrix:
+    """Trace out the complement of the 0/1 mask row gamma; subsystem order
+    follows the parties of gamma."""
     n, d = rho.n, rho.d
-    keep = [p - 1 for p in gamma.sorted_parties()]
-    drop = [i for i in range(n) if i not in keep]
+    keep, drop = _cut_sides(n, gamma)
     tensor = rho.matrix.reshape((d,) * (2 * n))
     # bring kept row axes first, kept column axes next, traced axes last
     perm = keep + [n + i for i in keep] + drop + [n + i for i in drop]
@@ -315,15 +321,13 @@ def partial_trace(rho: DensityMatrix, gamma: Bipartition) -> DensityMatrix:
     return DensityMatrix(len(keep), d, reduced, validate=False)
 
 
-def partial_transpose(rho: DensityMatrix, gamma: Bipartition) -> np.ndarray:
-    """Transpose the gamma subsystems; returns a plain array (it may be non-PSD)."""
-    if gamma.n != rho.n:
-        raise InvalidInputError(f"gamma over n={gamma.n}, state over n={rho.n}")
+def partial_transpose(rho: DensityMatrix, gamma: np.ndarray) -> np.ndarray:
+    """Transpose the subsystems marked by the 0/1 mask row gamma; returns a
+    plain array (it may be non-PSD)."""
     n, d = rho.n, rho.d
     tensor = rho.matrix.reshape((d,) * (2 * n))
     perm = list(range(2 * n))
-    for p in gamma.parties:
-        i = p - 1
+    for i in _cut_sides(n, gamma)[0]:
         perm[i], perm[n + i] = perm[n + i], perm[i]
     return tensor.transpose(perm).reshape(d**n, d**n)
 

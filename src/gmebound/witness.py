@@ -40,12 +40,11 @@ from .errors import (
 )
 from .indices import (
     CHUNK_ENTRIES,
-    Bipartition,
     IndexPair,
     MultiIndex,
+    cut_labels,
     cut_masks,
     digit_strings,
-    enumerate_bipartitions,
     place_values,
     rank_positions,
 )
@@ -64,8 +63,7 @@ class PairSet:
     """An ordered, duplicate-free selection of index pairs over fixed (n, d).
 
     ``digits`` is an ``(|R|, 2, n)`` int64 array holding each pair's lower
-    index first; iterating or indexing yields :class:`IndexPair` objects, for
-    output.  Repeats are found on rank tuples, exact for object ranks too.
+    index first; iterating yields :class:`IndexPair` objects, for output.  Repeats are found on rank tuples, exact for object ranks too.
 
     Two results are cached on first use, both read-only: ``ranks``, and
     ``cut_images``, the part of :func:`compile_witness` that does not depend
@@ -125,18 +123,11 @@ class PairSet:
 
     def __iter__(self) -> Iterator[IndexPair]:
         for first, second in self.digits.tolist():
-            yield _index_pair(first, second, self.d)
-
-    def __getitem__(self, row: int) -> IndexPair:
-        return _index_pair(*self.digits[row].tolist(), self.d)
+            yield IndexPair(MultiIndex(tuple(first), self.d), MultiIndex(tuple(second), self.d))
 
     def as_strings(self) -> list[list[str]]:
         text = digit_strings(self.ranks.ravel(), self.n, self.d)
         return [list(pair) for pair in zip(text[::2], text[1::2])]
-
-
-def _index_pair(first: list[int], second: list[int], d: int) -> IndexPair:
-    return IndexPair(MultiIndex(tuple(first), d), MultiIndex(tuple(second), d))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -224,9 +215,8 @@ class Reads:
 class CompiledWitness:
     """Everything needed to evaluate the bound on any density matrix.
 
-    The compiler's results are arrays; ``index_set``, ``n_eta``,
-    ``noise_images`` and ``uncounted_profile`` are object views of them,
-    built on first access.
+    The compiler's results are arrays; ``index_set``, ``noise_images`` and
+    ``uncounted_profile`` are views of them, built on first access.
     """
 
     r: PairSet
@@ -237,7 +227,7 @@ class CompiledWitness:
     # selection order, each pair's in order of the first cut producing each),
     # then I(R) in rank order
     reads: Reads = field(repr=False, compare=False)
-    # |R^gamma| per cut, in enumerate_bipartitions order
+    # |R^gamma| per cut, in the row order of cut_masks
     profile: np.ndarray = field(repr=False, compare=False)
     # N_eta per entry of I(R), in rank order
     eta_counts: np.ndarray = field(repr=False, compare=False)
@@ -257,11 +247,6 @@ class CompiledWitness:
         return tuple(MultiIndex.from_rank(k, n, d) for k in self.reads.diagonals.tolist())
 
     @cached_property
-    def n_eta(self) -> dict[MultiIndex, int]:
-        """Per index in I(R): its diagonal multiplicity N_eta."""
-        return dict(zip(self.index_set, self.eta_counts.tolist()))
-
-    @cached_property
     def noise_images(self) -> dict[IndexPair, tuple[IndexPair, ...]]:
         """Per pair: the distinct unordered images outside R, in order of the
         first bipartition that produces each."""
@@ -274,9 +259,10 @@ class CompiledWitness:
         return {pair: tuple(images[bounds[i] : bounds[i + 1]]) for i, pair in enumerate(self.r)}
 
     @cached_property
-    def uncounted_profile(self) -> dict[Bipartition, int]:
-        """Per bipartition: |R^gamma|, the pairs whose image stays inside R."""
-        return dict(zip(enumerate_bipartitions(self.n), self.profile.tolist()))
+    def uncounted_profile(self) -> dict[str, int]:
+        """Per cut, keyed by its label in :func:`cut_labels`: |R^gamma|, the
+        pairs whose image stays inside R."""
+        return dict(zip(cut_labels(self.n), self.profile.tolist()))
 
 
 def _images(

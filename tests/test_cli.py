@@ -172,6 +172,40 @@ def test_shapes_beyond_int64_ranks_are_answered(capsys):
 
 def test_ppt_compare_rejects_non_antipodal(capsys):
     assert main(["ppt-compare", "--preset", "ghz", "--pair", "000,110", "--gamma", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: pair (000,110) is not antipodal: digits must sum to d-1 = 1 sitewise\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "gamma, err",
+    [
+        ("0", "error: party labels [0] out of range for n=3\n"),
+        ("4", "error: party labels [4] out of range for n=3\n"),
+        ("-1", "error: party labels [-1] out of range for n=3\n"),
+        ("1,2,3", "error: gamma must be a nonempty proper subset of the parties\n"),
+    ],
+)
+def test_ppt_compare_refuses_bad_cuts(capsys, gamma, err):
+    ghz = ["ppt-compare", "--preset", "ghz", "--pair", "000,111"]
+    assert main([*ghz, "--gamma", gamma]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_ppt_compare_refuses_a_single_party_state(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    amplitudes = [{"index": "0", "re": 0.6}, {"index": "1", "re": 0.8}]
+    path.write_text(json.dumps({"n": 1, "d": 2, "kind": "pure", "amplitudes": amplitudes}))
+    assert main(["ppt-compare", "--state", str(path), "--pair", "0,1", "--gamma", "1"]) == 2
+    assert capsys.readouterr().err == "error: need at least 2 parties, got n=1\n"
+
+
+def test_ppt_compare_reports_the_side_given(capsys):
+    """--gamma 2 names the side without party 1, and the output keeps it."""
+    argv = ["ppt-compare", "--preset", "ghz", "--pair", "000,111", "--gamma", "2"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0
+    assert payload["gamma"] == [2]
 
 
 @pytest.mark.parametrize("gamma", ["1,1", "2,1,2", "1, 1"])
@@ -348,8 +382,10 @@ def test_digit_strings_reject_d_above_10(tmp_path, capsys, argv):
 
 
 def test_pure_inputs_never_build_a_dense_matrix(monkeypatch, tmp_path, singlet_r_file):
-    """Thresholds, --p, sweeps, bounds, the Q witness and the statevector
-    entropy route read the pure state or its noisy view."""
+    """Thresholds, --p, sweeps, bounds, the Q witness, the statevector
+    entropy route and the PPT comparison read the pure state or its noisy
+    view; ppt-compare builds no dense operator either."""
+    import gmebound.ppt as ppt
     import gmebound.states as states
 
     def dense(*args, **kwargs):
@@ -357,6 +393,7 @@ def test_pure_inputs_never_build_a_dense_matrix(monkeypatch, tmp_path, singlet_r
 
     monkeypatch.setattr(states.PureState, "density", dense)
     monkeypatch.setattr(states, "white_noise_mix", dense)
+    monkeypatch.setattr(ppt, "partial_transpose", dense)
     runs = [
         ["threshold", "--preset", "ghz", "--n", "14"],
         ["bound", "--preset", "ghz", "--n", "12", "--p", "0.7"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gmebound.entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
-from gmebound.indices import Bipartition, rank_digits
+from gmebound.indices import cut_labels, cut_masks, rank_digits
 from gmebound.states import PureState, make_ghz_state, make_singlet4, make_w_state
 
 W_CUT_ENTROPY = 8.0 / 9.0  # every cut of |W_3| reduces to eigenvalues (1/3, 2/3)
@@ -33,11 +33,10 @@ def test_product_state_measure_is_zero():
 
 def test_singlet4_minimum_sits_on_the_13_14_cuts():
     report = gme_measure_pure(make_singlet4())
-    by_label = {g.sorted_parties(): v for g, v in report.entropies.items()}
-    assert by_label[(1, 3)] == pytest.approx(5.0 / 6.0, abs=1e-12)
-    assert by_label[(1, 4)] == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert report.entropies["13|24"] == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert report.entropies["14|23"] == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert report.e_m == pytest.approx(math.sqrt(5.0 / 6.0), abs=1e-12)
-    assert report.minimizer.sorted_parties() in {(1, 3), (1, 4)}
+    assert cut_labels(4)[report.best] in {"13|24", "14|23"}
 
 
 def _random_sparse(n, d, size, rng):
@@ -52,10 +51,10 @@ def _random_sparse(n, d, size, rng):
 def test_coeff_route_matches_trace_route(n, d, size, seed):
     psi = _random_sparse(n, d, size, np.random.default_rng(seed))
     vec = psi.to_vector()
-    for g in gme_measure_pure(psi).entropies:
+    for g in cut_masks(n):
         a = linear_entropy_coeff(psi, g)
         b = linear_entropy_trace(psi, g)
-        want = oracles.linear_entropy_dense(vec, n, d, g.parties)
+        want = oracles.linear_entropy_dense(vec, n, d, frozenset((np.flatnonzero(g) + 1).tolist()))
         assert a == pytest.approx(want, abs=1e-12)
         assert b == pytest.approx(want, abs=1e-12)
 
@@ -74,9 +73,8 @@ def test_measure_matches_eigenvalue_oracle(n, d, seed):
 def test_trace_route_single_cut_against_dense():
     rng = np.random.default_rng(11)
     psi = _random_sparse(3, 3, 9, rng)
-    g = Bipartition.of({1, 3}, 3)
     want = oracles.linear_entropy_dense(psi.to_vector(), 3, 3, frozenset({1, 3}))
-    assert linear_entropy_trace(psi, g) == pytest.approx(want, abs=1e-12)
+    assert linear_entropy_trace(psi, np.array([1, 0, 1])) == pytest.approx(want, abs=1e-12)
 
 
 
@@ -88,6 +86,6 @@ def test_chunked_coeff_route_matches_unchunked(monkeypatch, size):
 
     psi = _random_sparse(6, 2, size, np.random.default_rng(5))
     whole = gme_measure_pure(psi).entropies
-    assert {g: linear_entropy_coeff(psi, g) for g in whole} == whole
+    assert [linear_entropy_coeff(psi, g) for g in cut_masks(6)] == list(whole.values())
     monkeypatch.setattr(entropy_module, "CHUNK_ENTRIES", 100)
     assert gme_measure_pure(psi).entropies == whole

@@ -7,20 +7,15 @@ from hypothesis import strategies as st
 
 from gmebound.errors import InvalidInputError
 from gmebound.indices import (
-    Bipartition,
     IndexPair,
     MultiIndex,
     cut_labels,
     cut_masks,
     digit_strings,
-    enumerate_bipartitions,
     place_values,
     rank_digits,
     rank_positions,
 )
-
-# the canonical n=4 ordering every downstream module relies on
-N4_ORDER = [(1,), (1, 2), (1, 3), (1, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)]
 
 
 def test_multiindex_string_roundtrip():
@@ -64,26 +59,6 @@ def test_indexpair_rejects_equal_strings():
         IndexPair.of(a, a)
 
 
-def test_enumerate_bipartitions_n4_order():
-    got = [b.sorted_parties() for b in enumerate_bipartitions(4)]
-    assert got == N4_ORDER
-
-
-@given(st.integers(2, 6))
-def test_enumerate_bipartitions_count(n):
-    bips = enumerate_bipartitions(n)
-    assert len(bips) == 2 ** (n - 1) - 1
-    assert all(1 in b.parties for b in bips)
-    assert len(set(bips)) == len(bips)
-
-
-def test_bipartition_complement_and_canonical():
-    g = Bipartition.of({2, 3}, 4)
-    assert not g.is_canonical
-    assert g.complement().sorted_parties() == (1, 4)
-    assert g.canonical().sorted_parties() == (1, 4)
-
-
 @pytest.mark.parametrize("n", range(2, 11))
 def test_cut_masks_follow_size_then_lexicographic_order(n):
     """Row g of cut_masks marks the parties of the g-th canonical cut."""
@@ -93,7 +68,6 @@ def test_cut_masks_follow_size_then_lexicographic_order(n):
     masks = cut_masks(n)
     assert masks.shape == (2 ** (n - 1) - 1, n)
     assert [tuple(int(p) for p in np.flatnonzero(row) + 1) for row in masks] == want
-    assert [b.sorted_parties() for b in enumerate_bipartitions(n)] == want
 
 
 @given(st.integers(2, 3), st.integers(1, 5), st.data())
@@ -125,17 +99,18 @@ def test_rank_positions_mark_absent_ranks():
     assert got.tolist() == [[2, -1], [0, -1]]
 
 
-def _bip_label(g: Bipartition) -> str:
-    left = "".join(str(p) for p in g.sorted_parties())
-    right = "".join(str(p) for p in g.complement().sorted_parties())
-    return f"{left}|{right}"
-
-
 @pytest.mark.parametrize("n", range(2, 13))
 def test_cut_labels_match_bipartition_labels(n):
-    """One label per cut row, as the objects print them; from n = 10 on the
-    party numbers run together."""
-    assert list(cut_labels(n)) == [_bip_label(g) for g in enumerate_bipartitions(n)]
+    """One label per canonical cut, by size and then lexicographically: the
+    side with party 1, a bar, the rest; from n = 10 on the party numbers run
+    together."""
+    want = []
+    for size in range(1, n):
+        for extra in combinations(range(2, n + 1), size - 1):
+            side = (1,) + extra
+            rest = [p for p in range(1, n + 1) if p not in side]
+            want.append("".join(map(str, side)) + "|" + "".join(map(str, rest)))
+    assert list(cut_labels(n)) == want
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (4, 3), (5, 10), (19, 10), (64, 2)])

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from gmebound.errors import InvalidInputError
-from gmebound.indices import Bipartition, IndexPair, MultiIndex
 from gmebound.ppt import (
     build_ppt_witness,
     compare_with_witness_bracket,
@@ -22,14 +21,17 @@ from gmebound.states import (
 )
 
 
-def _pair(a: str, b: str, d: int = 2) -> IndexPair:
-    n = len(a)
-    return IndexPair.of(MultiIndex.from_string(a, d, n), MultiIndex.from_string(b, d, n))
+def _pair(a: str, b: str) -> np.ndarray:
+    return np.array([[int(x) for x in a], [int(x) for x in b]])
+
+
+def _cut(parties: set[int], n: int) -> np.ndarray:
+    return np.array([int(p in parties) for p in range(1, n + 1)])
 
 
 def test_operator_matrix_001_110_gamma1():
     """The transposed projector has two +1/2 diagonals and one -1/2 coherence."""
-    w = build_ppt_witness(_pair("001", "110"), Bipartition.of({1}, 3))
+    w = build_ppt_witness(_pair("001", "110"), 2, _cut({1}, 3))
     want = np.zeros((8, 8), dtype=complex)
     want[2, 2] = 0.5   # |010><010|
     want[5, 5] = 0.5   # |101><101|
@@ -40,9 +42,7 @@ def test_operator_matrix_001_110_gamma1():
 
 def test_routes_agree_on_random_states():
     rng = np.random.default_rng(21)
-    pair = _pair("001", "110")
-    gamma = Bipartition.of({1}, 3)
-    w = build_ppt_witness(pair, gamma)
+    w = build_ppt_witness(_pair("001", "110"), 2, _cut({1}, 3))
     for _ in range(20):
         rho = DensityMatrix(3, 2, oracles.random_density(3, 2, rng))
         assert ppt_expectation(w, rho) == pytest.approx(
@@ -52,7 +52,7 @@ def test_routes_agree_on_random_states():
 
 def test_ghz_omega_is_minus_half():
     rho = make_ghz_state(3, 2).density()
-    cmp = compare_with_witness_bracket(_pair("000", "111"), Bipartition.of({1}, 3), rho)
+    cmp = compare_with_witness_bracket(build_ppt_witness(_pair("000", "111"), 2, _cut({1}, 3)), rho)
     assert cmp.omega == pytest.approx(-0.5, abs=1e-12)
     assert cmp.minus_w == pytest.approx(-0.5, abs=1e-12)
     assert cmp.dominance
@@ -60,7 +60,7 @@ def test_ghz_omega_is_minus_half():
 
 def test_maximally_mixed_values():
     rho = white_noise_mix(make_ghz_state(3, 2), 0.0)
-    cmp = compare_with_witness_bracket(_pair("000", "111"), Bipartition.of({1}, 3), rho)
+    cmp = compare_with_witness_bracket(build_ppt_witness(_pair("000", "111"), 2, _cut({1}, 3)), rho)
     assert cmp.omega == pytest.approx(0.125, abs=1e-12)
     assert cmp.minus_w == pytest.approx(0.125, abs=1e-12)
 
@@ -68,18 +68,17 @@ def test_maximally_mixed_values():
 def test_dominance_holds_on_seeded_states():
     """-W(rho) <= Omega(rho): the PPT route is never harder to satisfy."""
     rng = np.random.default_rng(23)
-    pair = _pair("01", "10")
-    gamma = Bipartition.of({1}, 2)
+    w = build_ppt_witness(_pair("01", "10"), 2, _cut({1}, 2))
     for _ in range(100):
         rho = DensityMatrix(2, 2, oracles.random_density(2, 2, rng))
-        cmp = compare_with_witness_bracket(pair, gamma, rho)
+        cmp = compare_with_witness_bracket(w, rho)
         assert cmp.minus_w <= cmp.omega + 1e-12
         assert cmp.dominance
 
 
 def test_rejects_non_antipodal_pair():
-    with pytest.raises(InvalidInputError):
-        build_ppt_witness(_pair("001", "011"), Bipartition.of({1}, 3))
+    with pytest.raises(InvalidInputError, match=r"pair \(001,011\) is not antipodal"):
+        build_ppt_witness(_pair("001", "011"), 2, _cut({1}, 3))
 
 
 def test_enumerate_ghz_pairs_counts():
@@ -105,9 +104,7 @@ def test_enumerate_ghz_pairs_are_antipodal():
 def test_expectation_via_dense_partial_transpose():
     """Independent route: Tr[rho (|l-><l-|)^T_gamma] from raw numpy."""
     rng = np.random.default_rng(29)
-    pair = _pair("001", "110")
-    gamma = Bipartition.of({1}, 3)
-    w = build_ppt_witness(pair, gamma)
+    w = build_ppt_witness(_pair("001", "110"), 2, _cut({1}, 3))
     rho_mat = oracles.random_density(3, 2, rng)
 
     lam = np.zeros(8, dtype=complex)
@@ -140,18 +137,17 @@ def test_bracket_reads_one_gather_with_scalar_values(kind):
     and Omega and -W equal the values read entry by entry, to the last bit."""
     psi = make_singlet4()
     rho = {"pure": psi, "noisy": NoisyPureState(psi, 0.7), "dense": white_noise_mix(psi, 0.7)}[kind]
-    pair, gamma = _pair("0011", "1100"), Bipartition.of({1, 3}, 4)
-    img1, img2 = (int(s, 2) for s in oracles._swap_digits("0011", "1100", gamma.parties))
+    w = build_ppt_witness(_pair("0011", "1100"), 2, _cut({1, 3}, 4))
+    img1, img2 = (int(s, 2) for s in oracles._swap_digits("0011", "1100", frozenset({1, 3})))
     counting = _CountingSource(rho)
-    got = compare_with_witness_bracket(pair, gamma, counting)
+    got = compare_with_witness_bracket(w, counting)
     assert counting.gathers == [3]
 
     def entry(row, col):
         return complex(rho.elements(np.array([row]), np.array([col]))[0])
 
-    coherence = entry(pair.first.rank, pair.second.rank)
+    coherence = entry(int("0011", 2), int("1100", 2))
     diag1, diag2 = entry(img1, img1).real, entry(img2, img2).real
     assert got.omega == 0.5 * (diag1 + diag2) - coherence.real
     assert got.minus_w == math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
-    w = build_ppt_witness(pair, gamma)
     assert ppt_expectation_elements(w, _CountingSource(rho)) == got.omega

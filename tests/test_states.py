@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gmebound.entropy import linear_entropy_coeff, linear_entropy_trace
 from gmebound.errors import InvalidInputError
-from gmebound.indices import Bipartition, digit_strings, rank_digits
+from gmebound.indices import digit_strings, rank_digits
+from gmebound.ppt import build_ppt_witness
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -273,7 +275,7 @@ def test_partial_trace_matches_dense_oracle(n, d, data):
     vec = oracles.random_pure_dense(n, d, rng)
     rho = DensityMatrix(n, d, np.outer(vec, vec.conj()))
     parties = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
-    g = Bipartition.of(parties, n)
+    g = np.array([int(p in parties) for p in range(1, n + 1)])
     got = partial_trace(rho, g).matrix
     want = oracles.reduced_density(vec, n, d, frozenset(parties))
     assert np.allclose(got, want, atol=1e-12)
@@ -282,14 +284,31 @@ def test_partial_trace_matches_dense_oracle(n, d, data):
 def test_partial_transpose_involution_and_full_transpose():
     rng = np.random.default_rng(7)
     rho = DensityMatrix(2, 3, oracles.random_density(2, 3, rng))
-    g1 = Bipartition.of({1}, 2)
+    g1 = np.array([1, 0])
     once = partial_transpose(rho, g1)
     twice = partial_transpose(DensityMatrix(2, 3, once, validate=False), g1)
     assert np.allclose(twice, rho.matrix, atol=1e-14)
     # transposing party 1 and then party 2 is the full transpose
-    g2 = Bipartition.of({2}, 2)
+    g2 = np.array([0, 1])
     composed = partial_transpose(DensityMatrix(2, 3, once, validate=False), g2)
     assert np.allclose(composed, rho.matrix.T, atol=1e-14)
+
+
+_GHZ3 = make_ghz_state(3, 2)
+_CUT_TAKERS = {
+    "partial_trace": lambda g: partial_trace(_GHZ3.density(), g),
+    "partial_transpose": lambda g: partial_transpose(_GHZ3.density(), g),
+    "linear_entropy_trace": lambda g: linear_entropy_trace(_GHZ3, g),
+    "linear_entropy_coeff": lambda g: linear_entropy_coeff(_GHZ3, g),
+    "build_ppt_witness": lambda g: build_ppt_witness(np.array([[0, 0, 0], [1, 1, 1]]), 2, g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_TAKERS))
+@pytest.mark.parametrize("mask", [[1, 0], [1, 0, 0, 1]], ids=["short", "long"])
+def test_cut_mask_of_the_wrong_length_is_refused(name, mask):
+    with pytest.raises(InvalidInputError, match=rf"^gamma over n={len(mask)}, (state|pair) over n=3$"):
+        _CUT_TAKERS[name](np.array(mask))
 
 
 def test_load_state_json_pure_roundtrip(tmp_path):

@@ -22,9 +22,14 @@ from gmebound.errors import (
     NotDetectingError,
 )
 from gmebound import reproduce
-from gmebound.indices import Bipartition, IndexPair, MultiIndex, rank_digits
+from gmebound.indices import IndexPair, MultiIndex, cut_masks, digit_strings, rank_digits
 from gmebound.observables import plan_settings
-from gmebound.ppt import enumerate_ghz_pairs
+from gmebound.ppt import (
+    build_ppt_witness,
+    compare_with_witness_bracket,
+    enumerate_ghz_pairs,
+    ppt_expectation_elements,
+)
 from gmebound.states import (
     DensityMatrix,
     NoisyPureState,
@@ -67,7 +72,7 @@ def test_w_auto_selection_and_compile():
     assert compiled.n_r == 1
     assert all(v == 1 for v in compiled.uncounted_profile.values())
     assert compiled.prefactor == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert all(v == 1 for v in compiled.n_eta.values())
+    assert compiled.eta_counts.tolist() == [1, 1, 1]
     images = sorted(
         (str(img.first), str(img.second))
         for imgs in compiled.noise_images.values()
@@ -102,15 +107,13 @@ def test_singlet_profile_and_both_variants():
     r = PairSet.from_strings(SINGLET_R, 4, 2)
     lo = compile_witness(r, NRVariant.MINIMAL)
     hi = compile_witness(r, NRVariant.MAXIMAL)
-    profile = [
-        lo.uncounted_profile[g]
-        for g in sorted(lo.uncounted_profile, key=lambda b: (len(b.parties), b.sorted_parties()))
-    ]
-    assert profile == [2, 0, 2, 2, 2, 2, 2]
+    assert lo.uncounted_profile == {
+        "1|234": 2, "12|34": 0, "13|24": 2, "14|23": 2, "123|4": 2, "124|3": 2, "134|2": 2
+    }
     assert lo.n_r == 0 and hi.n_r == 2
     expected_n_eta = {"0011": 2, "0101": 1, "0110": 1, "1001": 1, "1010": 1}
-    assert {str(k): v for k, v in lo.n_eta.items()} == expected_n_eta
-    assert {str(k): v for k, v in hi.n_eta.items()} == expected_n_eta
+    assert _n_eta(lo) == expected_n_eta
+    assert _n_eta(hi) == expected_n_eta
     assert noise_threshold(lo, s4) == pytest.approx(SINGLET_THRESHOLD, abs=1e-10)
     assert noise_threshold(hi, s4) == pytest.approx(SINGLET_THRESHOLD, abs=1e-10)
 
@@ -132,6 +135,16 @@ def test_isotropic_formula_and_tightness():
         assert evaluate(compiled, make_isotropic(d, 1.0)) == pytest.approx(
             math.sqrt(2.0 - 2.0 / d), abs=1e-10
         )
+
+
+def _n_eta(w) -> dict[str, int]:
+    """N_eta per index string of I(R), as ``bound`` prints it."""
+    return dict(zip(digit_strings(w.reads.diagonals, w.n, w.d), w.eta_counts.tolist()))
+
+
+def _label(cut: tuple[int, ...], n: int) -> str:
+    rest = [p for p in range(1, n + 1) if p not in cut]
+    return "".join(map(str, cut)) + "|" + "".join(map(str, rest))
 
 
 def _random_selection(n: int, d: int, size: int, rng: np.random.Generator) -> list[list[str]]:
@@ -164,13 +177,13 @@ def test_compile_matches_digit_string_oracle(n, d, size, seed, variant):
         return
     w = compile_witness(r, variant)
     assert w.n_r == want["n_r"]
-    assert [g.sorted_parties() for g in w.uncounted_profile] == want["cuts"]
+    assert list(w.uncounted_profile) == [_label(cut, n) for cut in want["cuts"]]
     assert list(w.uncounted_profile.values()) == want["profile"]
     got_images = [
         [(str(img.first), str(img.second)) for img in w.noise_images[pair]] for pair in r
     ]
     assert got_images == want["noise_images"]
-    assert {str(eta): k for eta, k in w.n_eta.items()} == want["n_eta"]
+    assert _n_eta(w) == want["n_eta"]
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -252,7 +265,7 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
         assert auto_select_R(target).as_strings() == r.as_strings()
         # a fresh selection, so that its cut images are computed in chunks
         chunked = compile_witness(PairSet(r.digits, r.n, r.d), variant)
-        assert (chunked.n_r, chunked.n_eta) == (w.n_r, w.n_eta)
+        assert (chunked.n_r, _n_eta(chunked)) == (w.n_r, _n_eta(w))
         assert chunked.noise_images == w.noise_images
         assert chunked.uncounted_profile == w.uncounted_profile
         assert evaluate(chunked, NoisyPureState(target, 0.7)) == evaluate(w, NoisyPureState(target, 0.7))
@@ -260,12 +273,12 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
 
 def test_hot_paths_build_no_index_objects(monkeypatch):
     """Building the states, selection, compilation of both variants,
-    evaluation, root finding, the coeff entropies, Q, the E_m bridge, the
-    measurement planner and the antipodal pairs run on digit and rank arrays:
-    none constructs a MultiIndex, IndexPair or Bipartition."""
+    evaluation, root finding, both entropy routes, Q, the E_m bridge, the
+    measurement planner, the antipodal pairs and the PPT witness run on digit,
+    rank and cut mask arrays: none constructs a MultiIndex or IndexPair."""
     spec = DickeWitnessSpec(5, 3, 2)
     built = Counter()
-    for cls in (MultiIndex, IndexPair, Bipartition):
+    for cls in (MultiIndex, IndexPair):
 
         def counted(self, check=cls.__post_init__):
             built[type(self).__name__] += 1
@@ -285,6 +298,7 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
     ]
     for target in targets:
         gme_measure_pure(target, method="coeff")
+        gme_measure_pure(target, method="trace")
         r = auto_select_R(target)
         for variant in NRVariant:  # the second reads the cut images cached on r
             w = compile_witness(r, variant)
@@ -295,8 +309,13 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
     q = q_witness(spec, targets[1])
     for variant in NRVariant:
         em_bound_from_q(spec, q, variant)
-    enumerate_ghz_pairs(3, 3)
+    pairs = enumerate_ghz_pairs(3, 3)
     enumerate_ghz_pairs(2, 2)
+    ppt = build_ppt_witness(pairs.digits[4], 3, cut_masks(3)[2])
+    ghz = make_ghz_state(3, 3)
+    for rho in (ghz, NoisyPureState(ghz, 0.7)):
+        ppt_expectation_elements(ppt, rho)
+        compare_with_witness_bracket(ppt, rho)
     assert built == Counter()
 
 
@@ -446,7 +465,8 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
         big = compile_witness(wide_r, variant)
         assert (big.n_r, big.prefactor) == (w.n_r, w.prefactor)
         assert big.uncounted_profile == w.uncounted_profile
-        assert big.n_eta == {_widen(eta): k for eta, k in w.n_eta.items()}
+        assert big.index_set == tuple(map(_widen, w.index_set))
+        assert big.eta_counts.tolist() == w.eta_counts.tolist()
         assert big.noise_images == {
             widen_pair(pair): tuple(map(widen_pair, imgs)) for pair, imgs in w.noise_images.items()
         }
