@@ -269,8 +269,6 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    if getattr(args, "p", 1.0) != 1.0:
-        raise InvalidInputError("entropy profile is defined for pure states; drop --p")
     pure, _ = _load_target(args)
     if pure is None:
         raise InvalidInputError("entropy profile needs a pure state (kind == 'pure')")
@@ -511,16 +509,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gmebound",
         description="Certified lower bounds on genuine multipartite entanglement "
         "for n-qudit states.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("entropy", help="per-bipartition linear entropies of a pure state")
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        # no prefix matching: "--p" must not stand for "--preset" where there is no --p
+        return subs.add_parser(name, help=text, allow_abbrev=False)
+
+    sp = add("entropy", "per-bipartition linear entropies of a pure state")
     _add_state_flags(sp, with_mix=False)
     sp.add_argument("--method", choices=("coeff", "trace"), default="coeff")
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_entropy, p=1.0)
 
-    sp = subs.add_parser("bound", help="compile a witness and evaluate the GME bound")
+    sp = add("bound", "compile a witness and evaluate the GME bound")
     _add_state_flags(sp)
     sp.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
     sp.add_argument("--nr", choices=("min", "max"), default="min")
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_bound)
 
-    sp = subs.add_parser("threshold", help="white-noise robustness of the witness")
+    sp = add("threshold", "white-noise robustness of the witness")
     _add_state_flags(sp, with_mix=False)
     sp.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
     sp.add_argument("--nr", choices=("min", "max"), default="min")
@@ -541,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", help="write JSON/CSV here instead of stdout")
     sp.set_defaults(func=cmd_threshold, p=1.0)
 
-    sp = subs.add_parser("dicke", help="dimensionality witness Q and E_m bounds")
+    sp = add("dicke", "dimensionality witness Q and E_m bounds")
     _add_state_flags(sp)
     sp.add_argument("--delta", choices=("all", "singles"), default="all")
     sp.add_argument("--nr", choices=("min", "max"), default="min")
@@ -549,14 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_dicke)
 
-    sp = subs.add_parser("ppt-compare", help="PPT operator vs witness bracket on one pair")
+    sp = add("ppt-compare", "PPT operator vs witness bracket on one pair")
     _add_state_flags(sp)
     sp.add_argument("--pair", required=True, help='antipodal pair, e.g. "001,110"')
     sp.add_argument("--gamma", required=True, help='transposed parties, e.g. "1" or "1,2"')
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_ppt_compare)
 
-    sp = subs.add_parser("measure-plan", help="local-observable plan for a compiled witness")
+    sp = add("measure-plan", "local-observable plan for a compiled witness")
     _add_state_flags(sp, with_mix=False)
     sp.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
     sp.add_argument("--nr", choices=("min", "max"), default="min")
@@ -565,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_measure_plan, p=1.0)
 
-    sp = subs.add_parser("dimensionality", help="q and certificate for embedded Dicke states")
+    sp = add("dimensionality", "q and certificate for embedded Dicke states")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -574,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_dimensionality)
 
-    sp = subs.add_parser("reproduce-paper", help="run the acceptance battery")
+    sp = add("reproduce-paper", "run the acceptance battery")
     sp.add_argument("--seed", type=int, default=SEED, help="re-seed the randomized checks")
     sp.add_argument("--output", help="write the table here instead of stdout")
     sp.set_defaults(func=cmd_reproduce_paper)

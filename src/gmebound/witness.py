@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
+    AnalysisError,
     CoverageError,
     DegenerateSelectionError,
     InvalidInputError,
@@ -497,20 +497,78 @@ def auto_select_R(
 # derived quantities
 
 
+# Brent's method as scipy.optimize.brentq runs it (scipy's C brentq, same
+# relative tolerance and iteration cap), so every threshold keeps its bits
+_RTOL = 4 * math.ulp(1.0)
+_MAXITER = 100
+
+
+def _brent(f: Callable[[float], float], f0: float, f1: float, xtol: float) -> float:
+    """Root of f in [0, 1], given f0 = f(0) and f1 = f(1) of opposite signs.
+
+    Each step takes the interpolated one (secant or inverse quadratic) when it
+    is shorter than half the step before last and stays well inside the
+    bracket, and bisects otherwise (R. P. Brent, Algorithms for Minimization
+    Without Derivatives, 1973, ch. 4).  Raises when 100 steps do not converge.
+    """
+    xpre, fpre, xcur, fcur = 0.0, f0, 1.0, f1
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero denominator is an infinite step, so bisect
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise AnalysisError(
+        f"noise threshold did not converge in {_MAXITER} steps (last p = {xcur!r}, xtol = {xtol!r})"
+    )
+
+
 def _noise_root(f: Callable[[float], float], xtol: float, label: str) -> float:
     """Root in [0, 1] of a witness value f(p) on the noisy line of a pure target.
 
     Raises when f is not positive at p = 1 (nothing to tolerate) and returns 0
-    when f is still nonnegative at p = 0 (every mixture is detected).
+    when f is still nonnegative at p = 0 (every mixture is detected).  A NaN
+    value anywhere on the search is refused.
     """
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise InvalidInputError(f"root-finder tolerance must be positive and finite, got {xtol!r}")
-    f1 = f(1.0)
+
+    def value(p: float) -> float:
+        v = float(f(p))
+        if math.isnan(v):
+            raise AnalysisError(f"{label} {v!r} at p = {p!r} is not a number")
+        return v
+
+    f1 = value(1.0)
     if f1 <= 0.0:
         raise NotDetectingError(f"{label} {f1!r} on the pure target is not positive")
-    if f(0.0) >= 0.0:
+    f0 = value(0.0)
+    if f0 >= 0.0:
         return 0.0
-    return float(brentq(f, 0.0, 1.0, xtol=xtol))
+    return _brent(value, f0, f1, xtol)
 
 
 def noise_threshold(w: CompiledWitness, target: PureState, xtol: float = 1e-12) -> float:

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gmebound.cli as cli
+import gmebound.witness as witness
 import oracles
 from gmebound.cli import main
 from gmebound.errors import DegenerateSelectionError
@@ -132,6 +136,59 @@ def test_threshold_nondetecting_exits_1(capsys, tmp_path):
     path = tmp_path / "rw.json"
     path.write_text(json.dumps([["001", "010"], ["001", "100"], ["010", "100"]]))
     assert main(["threshold", "--preset", "ghz", "--r-set", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (lambda w, rho: math.nan, "error: witness value nan at p = 1.0 is not a number"),
+        (lambda w, rho: 1.0 if rho.p > 1e-300 else -1.0,
+         "error: noise threshold did not converge in 100 steps"),
+    ],
+    ids=["nan", "no-convergence"],
+)
+def test_threshold_search_failures_exit_1(monkeypatch, capsys, value, message):
+    monkeypatch.setattr(witness, "evaluate", value)
+    assert main(["threshold", "--preset", "ghz", "--xtol", "5e-324"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--p", "w"],
+        ["entropy", "--preset", "w", "--p", "0.5"],
+        ["measure-plan", "--preset", "w", "--p", "0.5"],
+        ["threshold", "--preset", "w", "--xt", "1e-9"],
+        ["bound", "--pre", "w"],
+    ],
+)
+def test_flag_prefixes_are_not_abbreviations(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_run_imports_no_scipy():
+    """The package needs numpy alone: a threshold run loads no scipy module."""
+    code = (
+        "import sys\n"
+        "from gmebound.cli import main\n"
+        "rc = main(['threshold', '--preset', 'singlet4', '--compare-dicke', '--m', '2'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(rc, loaded, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip().splitlines()[-1] == "0 []"
+    assert json.loads(res.stdout)["threshold"] > 0.0
 
 
 def test_dicke_subcommand_defaults_to_pure_target(capsys):
@@ -421,7 +478,9 @@ def test_output_matches_recorded_digest(capsys, command):
     recorded at 0556fd2, the commit before the one-walk emitter and the
     array-built payloads; the two measure-plan pins for ``--preset ghz --n 4
     --d 3 --include-imag`` and ``--preset singlet4 --include-imag`` at 8a93f85,
-    the commit before term records were rendered once per distinct term."""
+    the commit before term records were rendered once per distinct term; the
+    three ``threshold`` pins at 739aeab, the last commit that found roots with
+    scipy.optimize.brentq."""
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[command]
 
