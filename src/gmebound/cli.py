@@ -26,7 +26,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure
 from .errors import AnalysisError, InvalidInputError
-from .indices import IndexPair, MultiIndex, cut_labels, digit_strings
+from .indices import cut_labels, digit_strings
 from .observables import plan_settings
 from .ppt import build_ppt_witness, compare_with_witness_bracket
 from .reproduce import SEED, run_all
@@ -44,6 +44,7 @@ from .states import (
 )
 from .witness import (
     NRVariant,
+    PairSet,
     auto_select_R,
     compile_witness,
     evaluate,
@@ -209,11 +210,10 @@ def _load_target(args: argparse.Namespace) -> tuple[PureState | None, ElementSou
         raise InvalidInputError("no input state: give --state FILE or --preset NAME")
     _check_digit_strings(rho.d)
 
-    p = getattr(args, "p", 1.0)
-    if p != 1.0:
+    if args.p != 1.0:
         if pure is None:
             raise InvalidInputError("--p mixes white noise into a pure state; input is mixed")
-        rho = NoisyPureState(pure, p)
+        rho = NoisyPureState(pure, args.p)
     return pure, rho
 
 
@@ -273,13 +273,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if pure is None:
         raise InvalidInputError("entropy profile needs a pure state (kind == 'pure')")
     report = gme_measure_pure(pure, method=args.method)
-    labels = cut_labels(pure.n)
     payload = {
         "n": pure.n,
         "d": pure.d,
         "method": args.method,
-        "entropies": dict(zip(labels, report.values)),
-        "minimizer": labels[report.best],
+        "entropies": report.entropies,
+        "minimizer": cut_labels(pure.n)[report.best],
         "e_m": report.e_m,
     }
     _emit_json(payload, args.output)
@@ -306,7 +305,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "noise_images": {
             f"{a}~{b}": images[bounds[i] : bounds[i + 1]] for i, (a, b) in enumerate(pairs)
         },
-        "uncounted_profile": dict(zip(cut_labels(n), w.profile.tolist())),
+        "uncounted_profile": w.uncounted_profile,
         "value": value,
         "detects_gme": bool(value > args.tol),
     }
@@ -365,8 +364,7 @@ def cmd_dicke(args: argparse.Namespace) -> int:
             )
     else:
         target = make_dicke_state(args.n, args.d, args.m)
-        p = getattr(args, "p", 1.0)
-        rho = NoisyPureState(target, p) if p != 1.0 else target
+        rho = NoisyPureState(target, args.p) if args.p != 1.0 else target
     q = q_witness(spec, rho)
     payload = {
         "n": args.n,
@@ -387,11 +385,8 @@ def cmd_ppt_compare(args: argparse.Namespace) -> int:
     fields = [s.strip() for s in args.pair.split(",")]
     if len(fields) != 2:
         raise InvalidInputError(f"--pair needs two indices 'a,b', got {args.pair!r}")
-    first, second = fields
-    pair = IndexPair.of(
-        MultiIndex.from_string(first, rho.d, rho.n),
-        MultiIndex.from_string(second, rho.d, rho.n),
-    )
+    # the lower index first, as in every pair selection
+    pair = PairSet.from_strings([fields], rho.n, rho.d)
     listed = [_number(int, tok, "--gamma") for tok in args.gamma.split(",")]
     parties = sorted(set(listed))
     if len(parties) < len(listed):
@@ -406,10 +401,10 @@ def cmd_ppt_compare(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"party labels {parties} out of range for n={n}")
     # the mask keeps the side given, which need not hold party 1
     gamma = [int(p in parties) for p in range(1, n + 1)]
-    w = build_ppt_witness([pair.first.digits, pair.second.digits], rho.d, gamma)
+    w = build_ppt_witness(pair.digits[0], rho.d, gamma)
     cmp = compare_with_witness_bracket(w, rho)
     payload = {
-        "pair": [str(pair.first), str(pair.second)],
+        "pair": pair.as_strings()[0],
         "gamma": parties,
         "omega": cmp.omega,
         "minus_w": cmp.minus_w,

@@ -1,24 +1,24 @@
-"""Multi-index arithmetic, bipartitions, and their integer-array forms.
+"""Basis indices, bipartitions, and their integer-array forms.
 
 Conventions used throughout the package:
 
 * parties are 1-based, ``1 .. n``;
-* a basis index is a length-``n`` digit tuple over ``{0 .. d-1}``, big-endian
-  (leftmost digit = party 1), written as a bare digit string like ``"0011"``;
+* a basis index is a length-``n`` digit row over ``{0 .. d-1}``, big-endian
+  (leftmost digit = party 1), written as a bare digit string like ``"0011"``
+  and read by :func:`parse_index`;
 * a bipartition gamma|gamma-bar is a length-``n`` 0/1 mask row marking the
   parties of gamma; canonically gamma is the side that contains party 1, so
   there are ``2**(n-1) - 1`` of them, the rows of :func:`cut_masks`.
 
-Hot paths work on integer arrays instead of the index objects: a basis index
-is its rank (see :func:`rank_dtype`) and a set of indices is a ``(k, n)``
-digit array.  A cut exchanges the digits of an index pair at its parties,
-which on ranks moves the place-valued digit differences at those parties from
-one rank to the other (``witness._images``).
+Past the parser everything works on integer arrays: a basis index is its rank
+(see :func:`rank_dtype`) and a set of indices is a ``(k, n)`` digit array.  A
+cut exchanges the digits of an index pair at its parties, which on ranks moves
+the place-valued digit differences at those parties from one rank to the other
+(``witness._images``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -31,88 +31,22 @@ from .errors import InvalidInputError
 CHUNK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True, order=True)
-class MultiIndex:
-    """A computational-basis label: n digits, each in [0, d)."""
-
-    digits: tuple[int, ...]
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise InvalidInputError(f"local dimension must be >= 2, got {self.d}")
-        if not self.digits:
-            raise InvalidInputError("empty digit tuple")
-        if any(not (0 <= x < self.d) for x in self.digits):
-            raise InvalidInputError(f"digits {self.digits} out of range for d={self.d}")
-
-    @property
-    def n(self) -> int:
-        return len(self.digits)
-
-    @property
-    def rank(self) -> int:
-        """Integer position in [0, d**n) under big-endian base-d encoding."""
-        r = 0
-        for x in self.digits:
-            r = r * self.d + x
-        return r
-
-    @classmethod
-    def from_rank(cls, rank: int, n: int, d: int) -> "MultiIndex":
-        if not (0 <= rank < d**n):
-            raise InvalidInputError(f"rank {rank} out of range for n={n}, d={d}")
-        digits = []
-        for _ in range(n):
-            digits.append(rank % d)
-            rank //= d
-        return cls(tuple(reversed(digits)), d)
-
-    @classmethod
-    def from_string(cls, text: str, d: int, n: int | None = None) -> "MultiIndex":
-        """Parse a bare digit string such as "0011"."""
-        if n is not None and len(text) != n:
-            raise InvalidInputError(f"index '{text}' has length {len(text)}, expected {n}")
-        # ASCII only: int() also reads the decimal digits of other scripts
-        if not all("0" <= ch <= "9" for ch in text):
-            raise InvalidInputError(f"index '{text}' contains a non-digit")
-        return cls(tuple(int(ch) for ch in text), d)
-
-    def __str__(self) -> str:
-        return "".join(str(x) for x in self.digits)
-
-
-@dataclass(frozen=True)
-class IndexPair:
-    """An unordered pair of distinct basis indices, stored with first < second."""
-
-    first: MultiIndex
-    second: MultiIndex
-
-    def __post_init__(self) -> None:
-        if self.first.d != self.second.d or self.first.n != self.second.n:
-            raise InvalidInputError("pair members must share n and d")
-        if self.first == self.second:
-            raise InvalidInputError(f"pair members must differ, got ({self.first}, {self.first})")
-        if self.first.digits > self.second.digits:
-            raise InvalidInputError("pair not canonical; use IndexPair.of")
-
-    @classmethod
-    def of(cls, a: MultiIndex, b: MultiIndex) -> "IndexPair":
-        if a.digits > b.digits:
-            a, b = b, a
-        return cls(a, b)
-
-    @property
-    def n(self) -> int:
-        return self.first.n
-
-    @property
-    def d(self) -> int:
-        return self.first.d
-
-    def __str__(self) -> str:
-        return f"({self.first},{self.second})"
+def parse_index(text: str, d: int, n: int) -> tuple[int, ...]:
+    """The digit row of a bare digit string such as ``"0011"``: ``n`` digits,
+    each in ``[0, d)``."""
+    if len(text) != n:
+        raise InvalidInputError(f"index '{text}' has length {len(text)}, expected {n}")
+    # ASCII only: int() also reads the decimal digits of other scripts
+    if not all("0" <= ch <= "9" for ch in text):
+        raise InvalidInputError(f"index '{text}' contains a non-digit")
+    if d < 2:
+        raise InvalidInputError(f"local dimension must be >= 2, got {d}")
+    if not text:
+        raise InvalidInputError("empty digit tuple")
+    digits = tuple(map(int, text))
+    if max(digits) >= d:
+        raise InvalidInputError(f"digits {digits} out of range for d={d}")
+    return digits
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +118,8 @@ def rank_digits(ranks: np.ndarray, n: int, base: int) -> np.ndarray:
 
 
 def digit_strings(ranks: np.ndarray, n: int, d: int) -> list[str]:
-    """The bare digit string of each rank, as :class:`MultiIndex` prints it (``d <= 10``)."""
+    """The bare digit string of each rank, the text :func:`parse_index` reads
+    (``d <= 10``)."""
     digits = rank_digits(ranks, n, d)
     chars = (digits + ord("0")).astype(np.uint8)
     return chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import IndexPair, MultiIndex, digit_strings, rank_digits
+from .indices import digit_strings, rank_digits
 from .states import DensityMatrix
 from .witness import CompiledWitness
 
@@ -121,17 +121,21 @@ def _nonzero(weights: np.ndarray, labels: list[tuple[Label, ...]]) -> tuple[Term
     return tuple(zip(weights[keep].tolist(), compress(labels, keep.tolist())))
 
 
-def decompose_offdiagonal(pair: IndexPair, part: str) -> list[Term]:
-    """Real or imaginary part of <eta1| rho |eta2> over local observables."""
+def decompose_offdiagonal(
+    first: Sequence[int], second: Sequence[int], d: int, part: str
+) -> list[Term]:
+    """Real or imaginary part of <first| rho |second> over local observables,
+    for two digit rows over ``d`` levels."""
     if part not in ("re", "im"):
         raise InvalidInputError(f"part must be 're' or 'im', got {part!r}")
-    z, labels = _product_terms(pair.first.digits, pair.second.digits, pair.d)
+    z, labels = _product_terms(first, second, d)
     return list(_nonzero(z.real if part == "re" else z.imag, labels))
 
 
-def decompose_diagonal(eta: MultiIndex) -> list[Term]:
-    """rho_eta_eta over local observables (all weights real)."""
-    z, labels = _product_terms(eta.digits, eta.digits, eta.d)
+def decompose_diagonal(eta: Sequence[int], d: int) -> list[Term]:
+    """rho_eta_eta over local observables (all weights real), for the digit
+    row eta over ``d`` levels."""
+    z, labels = _product_terms(eta, eta, d)
     return list(_nonzero(z.real, labels))
 
 

@@ -22,7 +22,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
 from .errors import AnalysisError
-from .indices import IndexPair, MultiIndex, cut_masks, rank_digits
+from .indices import cut_masks, rank_digits
 from .observables import decompose_diagonal, decompose_offdiagonal, plan_settings, reconstruct
 from .ppt import (
     build_ppt_witness,
@@ -238,18 +238,17 @@ def check_measurement_plans(seed: int = SEED) -> CheckResult:
         rho = _random_density(rng, n, d)
         r1 = int(rng.integers(d**n))
         r2 = int(rng.integers(d**n))
-        e1, e2 = MultiIndex.from_rank(r1, n, d), MultiIndex.from_rank(r2, n, d)
-        if e1 == e2:
-            recon_err = max(
-                recon_err, abs(reconstruct(decompose_diagonal(e1), rho) - rho.matrix[r1, r1].real)
-            )
+        lo, hi = min(r1, r2), max(r1, r2)
+        first, second = rank_digits(np.array([lo, hi]), n, d).tolist()
+        if lo == hi:
+            terms = decompose_diagonal(first, d)
+            recon_err = max(recon_err, abs(reconstruct(terms, rho) - rho.matrix[lo, lo].real))
         else:
-            p = IndexPair.of(e1, e2)
-            truth = rho.matrix[min(r1, r2), max(r1, r2)]  # p's order: lower rank first
+            truth = rho.matrix[lo, hi]
             recon_err = max(
                 recon_err,
-                abs(reconstruct(decompose_offdiagonal(p, "re"), rho) - truth.real),
-                abs(reconstruct(decompose_offdiagonal(p, "im"), rho) - truth.imag),
+                abs(reconstruct(decompose_offdiagonal(first, second, d, "re"), rho) - truth.real),
+                abs(reconstruct(decompose_offdiagonal(first, second, d, "im"), rho) - truth.imag),
             )
     passed = counts_ok and recon_err <= 1e-12
     details = (

@@ -2,7 +2,7 @@
 
 Pure states are stored sparsely, as the digit array of their support and its
 amplitudes, in rank order; density matrices are dense ``(d**n, d**n)``
-complex arrays whose row/column order follows :attr:`MultiIndex.rank`; white
+complex arrays whose row/column order follows the big-endian rank; white
 noise on a pure state is a view that is never materialised.  All three
 answer ``elements(rows, cols)`` on arrays of ranks, which is the one way the
 package reads matrix entries; a single entry is a gather of length one.
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import MultiIndex, excitation_rows, place_values, rank_positions
+from .indices import excitation_rows, parse_index, place_values, rank_positions
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -41,7 +41,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label(row: np.ndarray) -> str:  # a digit row as MultiIndex prints it
+def _label(row: np.ndarray) -> str:  # a digit row as its bare digit string
     return "".join(map(str, row.tolist()))
 
 
@@ -543,7 +543,7 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
                         f"state file {path}: amplitude record {json.dumps(rec)} needs a string"
                         ' "index" and JSON numbers "re" and "im"'
                     )
-                digits.append(MultiIndex.from_string(index, d, n).digits)
+                digits.append(parse_index(index, d, n))
                 amplitudes.append(complex(*parts))
         except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(f"bad amplitude record in {path}: {exc}") from exc

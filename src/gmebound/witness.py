@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,11 +40,10 @@ from .errors import (
 )
 from .indices import (
     CHUNK_ENTRIES,
-    IndexPair,
-    MultiIndex,
     cut_labels,
     cut_masks,
     digit_strings,
+    parse_index,
     place_values,
     rank_positions,
 )
@@ -63,7 +62,8 @@ class PairSet:
     """An ordered, duplicate-free selection of index pairs over fixed (n, d).
 
     ``digits`` is an ``(|R|, 2, n)`` int64 array holding each pair's lower
-    index first; iterating yields :class:`IndexPair` objects, for output.  Repeats are found on rank tuples, exact for object ranks too.
+    index first; :meth:`as_strings` prints it.  Repeats are found on rank
+    tuples, exact for object ranks too.
 
     Two results are cached on first use, both read-only: ``ranks``, and
     ``cut_images``, the part of :func:`compile_witness` that does not depend
@@ -112,18 +112,18 @@ class PairSet:
 
     @classmethod
     def from_strings(cls, entries: Sequence[Sequence[str]], n: int, d: int) -> "PairSet":
-        pairs = [
-            IndexPair.of(MultiIndex.from_string(a, d, n), MultiIndex.from_string(b, d, n))
-            for a, b in entries
-        ]
-        return cls.of([[p.first.digits, p.second.digits] for p in pairs], n, d)
+        """Pairs of bare digit strings, each read by :func:`parse_index`; a pair
+        of equal indices is refused."""
+        rows = []
+        for a, b in entries:
+            first, second = parse_index(a, d, n), parse_index(b, d, n)
+            if first == second:
+                raise InvalidInputError(f"pair members must differ, got ({a}, {a})")
+            rows.append([first, second])
+        return cls.of(rows, n, d)
 
     def __len__(self) -> int:
         return len(self.digits)
-
-    def __iter__(self) -> Iterator[IndexPair]:
-        for first, second in self.digits.tolist():
-            yield IndexPair(MultiIndex(tuple(first), self.d), MultiIndex(tuple(second), self.d))
 
     def as_strings(self) -> list[list[str]]:
         text = digit_strings(self.ranks.ravel(), self.n, self.d)
@@ -216,7 +216,8 @@ class CompiledWitness:
     """Everything needed to evaluate the bound on any density matrix.
 
     The compiler's results are arrays; ``index_set``, ``noise_images`` and
-    ``uncounted_profile`` are views of them, built on first access.
+    ``uncounted_profile`` are views of them, built on first access, that name
+    indices by rank and cuts by label.
     """
 
     r: PairSet
@@ -241,22 +242,19 @@ class CompiledWitness:
         return self.r.d
 
     @cached_property
-    def index_set(self) -> tuple[MultiIndex, ...]:
-        """I(R): every index in a selected pair, sorted."""
-        n, d = self.n, self.d
-        return tuple(MultiIndex.from_rank(k, n, d) for k in self.reads.diagonals.tolist())
+    def index_set(self) -> tuple[int, ...]:
+        """I(R): the rank of every index in a selected pair, ascending."""
+        return tuple(self.reads.diagonals.tolist())
 
     @cached_property
-    def noise_images(self) -> dict[IndexPair, tuple[IndexPair, ...]]:
-        """Per pair: the distinct unordered images outside R, in order of the
-        first bipartition that produces each."""
-        n, d = self.n, self.d
+    def noise_images(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Per pair, keyed by its (lower, higher) ranks: the (lower, higher)
+        ranks of its distinct images outside R, in order of the first cut
+        that produces each."""
         first, second, bounds = self.reads.images
-        images = [
-            IndexPair(MultiIndex.from_rank(a, n, d), MultiIndex.from_rank(b, n, d))
-            for a, b in zip(first.tolist(), second.tolist())
-        ]
-        return {pair: tuple(images[bounds[i] : bounds[i + 1]]) for i, pair in enumerate(self.r)}
+        images = list(zip(first.tolist(), second.tolist()))
+        pairs = map(tuple, self.r.ranks.tolist())
+        return {pair: tuple(images[bounds[i] : bounds[i + 1]]) for i, pair in enumerate(pairs)}
 
     @cached_property
     def uncounted_profile(self) -> dict[str, int]:
@@ -417,9 +415,7 @@ def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
 # pair selection
 
 
-def auto_select_R(
-    target: PureState, tau: float = 1e-6, max_pairs: int | None = None
-) -> PairSet:
+def auto_select_R(target: PureState, tau: float = 1e-6) -> PairSet:
     """Choose a pair selection from the target's support.
 
     Candidates are unordered support pairs with both amplitudes above ``tau``
@@ -486,9 +482,6 @@ def auto_select_R(
                 continue
             chosen.append(c)
             blocked[images] = True
-    if max_pairs is not None:
-        # never cut into the covering prefix
-        chosen = chosen[: max(max_pairs, len(cover))]
     # the support is in rank order and a < b, so each pair is lower index first
     return PairSet(np.stack([digits[a[chosen]], digits[b[chosen]]], axis=1), n, target.d)
 

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ import gmebound.cli as cli
 import gmebound.witness as witness
 import oracles
 from gmebound.cli import main
+from gmebound.entropy import EntropyReport
 from gmebound.errors import DegenerateSelectionError
 from gmebound.indices import digit_strings
 from gmebound.observables import plan_settings
@@ -417,6 +417,56 @@ def test_malformed_pair_entries_are_input_errors(tmp_path, capsys, entries):
     assert captured.out == ""
 
 
+# (entry point, indices, d, n, message): a --r-set file, ppt-compare --pair,
+# or the amplitude records of a pure-state file
+INDEX_REFUSALS = [
+    *[
+        (entry, indices, d, 2, message)
+        for entry in ("r-set", "pair")
+        for indices, d, message in [
+            (("01", "01"), 2, "pair members must differ, got (01, 01)"),
+            (("11", "11"), 3, "pair members must differ, got (11, 11)"),  # antipodal at d = 3
+            (("011", "10"), 2, "index '011' has length 3, expected 2"),
+            (("01", "1"), 2, "index '1' has length 1, expected 2"),
+            (("0\u0661", "10"), 2, "index '0\u0661' contains a non-digit"),
+            (("02", "10"), 2, "digits (0, 2) out of range for d=2"),
+            (("01", "13"), 3, "digits (1, 3) out of range for d=3"),
+        ]
+    ],
+    ("state", ("011", "10"), 2, 2, "index '011' has length 3, expected 2"),
+    ("state", ("0\u0661", "10"), 2, 2, "index '0\u0661' contains a non-digit"),
+    ("state", ("02", "10"), 2, 2, "digits (0, 2) out of range for d=2"),
+    ("state", ("00",), 1, 2, "local dimension must be >= 2, got 1"),
+    ("state", ("",), 2, 0, "empty digit tuple"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, indices, d, n, message",
+    INDEX_REFUSALS,
+    ids=[f"{entry}-{','.join(indices)}-d{d}" for entry, indices, d, _, _ in INDEX_REFUSALS],
+)
+def test_index_refusals_at_each_entry_point(tmp_path, capsys, entry, indices, d, n, message):
+    """Every index string goes through one parser, which refuses a wrong
+    length, a non-ASCII digit, d < 2, an empty index and a digit >= d, in that
+    order; a pair of equal indices is refused after both parse."""
+    ghz = ["--preset", "ghz", "--n", str(n), "--d", str(d)]
+    if entry == "r-set":
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([list(indices)]))
+        argv = ["bound", *ghz, "--r-set", str(path)]
+    elif entry == "pair":
+        argv = ["ppt-compare", *ghz, "--pair", ",".join(indices), "--gamma", "1"]
+    else:
+        path = tmp_path / "pure.json"
+        records = [{"index": i, "re": len(indices) ** -0.5} for i in indices]
+        path.write_text(json.dumps({"n": n, "d": d, "kind": "pure", "amplitudes": records}))
+        argv = ["entropy", "--state", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -565,7 +615,7 @@ def test_non_finite_output_is_analysis_error(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'value'" in captured.err and "Traceback" not in captured.err
     assert not out.exists()
-    report = SimpleNamespace(values=(0.5, math.inf, 0.5), best=0, e_m=0.5)
+    report = EntropyReport(3, (0.5, math.inf, 0.5), 0, 0.5)
     monkeypatch.setattr(cli, "gme_measure_pure", lambda psi, method: report)
     assert main(["entropy", "--preset", "w"]) == 1
     assert "'entropies/12|3'" in capsys.readouterr().err

@@ -7,56 +7,84 @@ from hypothesis import strategies as st
 
 from gmebound.errors import InvalidInputError
 from gmebound.indices import (
-    IndexPair,
-    MultiIndex,
     cut_labels,
     cut_masks,
     digit_strings,
+    parse_index,
     place_values,
     rank_digits,
     rank_positions,
 )
+from gmebound.witness import PairSet
+
+
+def _text(rank: int, n: int, d: int) -> str:
+    """The big-endian base-d digits of rank, by repeated division."""
+    digits = []
+    for _ in range(n):
+        rank, x = divmod(rank, d)
+        digits.append(str(x))
+    return "".join(reversed(digits))
 
 
 def test_multiindex_string_roundtrip():
-    eta = MultiIndex.from_string("0211", 3)
-    assert eta.digits == (0, 2, 1, 1)
-    assert str(eta) == "0211"
-    assert eta.n == 4 and eta.d == 3
+    eta = parse_index("0211", 3, 4)
+    assert eta == (0, 2, 1, 1)
+    assert digit_strings(np.array([eta]) @ place_values(4, 3), 4, 3) == ["0211"]
 
 
 def test_multiindex_rank_roundtrip():
-    eta = MultiIndex.from_string("102", 3)
-    assert eta.rank == 1 * 9 + 0 * 3 + 2
-    assert MultiIndex.from_rank(eta.rank, 3, 3) == eta
+    eta = parse_index("102", 3, 3)
+    rank = int(np.array(eta) @ place_values(3, 3))
+    assert rank == 1 * 9 + 0 * 3 + 2
+    assert rank_digits(np.array([rank]), 3, 3).tolist() == [list(eta)]
 
 
 @given(st.integers(2, 4), st.integers(1, 4), st.data())
 def test_rank_bijection(d, n, data):
-    digits = tuple(data.draw(st.integers(0, d - 1)) for _ in range(n))
-    eta = MultiIndex(digits, d)
-    assert MultiIndex.from_rank(eta.rank, n, d) == eta
+    rank = data.draw(st.integers(0, d**n - 1))
+    digits = rank_digits(np.array([rank]), n, d)
+    assert digits.tolist() == [list(parse_index(_text(rank, n, d), d, n))]
+    assert (digits @ place_values(n, d)).tolist() == [rank]
 
 
 def test_multiindex_rejects_digit_out_of_range():
-    with pytest.raises(InvalidInputError):
-        MultiIndex.from_string("021", 2)
-    with pytest.raises(InvalidInputError):
-        MultiIndex.from_string("01", 2, n=3)
+    with pytest.raises(InvalidInputError, match=r"^digits \(0, 2, 1\) out of range for d=2$"):
+        parse_index("021", 2, 3)
+    with pytest.raises(InvalidInputError, match="^index '01' has length 2, expected 3$"):
+        parse_index("01", 2, 3)
+
+
+@pytest.mark.parametrize(
+    "text, d, n, message",
+    [
+        ("0\u0661", 2, 2, "index '0\u0661' contains a non-digit"),
+        ("0x", 2, 2, "index '0x' contains a non-digit"),
+        ("01", 1, 2, "local dimension must be >= 2, got 1"),
+        ("", 2, 0, "empty digit tuple"),
+        # with two faults, the first checked is named: length, non-digit, d,
+        # empty, range
+        ("0\u0661", 1, 3, "index '0\u0661' has length 2, expected 3"),
+        ("2x", 1, 2, "index '2x' contains a non-digit"),
+        ("2", 1, 1, "local dimension must be >= 2, got 1"),
+        ("", 1, 0, "local dimension must be >= 2, got 1"),
+    ],
+)
+def test_parse_index_refusals_come_in_order(text, d, n, message):
+    with pytest.raises(InvalidInputError) as info:
+        parse_index(text, d, n)
+    assert str(info.value) == message
 
 
 def test_indexpair_canonical_order():
-    a = MultiIndex.from_string("10", 2)
-    b = MultiIndex.from_string("01", 2)
-    pair = IndexPair.of(a, b)
-    assert str(pair.first) == "01" and str(pair.second) == "10"
-    assert pair == IndexPair.of(b, a)
+    r = PairSet.from_strings([["10", "01"]], 2, 2)
+    assert r.as_strings() == [["01", "10"]]
+    assert r.digits.tolist() == PairSet.from_strings([["01", "10"]], 2, 2).digits.tolist()
 
 
 def test_indexpair_rejects_equal_strings():
-    a = MultiIndex.from_string("01", 2)
-    with pytest.raises(InvalidInputError):
-        IndexPair.of(a, a)
+    with pytest.raises(InvalidInputError, match=r"^pair members must differ, got \(01, 01\)$"):
+        PairSet.from_strings([["01", "01"]], 2, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -73,8 +101,9 @@ def test_cut_masks_follow_size_then_lexicographic_order(n):
 @given(st.integers(2, 3), st.integers(1, 5), st.data())
 def test_place_values_give_the_rank(d, n, data):
     digits = tuple(data.draw(st.integers(0, d - 1)) for _ in range(n))
-    assert int(np.array(digits) @ place_values(n, d)) == MultiIndex(digits, d).rank
-    assert rank_digits(np.array([MultiIndex(digits, d).rank]), n, d).tolist() == [list(digits)]
+    rank = int("".join(map(str, digits)), d)
+    assert int(np.array(digits) @ place_values(n, d)) == rank
+    assert rank_digits(np.array([rank]), n, d).tolist() == [list(digits)]
 
 
 def test_place_values_switch_to_python_ints_beyond_int64():
@@ -82,7 +111,7 @@ def test_place_values_switch_to_python_ints_beyond_int64():
     assert place_values(64, 2).dtype == object
     assert place_values(19, 10).dtype == object
     digits = (1,) * 64
-    assert np.array(digits) @ place_values(64, 2) == MultiIndex(digits, 2).rank == 2**64 - 1
+    assert np.array(digits) @ place_values(64, 2) == int("1" * 64, 2) == 2**64 - 1
 
 
 @pytest.mark.parametrize("n, base", [(4, 3), (64, 2)])
@@ -115,7 +144,11 @@ def test_cut_labels_match_bipartition_labels(n):
 
 @pytest.mark.parametrize("n, d", [(3, 2), (4, 3), (5, 10), (19, 10), (64, 2)])
 def test_digit_strings_match_multiindex(n, d):
-    """Rank arrays print as MultiIndex does, also past int64 (object ranks)."""
+    """Rank arrays print their base-d digits, also past int64 (object ranks),
+    and parse back to the same rows."""
     ranks = [0, 1, d**n // 3, d**n - 1]
     array = np.array(ranks, dtype=object if d**n > 2**63 else np.int64)
-    assert digit_strings(array, n, d) == [str(MultiIndex.from_rank(r, n, d)) for r in ranks]
+    texts = digit_strings(array, n, d)
+    assert texts == [_text(r, n, d) for r in ranks]
+    rows = rank_digits(array, n, d).tolist()
+    assert [parse_index(t, d, n) for t in texts] == [tuple(row) for row in rows]

@@ -96,9 +96,8 @@ def test_enumerate_ghz_pairs_matches_object_loop_oracle(n, d):
 
 
 def test_enumerate_ghz_pairs_are_antipodal():
-    for pair in enumerate_ghz_pairs(3, 3):
-        digits = zip(pair.first.digits, pair.second.digits)
-        assert all(a + b == 2 for a, b in digits)
+    for first, second in enumerate_ghz_pairs(3, 3).digits.tolist():
+        assert all(a + b == 2 for a, b in zip(first, second))
 
 
 def test_expectation_via_dense_partial_transpose():

@@ -2,7 +2,6 @@
 
 import json
 import math
-from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -22,12 +21,15 @@ from gmebound.errors import (
     NotDetectingError,
 )
 from gmebound import reproduce
-from gmebound.indices import IndexPair, MultiIndex, cut_masks, digit_strings, rank_digits
+import gmebound
+from gmebound import indices
+from gmebound.indices import cut_masks, digit_strings, rank_digits
 from gmebound.observables import plan_settings
 from gmebound.ppt import (
     build_ppt_witness,
     compare_with_witness_bracket,
     enumerate_ghz_pairs,
+    ppt_expectation,
     ppt_expectation_elements,
 )
 from gmebound.states import (
@@ -73,11 +75,7 @@ def test_w_auto_selection_and_compile():
     assert all(v == 1 for v in compiled.uncounted_profile.values())
     assert compiled.prefactor == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert compiled.eta_counts.tolist() == [1, 1, 1]
-    images = sorted(
-        (str(img.first), str(img.second))
-        for imgs in compiled.noise_images.values()
-        for img in imgs
-    )
+    images = sorted(_texts(img, 3, 2) for imgs in compiled.noise_images.values() for img in imgs)
     assert images == [("000", "011"), ("000", "101"), ("000", "110")]
 
 
@@ -142,6 +140,11 @@ def _n_eta(w) -> dict[str, int]:
     return dict(zip(digit_strings(w.reads.diagonals, w.n, w.d), w.eta_counts.tolist()))
 
 
+def _texts(ranks: tuple[int, ...], n: int, d: int) -> tuple[str, ...]:
+    """The big-endian base-d digit string of each rank, by repeated division."""
+    return tuple("".join(str(k // d**p % d) for p in range(n - 1, -1, -1)) for k in ranks)
+
+
 def _label(cut: tuple[int, ...], n: int) -> str:
     rest = [p for p in range(1, n + 1) if p not in cut]
     return "".join(map(str, cut)) + "|" + "".join(map(str, rest))
@@ -180,7 +183,7 @@ def test_compile_matches_digit_string_oracle(n, d, size, seed, variant):
     assert list(w.uncounted_profile) == [_label(cut, n) for cut in want["cuts"]]
     assert list(w.uncounted_profile.values()) == want["profile"]
     got_images = [
-        [(str(img.first), str(img.second)) for img in w.noise_images[pair]] for pair in r
+        [_texts(img, n, d) for img in w.noise_images[pair]] for pair in map(tuple, r.ranks.tolist())
     ]
     assert got_images == want["noise_images"]
     assert _n_eta(w) == want["n_eta"]
@@ -271,21 +274,20 @@ def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
         assert evaluate(chunked, NoisyPureState(target, 0.7)) == evaluate(w, NoisyPureState(target, 0.7))
 
 
-def test_hot_paths_build_no_index_objects(monkeypatch):
-    """Building the states, selection, compilation of both variants,
-    evaluation, root finding, both entropy routes, Q, the E_m bridge, the
-    measurement planner, the antipodal pairs and the PPT witness run on digit,
-    rank and cut mask arrays: none constructs a MultiIndex or IndexPair."""
+def test_hot_paths_build_no_index_objects():
+    """Basis indices are digit rows and ranks everywhere; strings are read by
+    indices.parse_index and printed by indices.digit_strings."""
+    for name in ("MultiIndex", "IndexPair"):
+        assert not hasattr(indices, name) and not hasattr(gmebound, name)
+    assert not hasattr(PairSet, "__iter__")
+
+
+def test_hot_paths_agree_with_the_dense_route():
+    """The states, selection, compilation of both variants, evaluation, root
+    finding, both entropy routes, Q, the E_m bridge, the measurement planner,
+    the antipodal pairs and the PPT witness, run on digit, rank and cut mask
+    arrays, against the same quantities on the dense matrices."""
     spec = DickeWitnessSpec(5, 3, 2)
-    built = Counter()
-    for cls in (MultiIndex, IndexPair):
-
-        def counted(self, check=cls.__post_init__):
-            built[type(self).__name__] += 1
-            check(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
-
     rng = np.random.default_rng(4)
     targets = [
         make_w_state(6),
@@ -297,26 +299,34 @@ def test_hot_paths_build_no_index_objects(monkeypatch):
         reproduce._random_sparse_pure(rng, 3, 3),
     ]
     for target in targets:
-        gme_measure_pure(target, method="coeff")
-        gme_measure_pure(target, method="trace")
+        coeff = gme_measure_pure(target, method="coeff")
+        trace = gme_measure_pure(target, method="trace")
+        assert coeff.values == pytest.approx(trace.values, abs=1e-12)
+        dense, noisy = target.density(), white_noise_mix(target, 0.7)
         r = auto_select_R(target)
         for variant in NRVariant:  # the second reads the cut images cached on r
             w = compile_witness(r, variant)
-            evaluate(w, target)
-            evaluate(w, NoisyPureState(target, 0.7))
-            noise_threshold(w, target)
-            plan_settings(w, include_imag=True)
-    q = q_witness(spec, targets[1])
+            assert evaluate(w, target) == pytest.approx(evaluate(w, dense), abs=1e-12)
+            lazy = evaluate(w, NoisyPureState(target, 0.7))
+            assert lazy == pytest.approx(evaluate(w, noisy), abs=1e-12)
+            assert 0.0 <= noise_threshold(w, target) < 1.0
+            plan = plan_settings(w, include_imag=True)
+            assert [list(el.indices) for el in plan.elements[: 2 * len(r) : 2]] == r.as_strings()
+    dicke = targets[1]
+    q = q_witness(spec, dicke)
+    assert q == pytest.approx(q_witness(spec, dicke.density()), abs=1e-12)
     for variant in NRVariant:
         em_bound_from_q(spec, q, variant)
     pairs = enumerate_ghz_pairs(3, 3)
-    enumerate_ghz_pairs(2, 2)
+    assert len(enumerate_ghz_pairs(2, 2)) == 2
     ppt = build_ppt_witness(pairs.digits[4], 3, cut_masks(3)[2])
     ghz = make_ghz_state(3, 3)
-    for rho in (ghz, NoisyPureState(ghz, 0.7)):
-        ppt_expectation_elements(ppt, rho)
-        compare_with_witness_bracket(ppt, rho)
-    assert built == Counter()
+    for rho, mat in ((ghz, ghz.density()), (NoisyPureState(ghz, 0.7), white_noise_mix(ghz, 0.7))):
+        omega = ppt_expectation_elements(ppt, rho)
+        assert omega == pytest.approx(ppt_expectation(ppt, mat), abs=1e-12)
+        lazy, full = (compare_with_witness_bracket(ppt, x) for x in (rho, mat))
+        assert (lazy.omega, lazy.minus_w) == pytest.approx((full.omega, full.minus_w), abs=1e-12)
+        assert lazy.dominance == full.dominance
 
 
 def test_degenerate_single_fixed_pair_rejected():
@@ -393,14 +403,6 @@ def test_noise_threshold_requires_detection():
         noise_threshold(compiled, make_ghz_state(3, 2))
 
 
-def test_max_pairs_keeps_cover_prefix():
-    s4 = make_singlet4()
-    full = auto_select_R(s4)
-    capped = auto_select_R(s4, max_pairs=1)
-    assert len(capped) >= 1
-    assert capped.as_strings()[0] == full.as_strings()[0]
-
-
 @settings(max_examples=35, deadline=None)
 @given(
     st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
@@ -428,9 +430,10 @@ def test_witness_never_exceeds_measure(shape, size, seed, variant):
 HUGE_D = 2**40
 
 
-def _widen(eta: MultiIndex) -> MultiIndex:
-    """The same digit pattern over HUGE_D levels (digit x becomes x * 2**38)."""
-    return MultiIndex(tuple(x << 38 for x in eta.digits), HUGE_D)
+def _widen(rank: int, n: int) -> int:
+    """The rank over HUGE_D levels of the same digit pattern over 3 levels
+    (digit x becomes x * 2**38)."""
+    return sum((rank // 3**p % 3 << 38) * HUGE_D**p for p in range(n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -453,8 +456,8 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
     r = PairSet.from_strings(_random_selection(n, 3, size, rng), n, 3)
     wide_r = PairSet.of(r.digits << 38, n, HUGE_D)
 
-    def widen_pair(pair: IndexPair) -> IndexPair:
-        return IndexPair(_widen(pair.first), _widen(pair.second))
+    def widen_pair(pair: tuple[int, int]) -> tuple[int, int]:
+        return _widen(pair[0], n), _widen(pair[1], n)
 
     try:
         w = compile_witness(r, variant)
@@ -465,7 +468,7 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
         big = compile_witness(wide_r, variant)
         assert (big.n_r, big.prefactor) == (w.n_r, w.prefactor)
         assert big.uncounted_profile == w.uncounted_profile
-        assert big.index_set == tuple(map(_widen, w.index_set))
+        assert big.index_set == tuple(_widen(k, n) for k in w.index_set)
         assert big.eta_counts.tolist() == w.eta_counts.tolist()
         assert big.noise_images == {
             widen_pair(pair): tuple(map(widen_pair, imgs)) for pair, imgs in w.noise_images.items()
@@ -481,9 +484,9 @@ def test_ranks_beyond_int64_give_the_same_results(n, size, seed, variant):
         assert np.array_equal(auto_select_R(wide).digits, chosen.digits << 38)
     got = gme_measure_pure(wide).entropies
     assert list(got.values()) == list(gme_measure_pure(psi).entropies.values())
-    a, b = (MultiIndex(tuple(row), 3) for row in psi.digits[[0, -1]].tolist())
-    wide_ab = wide.elements(*(np.array([_widen(x).rank], dtype=object) for x in (a, b)))
-    assert wide_ab[0] == psi.elements(np.array([a.rank]), np.array([b.rank]))[0]
+    a, b = psi.ranks[[0, -1]].tolist()
+    wide_ab = wide.elements(*(np.array([_widen(x, n)], dtype=object) for x in (a, b)))
+    assert wide_ab[0] == psi.elements(np.array([a]), np.array([b]))[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,9 +505,7 @@ def test_evaluate_matches_direct_recomputation(n, d, size, seed, variant):
 
     candidates = list(combinations(range(d**n), 2))
     picks = rng.choice(len(candidates), size=min(size, len(candidates)), replace=False)
-    r = PairSet.of(
-        [[MultiIndex.from_rank(int(k), n, d).digits for k in candidates[i]] for i in picks], n, d
-    )
+    r = PairSet.of(rank_digits(np.array([candidates[i] for i in picks]).ravel(), n, d), n, d)
     rho_mat = oracles.random_density(n, d, rng)
 
     for sel, mat in ((w_r, w_rho), (r, rho_mat)):
