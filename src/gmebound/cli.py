@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Loads states and pair selections, runs each analysis, and emits JSON (CSV for
-parameter sweeps).  Exit codes: 0 success, 1 analysis error (degenerate
-selection, witness that cannot detect the target), 2 input error.
+Loads states and pair selections, runs each analysis, and writes its result
+through one writer, :func:`_emit`, to ``--output`` or stdout: JSON for every
+analysis, CSV for a ``threshold --p-grid`` sweep and a text table for
+``reproduce-paper``.  Each subcommand takes ``--output``; ``bound``,
+``threshold`` and ``measure-plan`` share ``--r-set/--nr/--tau``.  Exit codes:
+0 success, 1 analysis error (degenerate selection, witness that cannot detect
+the target, a result that is not a finite number), 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -46,6 +49,7 @@ from .witness import (
     NRVariant,
     PairSet,
     auto_select_R,
+    check_xtol,
     compile_witness,
     evaluate,
     load_pairset_json,
@@ -138,9 +142,12 @@ def _items(obj: list | tuple, pad: str, inner: str, cache: dict) -> str:
     return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
 
 
-def _emit_json(payload: dict[str, Any], output: str | None) -> None:
+def _emit(document: dict[str, Any] | str, output: str | None) -> None:
+    """Write a payload as JSON, or preformatted text as it is, with a newline
+    to ``output`` or stdout.  A payload is rendered whole first, so a value
+    JSON cannot hold exits 1 naming its key and nothing is written."""
     try:
-        text = _dump(payload)
+        text = document if isinstance(document, str) else _dump(document)
     except _NotFinite as exc:
         where = "/".join(reversed(exc.keys))
         raise AnalysisError(f"output value {where!r} is {exc.value!r}, not finite") from None
@@ -149,20 +156,6 @@ def _emit_json(payload: dict[str, Any], output: str | None) -> None:
             print(text, file=fh)
     else:
         print(text)
-
-
-def _emit_csv(header: Sequence[str], rows: list[list[float]], output: str | None) -> None:
-    def write(fh: Any) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" for v in row])
-
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
 
 
 def _build_preset(args: argparse.Namespace) -> PureState:
@@ -182,9 +175,7 @@ def _build_preset(args: argparse.Namespace) -> PureState:
         return make_dicke_state(args.n, args.d, args.m)
     if name == "singlet4":
         return make_singlet4()
-    if name == "isotropic":
-        return make_max_entangled(3 if args.d is None else args.d)
-    raise InvalidInputError(f"unknown preset {name!r}")
+    return make_max_entangled(3 if args.d is None else args.d)  # isotropic
 
 
 def _check_digit_strings(d: int) -> None:
@@ -225,10 +216,6 @@ def _resolve_pairset(args: argparse.Namespace, pure: PureState | None, n: int, d
     return auto_select_R(pure, tau=args.tau)
 
 
-def _variant(args: argparse.Namespace) -> NRVariant:
-    return NRVariant.MINIMAL if args.nr == "min" else NRVariant.MAXIMAL
-
-
 def _number(convert: Callable[[str], Any], field: str, flag: str) -> Any:
     """``convert(field)``, with a malformed number reported as an input error."""
     try:
@@ -238,13 +225,16 @@ def _number(convert: Callable[[str], Any], field: str, flag: str) -> Any:
 
 
 def _check_finite(args: argparse.Namespace) -> None:
-    """A negative --tol would certify more than the data shows."""
+    """A negative --tol would certify more than the data shows; --xtol is
+    checked here too, so a sweep that finds no root refuses it all the same."""
     for flag in ("tol", "tau"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
         if value is not None and value < 0:
             raise InvalidInputError(f"--{flag} must be nonnegative, got {value}")
+    if hasattr(args, "xtol"):
+        check_xtol(args.xtol)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -281,14 +271,14 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         "minimizer": cut_labels(pure.n)[report.best],
         "e_m": report.e_m,
     }
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     pure, rho = _load_target(args)
     r = _resolve_pairset(args, pure, rho.n, rho.d)
-    w = compile_witness(r, _variant(args))
+    w = compile_witness(r, NRVariant(args.nr))
     value = evaluate(w, rho)
     n, d = rho.n, rho.d
     pairs = r.as_strings()
@@ -309,7 +299,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "value": value,
         "detects_gme": bool(value > args.tol),
     }
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -318,7 +308,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if pure is None:
         raise InvalidInputError("threshold sweeps mix white noise into a pure target")
     r = _resolve_pairset(args, pure, pure.n, pure.d)
-    w = compile_witness(r, _variant(args))
+    w = compile_witness(r, NRVariant(args.nr))
 
     spec = None
     if args.compare_dicke:
@@ -327,15 +317,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         spec = DickeWitnessSpec(pure.n, pure.d, args.m, delta_subsets=args.delta)
 
     if args.p_grid:
-        rows = []
+        lines = ["p,witness" if spec is None else "p,witness,q"]
         for p in _parse_grid(args.p_grid):
             rho = NoisyPureState(pure, p)
-            row = [p, evaluate(w, rho)]
-            if spec is not None:
-                row.append(q_witness(spec, rho))
-            rows.append(row)
-        header = ["p", "witness"] + (["q"] if spec is not None else [])
-        _emit_csv(header, rows, args.output)
+            row = [p, evaluate(w, rho)] + ([] if spec is None else [q_witness(spec, rho)])
+            lines.append(",".join(f"{v:.12g}" for v in row))
+        _emit("\n".join(lines), args.output)
         return 0
 
     payload: dict[str, Any] = {
@@ -348,7 +335,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if spec is not None:
         payload["dicke_m"] = args.m
         payload["dicke_threshold"] = noise_threshold_q(spec, pure, xtol=args.xtol)
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -374,9 +361,9 @@ def cmd_dicke(args: argparse.Namespace) -> int:
         "q": q,
         "certificate": dimensionality_certificate(q, tol=args.tol),
         "noise_weight": spec.noise_weight,
-        "em_bound": asdict(em_bound_from_q(spec, q, _variant(args))),
+        "em_bound": asdict(em_bound_from_q(spec, q, NRVariant(args.nr))),
     }
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -410,7 +397,7 @@ def cmd_ppt_compare(args: argparse.Namespace) -> int:
         "minus_w": cmp.minus_w,
         "dominance": cmp.dominance,
     }
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -424,7 +411,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
             raise InvalidInputError("measure-plan needs --state/--preset or --r-set with --n --d")
         _check_digit_strings(d)
     r = _resolve_pairset(args, pure, n, d)
-    w = compile_witness(r, _variant(args))
+    w = compile_witness(r, NRVariant(args.nr))
     plan = plan_settings(w, include_imag=args.include_imag)
     # one record per distinct (coeff, labels) term, shared by every element that has it
     distinct = {term for el in plan.elements for term in el.terms}
@@ -443,13 +430,11 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
             for el in plan.elements
         ],
     }
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
 def cmd_dimensionality(args: argparse.Namespace) -> int:
-    if args.n is None or args.d is None or args.m is None:
-        raise InvalidInputError("dimensionality needs --n, --d and --m")
     spec = DickeWitnessSpec(args.n, args.d, args.m, delta_subsets=args.delta)
     rows = []
     for f in range(1, args.d + 1):
@@ -460,7 +445,7 @@ def cmd_dimensionality(args: argparse.Namespace) -> int:
         q = q_witness(spec, state)
         rows.append({"f": f, "q": q, "certificate": dimensionality_certificate(q, tol=args.tol)})
     payload = {"n": args.n, "d": args.d, "m": args.m, "rows": rows}
-    _emit_json(payload, args.output)
+    _emit(payload, args.output)
     return 0
 
 
@@ -474,12 +459,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             lines.append(f"        {res.details}")
     passed = sum(res.passed for res in results)
     lines.append(f"{passed}/{len(results)} criteria passed")
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit("\n".join(lines), args.output)
     return 0 if passed == len(results) else 1
 
 
@@ -499,6 +479,12 @@ def _add_state_flags(sub: argparse.ArgumentParser, with_mix: bool = True) -> Non
         )
 
 
+def _add_selection_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
+    sub.add_argument("--nr", choices=("min", "max"), default="min")
+    sub.add_argument("--tau", type=float, default=1e-6, help="auto-select amplitude cutoff")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmebound",
@@ -510,33 +496,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, text: str) -> argparse.ArgumentParser:
         # no prefix matching: "--p" must not stand for "--preset" where there is no --p
-        return subs.add_parser(name, help=text, allow_abbrev=False)
+        sub = subs.add_parser(name, help=text, allow_abbrev=False)
+        sub.add_argument("--output", help="write the output here instead of stdout")
+        return sub
 
     sp = add("entropy", "per-bipartition linear entropies of a pure state")
     _add_state_flags(sp, with_mix=False)
     sp.add_argument("--method", choices=("coeff", "trace"), default="coeff")
-    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_entropy, p=1.0)
 
     sp = add("bound", "compile a witness and evaluate the GME bound")
     _add_state_flags(sp)
-    sp.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
-    sp.add_argument("--nr", choices=("min", "max"), default="min")
-    sp.add_argument("--tau", type=float, default=1e-6, help="auto-select amplitude cutoff")
+    _add_selection_flags(sp)
     sp.add_argument("--tol", type=float, default=1e-9, help="detection threshold on the value")
-    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_bound)
 
     sp = add("threshold", "white-noise robustness of the witness")
     _add_state_flags(sp, with_mix=False)
-    sp.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
-    sp.add_argument("--nr", choices=("min", "max"), default="min")
-    sp.add_argument("--tau", type=float, default=1e-6)
+    _add_selection_flags(sp)
     sp.add_argument("--xtol", type=float, default=1e-12, help="root-finder tolerance")
     sp.add_argument("--compare-dicke", action="store_true", help="also cross the Q witness")
     sp.add_argument("--delta", choices=("all", "singles"), default="all")
     sp.add_argument("--p-grid", help="sweep: comma values or start:stop:count (CSV output)")
-    sp.add_argument("--output", help="write JSON/CSV here instead of stdout")
     sp.set_defaults(func=cmd_threshold, p=1.0)
 
     sp = add("dicke", "dimensionality witness Q and E_m bounds")
@@ -544,23 +525,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", choices=("all", "singles"), default="all")
     sp.add_argument("--nr", choices=("min", "max"), default="min")
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_dicke)
 
     sp = add("ppt-compare", "PPT operator vs witness bracket on one pair")
     _add_state_flags(sp)
     sp.add_argument("--pair", required=True, help='antipodal pair, e.g. "001,110"')
     sp.add_argument("--gamma", required=True, help='transposed parties, e.g. "1" or "1,2"')
-    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_ppt_compare)
 
     sp = add("measure-plan", "local-observable plan for a compiled witness")
     _add_state_flags(sp, with_mix=False)
-    sp.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
-    sp.add_argument("--nr", choices=("min", "max"), default="min")
-    sp.add_argument("--tau", type=float, default=1e-6)
+    _add_selection_flags(sp)
     sp.add_argument("--include-imag", action="store_true")
-    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_measure_plan, p=1.0)
 
     sp = add("dimensionality", "q and certificate for embedded Dicke states")
@@ -569,12 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--delta", choices=("all", "singles"), default="all")
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_dimensionality)
 
     sp = add("reproduce-paper", "run the acceptance battery")
     sp.add_argument("--seed", type=int, default=SEED, help="re-seed the randomized checks")
-    sp.add_argument("--output", help="write the table here instead of stdout")
     sp.set_defaults(func=cmd_reproduce_paper)
 
     return parser

@@ -70,11 +70,6 @@ class DickeWitnessSpec:
         return PairSet.of(pairs, self.n, self.d)
 
     @cached_property
-    def r_sigma_n_r(self) -> dict[NRVariant, int]:
-        """N_R of :attr:`r_sigma` per variant, each compiled on first use."""
-        return {}
-
-    @cached_property
     def reads(self) -> Reads:
         """Everything Q reads, in evaluation order: each coherence with its
         noise images, then the diagonal patterns.  Built once per spec, so a
@@ -182,13 +177,11 @@ def em_bound_from_q(
 ) -> EmBound:
     """Translate Q into lower bounds on E_m via the pair selection R_sigma.
 
-    R_sigma and its N_R are kept on the spec, so repeated calls compile once
-    per variant.
+    R_sigma is kept on the spec and its cut images on R_sigma, so a repeated
+    call redoes only N_R and N_eta.
     """
     r = spec.r_sigma
-    if variant not in spec.r_sigma_n_r:
-        spec.r_sigma_n_r[variant] = compile_witness(r, variant).n_r
-    n_r = spec.r_sigma_n_r[variant]
+    n_r = compile_witness(r, variant).n_r
     weak = spec.m * math.sqrt(1.0 / len(r)) * q
     strong = spec.m * math.sqrt(1.0 / (len(r) - n_r)) * q
     return EmBound(weak=weak, strong=strong, r_size=len(r), n_r=n_r)

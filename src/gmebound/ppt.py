@@ -25,6 +25,9 @@ from .indices import place_values, rank_digits
 from .states import DensityMatrix, ElementSource, partial_transpose
 from .witness import PairSet, _images
 
+# -W may exceed Omega by this much and still count as dominated (rounding)
+DOMINANCE_ATOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class PptWitness:
@@ -104,14 +107,12 @@ class PptComparison:
     dominance: bool
 
 
-def compare_with_witness_bracket(
-    w: PptWitness, rho: ElementSource, atol: float = 1e-12
-) -> PptComparison:
+def compare_with_witness_bracket(w: PptWitness, rho: ElementSource) -> PptComparison:
     """Omega from its matrix elements, read in one gather; the dense operator is never built."""
     coherence, diag1, diag2 = _reads(w, rho)
     omega = _omega(coherence, diag1, diag2)
     minus_w = math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
-    return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + atol)
+    return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + DOMINANCE_ATOL)
 
 
 def enumerate_ghz_pairs(n: int, d: int) -> PairSet:

@@ -450,6 +450,11 @@ def auto_select_R(target: PureState, tau: float = 1e-6) -> PairSet:
     while uncovered.any():
         gain = np.count_nonzero(covered & uncovered, axis=1)
         if not gain.any():
+            if not kept.all():
+                raise CoverageError(
+                    f"only {np.count_nonzero(kept)} of {len(kept)} amplitudes reach "
+                    f"tau = {tau!r}; no pair selection of them covers every bipartition"
+                )
             raise CoverageError(
                 "no pair selection covers every bipartition; the state is "
                 "product-like across some cut in this basis"
@@ -539,6 +544,12 @@ def _brent(f: Callable[[float], float], f0: float, f1: float, xtol: float) -> fl
     )
 
 
+def check_xtol(xtol: float) -> None:
+    """Refuse a root-finder tolerance that is NaN, infinite or not positive."""
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise InvalidInputError(f"root-finder tolerance must be positive and finite, got {xtol!r}")
+
+
 def _noise_root(f: Callable[[float], float], xtol: float, label: str) -> float:
     """Root in [0, 1] of a witness value f(p) on the noisy line of a pure target.
 
@@ -546,8 +557,7 @@ def _noise_root(f: Callable[[float], float], xtol: float, label: str) -> float:
     when f is still nonnegative at p = 0 (every mixture is detected).  A NaN
     value anywhere on the search is refused.
     """
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise InvalidInputError(f"root-finder tolerance must be positive and finite, got {xtol!r}")
+    check_xtol(xtol)
 
     def value(p: float) -> float:
         v = float(f(p))

@@ -1,9 +1,11 @@
 """End-to-end CLI coverage through main(argv) with captured output."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,8 +323,60 @@ def test_missing_input_is_input_error(capsys):
 
 @pytest.mark.parametrize("xtol", ["-1", "0", "nan", "inf"])
 def test_threshold_rejects_nonsense_xtol(capsys, xtol):
-    assert main(["threshold", "--preset", "ghz", "--xtol", xtol]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    # a sweep finds no root, yet a nonsense --xtol is still refused before any work
+    for grid in ([], ["--n", "3", "--p-grid", "0:1:3"]):
+        assert main(["threshold", "--preset", "ghz", "--xtol", xtol] + grid) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("bound --preset dicke --n 4 --d 2", "--preset dicke needs --n, --d and --m"),
+        ("bound --state MIXED --r-set R2 --p 0.5", "--p mixes white noise into a pure state"),
+        ("bound --state MIXED", "no --r-set given and the input is mixed"),
+        ("threshold --preset w --n 3 --p-grid 0:1", "grid '0:1' is not start:stop:count"),
+        ("threshold --preset w --n 3 --p-grid 0:1:1", "grid needs at least 2 points"),
+        ("threshold --state MIXED --r-set R2",
+         "threshold sweeps mix white noise into a pure target"),
+        ("threshold --preset singlet4 --compare-dicke", "--compare-dicke needs --m"),
+        ("dicke --n 4 --d 2", "dicke needs --n, --d and --m"),
+        ("measure-plan --r-set R2", "measure-plan needs --state/--preset or --r-set with --n --d"),
+        ("dicke --preset singlet4 --n 4 --d 3 --m 2",
+         "state is (n=4, d=2), witness wants (n=4, d=3)"),
+        ("dicke --state MIXED --n 3 --d 2 --m 1", "state is (n=2, d=2), witness wants (n=3, d=2)"),
+    ],
+    ids=["dicke-preset-without-m", "p-on-mixed", "mixed-without-r-set", "grid-two-fields",
+         "grid-one-point", "threshold-on-mixed", "compare-dicke-without-m", "dicke-without-m",
+         "measure-plan-without-shape", "dicke-preset-shape-differs", "dicke-state-shape-differs"],
+)
+def test_cli_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(_product_state_text())
+    pairs = tmp_path / "r2.json"
+    pairs.write_text(json.dumps([["00", "11"]]))
+    args = [{"MIXED": str(mixed), "R2": str(pairs)}.get(a, a) for a in argv.split()]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
+def test_dicke_on_a_preset_of_the_witness_shape(capsys):
+    code, payload = _run_json(capsys, ["dicke", "--preset", "singlet4", "--n", "4", "--d", "2",
+                                       "--m", "2"])
+    assert code == 0
+    assert payload["q"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_tau_above_every_amplitude_says_so(capsys):
+    """A --tau that drops the support is named as the cause, not the state."""
+    assert main(["bound", "--preset", "w", "--n", "3", "--tau", "0.9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: only 0 of 3 amplitudes reach tau = 0.9")
 
 
 @pytest.mark.parametrize(
@@ -529,10 +583,66 @@ def test_output_matches_recorded_digest(capsys, command):
     array-built payloads; the two measure-plan pins for ``--preset ghz --n 4
     --d 3 --include-imag`` and ``--preset singlet4 --include-imag`` at 8a93f85,
     the commit before term records were rendered once per distinct term; the
-    three ``threshold`` pins at 739aeab, the last commit that found roots with
-    scipy.optimize.brentq."""
+    three ``threshold`` pins without ``--p-grid`` at 739aeab, the last commit
+    that found roots with scipy.optimize.brentq; the three ``--p-grid`` sweep
+    pins at e775f20, the last commit that wrote sweeps through the csv module."""
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[command]
+
+
+# the battery table as printed at e775f20, the last commit with a writer of its
+# own for it; every "(0.12s)" and "elapsed 0.001s" timing is masked
+BATTERY_TABLE = """\
+[PASS] #1 four-qubit singlet noise threshold  (…s)
+[FAIL] #2 dimensionality-witness singlet threshold  (…s)
+        measured zero-crossing 0.627906976744, quoted 27/35 = 0.771428571429 \
+(faithful evaluation gives 27/43 = 0.627906976744), elapsed …s
+[PASS] #3 isotropic qutrit closed form and tightness  (…s)
+[PASS] #4 Dicke witness calibration Q = d-1  (…s)
+[PASS] #5 W-state entropy/measure/witness chain  (…s)
+[PASS] #6 PPT witness entries, routes, dominance  (…s)
+[PASS] #7 measurement plan sizes and reconstructions  (…s)
+[PASS] #8 soundness sweeps  (…s)
+[PASS] #9 pair-selection counts and Q-derived measure bounds  (…s)
+8/9 criteria passed
+"""
+
+
+def _mask_timings(text: str) -> str:
+    return re.sub(r"(?<=\()\d+\.\d+(?=s\))|(?<=elapsed )\d+\.\d+(?=s)", "…", text)
+
+
+def test_reproduce_paper_table_is_pinned(tmp_path, capsys):
+    """The same bytes reach stdout and --output; exit 1 while criterion 2 fails."""
+    assert main(["reproduce-paper"]) == 1
+    assert _mask_timings(capsys.readouterr().out) == BATTERY_TABLE
+    out = tmp_path / "battery.txt"
+    assert main(["reproduce-paper", "--output", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert _mask_timings(out.read_text(encoding="utf-8")) == BATTERY_TABLE
+
+
+# each subcommand's option strings as declared at e775f20
+OPTIONS = {
+    "entropy": "--d --m --method --n --output --preset --state",
+    "bound": "--d --m --n --nr --output --p --preset --r-set --state --tau --tol",
+    "threshold": "--compare-dicke --d --delta --m --n --nr --output --p-grid --preset --r-set "
+    "--state --tau --xtol",
+    "dicke": "--d --delta --m --n --nr --output --p --preset --state --tol",
+    "ppt-compare": "--d --gamma --m --n --output --p --pair --preset --state",
+    "measure-plan": "--d --include-imag --m --n --nr --output --preset --r-set --state --tau",
+    "dimensionality": "--d --delta --m --n --output --tol",
+    "reproduce-paper": "--output --seed",
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert got == {name: set(flags.split()) for name, flags in OPTIONS.items()}
 
 
 LEAVES = (

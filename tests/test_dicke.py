@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 import oracles
 
 import gmebound.dicke_witness as dicke_module
+import gmebound.witness as witness_module
 from gmebound.dicke_witness import (
     DickeWitnessSpec,
     dimensionality_certificate,
@@ -168,20 +169,22 @@ def test_r_sigma_matches_direct_oracle(monkeypatch, n, d, m, ordered):
 
 
 def test_em_bound_compiles_r_sigma_once_per_variant(monkeypatch):
-    compiled = []
-    compile_witness = dicke_module.compile_witness
+    """R_sigma's cut images, the variant-free part of a compile, are built once per spec."""
+    built = []
+    cut_images = witness_module._cut_images
 
-    def recording(r, variant):
-        compiled.append(variant)
-        return compile_witness(r, variant)
+    def recording(r):
+        built.append(r)
+        return cut_images(r)
 
-    monkeypatch.setattr(dicke_module, "compile_witness", recording)
+    monkeypatch.setattr(witness_module, "_cut_images", recording)
     spec = DickeWitnessSpec(4, 2, 2)
     bounds = [em_bound_from_q(spec, q) for q in (0.5, 1.0, 0.5)]
     em_bound_from_q(spec, 1.0, NRVariant.MAXIMAL)
     em_bound_from_q(spec, 0.5, NRVariant.MAXIMAL)
-    assert compiled == [NRVariant.MINIMAL, NRVariant.MAXIMAL]
+    assert len(built) == 1 and built[0] is spec.r_sigma
     assert bounds[0] == bounds[2] == em_bound_from_q(DickeWitnessSpec(4, 2, 2), 0.5)
+    assert len(built) == 2
 
 
 def test_em_bound_from_q_4_2_2():

@@ -16,6 +16,7 @@ from gmebound.dicke_witness import DickeWitnessSpec, em_bound_from_q, q_witness
 from gmebound.entropy import gme_measure_pure
 from gmebound.errors import (
     AnalysisError,
+    CoverageError,
     DegenerateSelectionError,
     InvalidInputError,
     NotDetectingError,
@@ -98,6 +99,18 @@ def test_ghz_single_pair_witness():
     assert compiled.prefactor == pytest.approx(2.0, abs=1e-15)
     assert evaluate(compiled, g) == pytest.approx(1.0, abs=1e-12)
     assert noise_threshold(compiled, g) == pytest.approx(GHZ_THRESHOLD, abs=1e-10)
+
+
+def test_auto_select_says_whether_tau_or_the_state_leaves_a_cut_open():
+    with pytest.raises(CoverageError, match=r"^only 0 of 3 amplitudes reach tau = 0\.9;"):
+        auto_select_R(make_w_state(3), tau=0.9)
+    lopsided = PureState(3, 2, [[0, 0, 0], [1, 1, 1]], [math.sqrt(0.98), math.sqrt(0.02)])
+    with pytest.raises(CoverageError, match=r"^only 1 of 2 amplitudes reach tau = 0\.5;"):
+        auto_select_R(lopsided, tau=0.5)
+    assert auto_select_R(lopsided).as_strings() == [["000", "111"]]
+    product = PureState(2, 2, [[0, 0], [0, 1]], [math.sqrt(0.5), math.sqrt(0.5)])
+    with pytest.raises(CoverageError, match="product-like across some cut"):
+        auto_select_R(product)
 
 
 def test_singlet_profile_and_both_variants():
