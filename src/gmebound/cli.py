@@ -12,7 +12,6 @@ the target, a result that is not a finite number), 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections import Counter
@@ -60,6 +59,15 @@ PRESETS = ("w", "ghz", "dicke", "singlet4", "isotropic")
 # a --p-grid start:stop:count longer than this is refused before any point is built
 MAX_GRID_POINTS = 10**6
 _CONTAINERS = (dict, list, tuple)
+# options that several subcommands take, each declared here once
+_SHARED_FLAGS: dict[str, dict[str, Any]] = {
+    "--nr": dict(choices=("min", "max"), default="min",
+                 help="N_R: the fewest (min) or most (max) pairs fixed by one cut"),
+    "--tol": dict(type=float, default=1e-9,
+                  help="round-off allowance: a bound detects GME above it, Q certifies past it"),
+    "--delta": dict(choices=("all", "singles"), default="all",
+                    help="noise images Q subtracts: all exchange classes or one-site (singles)"),
+}
 
 
 class _Shared(dict):
@@ -101,10 +109,9 @@ def _dump(obj: Any, pad: str = "", cache: dict | None = None) -> str:
     significant digits (stable output), in one walk.
 
     Dict keys are strings; tuples render as lists.  ``cache`` holds, per
-    output, the text of each all-str tuple and of each :class:`_Shared` dict
-    at each indent, so a label tuple or a measurement-plan term that many
-    entries share is rendered once.  Leaves are rendered in place rather
-    than through a call of their own.
+    output, the text of each :class:`_Shared` dict at each indent, so a
+    measurement-plan term that many entries share is rendered once.  Leaves
+    are rendered in place rather than through a call of their own.
     """
     if not isinstance(obj, _CONTAINERS):
         return _scalar(obj)
@@ -113,12 +120,9 @@ def _dump(obj: Any, pad: str = "", cache: dict | None = None) -> str:
     if cache is None:
         cache = {}
     write = _members if isinstance(obj, dict) else _items
-    if type(obj) is _Shared:
-        key: tuple = (id(obj), pad)  # the payload holds obj, so no other object takes its id
-    elif type(obj) is tuple and all(type(v) is str for v in obj):
-        key = (obj, pad)
-    else:
+    if type(obj) is not _Shared:
         return write(obj, pad, pad + "  ", cache)
+    key = (id(obj), pad)  # the payload holds obj, so no other object takes its id
     text = cache.get(key)
     if text is None:
         text = cache[key] = write(obj, pad, pad + "  ", cache)
@@ -225,9 +229,10 @@ def _number(convert: Callable[[str], Any], field: str, flag: str) -> Any:
 
 
 def _check_finite(args: argparse.Namespace) -> None:
-    """A negative --tol would certify more than the data shows; --xtol is
-    checked here too, so a sweep that finds no root refuses it all the same."""
-    for flag in ("tol", "tau"):
+    """A negative --tol would certify more than the data shows, and numpy
+    seeds no generator from a negative --seed; --xtol is checked here too, so
+    a sweep that finds no root refuses it all the same."""
+    for flag in ("tol", "tau", "seed"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
@@ -307,14 +312,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     pure, _ = _load_target(args)
     if pure is None:
         raise InvalidInputError("threshold sweeps mix white noise into a pure target")
-    r = _resolve_pairset(args, pure, pure.n, pure.d)
-    w = compile_witness(r, NRVariant(args.nr))
-
     spec = None
     if args.compare_dicke:
         if args.m is None:
             raise InvalidInputError("--compare-dicke needs --m (excitation number)")
         spec = DickeWitnessSpec(pure.n, pure.d, args.m, delta_subsets=args.delta)
+    r = _resolve_pairset(args, pure, pure.n, pure.d)
+    w = compile_witness(r, NRVariant(args.nr))
 
     if args.p_grid:
         lines = ["p,witness" if spec is None else "p,witness,q"]
@@ -481,7 +485,7 @@ def _add_state_flags(sub: argparse.ArgumentParser, with_mix: bool = True) -> Non
 
 def _add_selection_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r-set", help="JSON pair-selection file (default: auto-select)")
-    sub.add_argument("--nr", choices=("min", "max"), default="min")
+    sub.add_argument("--nr", **_SHARED_FLAGS["--nr"])
     sub.add_argument("--tau", type=float, default=1e-6, help="auto-select amplitude cutoff")
 
 
@@ -494,10 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str) -> argparse.ArgumentParser:
+    def add(name: str, text: str, *shared: str) -> argparse.ArgumentParser:
         # no prefix matching: "--p" must not stand for "--preset" where there is no --p
         sub = subs.add_parser(name, help=text, allow_abbrev=False)
         sub.add_argument("--output", help="write the output here instead of stdout")
+        for flag in shared:
+            sub.add_argument(flag, **_SHARED_FLAGS[flag])
         return sub
 
     sp = add("entropy", "per-bipartition linear entropies of a pure state")
@@ -505,26 +511,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("coeff", "trace"), default="coeff")
     sp.set_defaults(func=cmd_entropy, p=1.0)
 
-    sp = add("bound", "compile a witness and evaluate the GME bound")
+    sp = add("bound", "compile a witness and evaluate the GME bound", "--tol")
     _add_state_flags(sp)
     _add_selection_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-9, help="detection threshold on the value")
     sp.set_defaults(func=cmd_bound)
 
-    sp = add("threshold", "white-noise robustness of the witness")
+    sp = add("threshold", "white-noise robustness of the witness", "--delta")
     _add_state_flags(sp, with_mix=False)
     _add_selection_flags(sp)
     sp.add_argument("--xtol", type=float, default=1e-12, help="root-finder tolerance")
     sp.add_argument("--compare-dicke", action="store_true", help="also cross the Q witness")
-    sp.add_argument("--delta", choices=("all", "singles"), default="all")
     sp.add_argument("--p-grid", help="sweep: comma values or start:stop:count (CSV output)")
     sp.set_defaults(func=cmd_threshold, p=1.0)
 
-    sp = add("dicke", "dimensionality witness Q and E_m bounds")
+    sp = add("dicke", "dimensionality witness Q and E_m bounds", "--delta", "--nr", "--tol")
     _add_state_flags(sp)
-    sp.add_argument("--delta", choices=("all", "singles"), default="all")
-    sp.add_argument("--nr", choices=("min", "max"), default="min")
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_dicke)
 
     sp = add("ppt-compare", "PPT operator vs witness bracket on one pair")
@@ -539,12 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-imag", action="store_true")
     sp.set_defaults(func=cmd_measure_plan, p=1.0)
 
-    sp = add("dimensionality", "q and certificate for embedded Dicke states")
+    sp = add("dimensionality", "q and certificate for embedded Dicke states", "--delta", "--tol")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--delta", choices=("all", "singles"), default="all")
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_dimensionality)
 
     sp = add("reproduce-paper", "run the acceptance battery")
@@ -560,15 +559,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_finite(args)
         return args.func(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

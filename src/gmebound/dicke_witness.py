@@ -119,15 +119,11 @@ class DickeWitnessSpec:
         owner = np.concatenate(owners)
         order = np.argsort(owner, kind="stable")
         diagonals = (levels[:, None, None] + excited).reshape(-1, n) @ values
-        return Reads.build(ranks, np.concatenate(images)[order], owner[order], diagonals)
+        return Reads.build(n, d, ranks, np.concatenate(images)[order], owner[order], diagonals)
 
 
 def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float:
     """Evaluate Q on a state."""
-    if rho.n != spec.n or rho.d != spec.d:
-        raise InvalidInputError(
-            f"witness over (n={spec.n}, d={spec.d}), state over (n={rho.n}, d={rho.d})"
-        )
     total, diagonal = spec.reads.read(rho)
     diag_mass = float(np.cumsum(diagonal)[-1])
     return (total - spec.noise_weight * diag_mass) / spec.m

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import CHUNK_ENTRIES, cut_labels, cut_masks, place_values
+from .indices import _chunks, cut_labels, cut_masks, place_values
 from .states import PureState, _cut_sides, complex_product
 
 
@@ -65,16 +65,15 @@ def _coeff_entropies(psi: PureState, masks: np.ndarray) -> np.ndarray:
     size = len(ranks)
     weighted = (psi.digits * place_values(psi.n, psi.d)).T
     here_re, here_im = complex_product(re[:, None], im[:, None], re, im)
-    cut_step = max(1, CHUNK_ENTRIES // size**2)
-    row_step = max(1, CHUNK_ENTRIES // (cut_step * size))
+    positions = np.arange(size)
     out = np.empty(len(masks))
-    for c0 in range(0, len(masks), cut_step):
+    for cuts in _chunks(len(masks), size**2):
         # the part of each rank carried by the cut's digits: exchanging them
         # between eta1 and eta2 moves rank t2 - t1 into eta1 and back out of eta2
-        part = (masks[c0 : c0 + cut_step] @ weighted)[:, None, :]
+        part = (masks[cuts] @ weighted)[:, None, :]
         total = np.zeros(len(part))
-        for start in range(0, size, row_step):
-            i = np.arange(start, min(start + row_step, size))
+        for rows in _chunks(size, len(part) * size):
+            i = positions[rows]
             own = part[:, 0, i, None]
             img1 = ranks[i, None] - own + part
             img2 = ranks - part + own
@@ -87,10 +86,10 @@ def _coeff_entropies(psi: PureState, masks: np.ndarray) -> np.ndarray:
             # the support it is not visited by this sum, so account for it here
             outside = ~(hit1 & hit2)
             terms[..., 1] = np.where(outside, np.float_power(np.hypot(here_re[i], here_im[i]), 2.0), 0.0)
-            terms[:, i - start, i] = 0.0  # eta1 == eta2 is not a pair
+            terms[:, i - rows.start, i] = 0.0  # eta1 == eta2 is not a pair
             flat = np.concatenate([total[:, None], terms.reshape(len(total), -1)], axis=1)
             total = np.cumsum(flat, axis=1)[:, -1]
-        out[c0 : c0 + cut_step] = total
+        out[cuts] = total
     return out
 
 

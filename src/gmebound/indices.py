@@ -31,6 +31,13 @@ from .errors import InvalidInputError
 CHUNK_ENTRIES = 1 << 14
 
 
+def _chunks(count: int, width: int) -> list[slice]:
+    """Slices of ``range(count)``, each small enough that a (block, width)
+    temporary stays near CHUNK_ENTRIES."""
+    step = max(1, CHUNK_ENTRIES // width)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def parse_index(text: str, d: int, n: int) -> tuple[int, ...]:
     """The digit row of a bare digit string such as ``"0011"``: ``n`` digits,
     each in ``[0, d)``."""

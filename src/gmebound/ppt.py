@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .indices import place_values, rank_digits
 from .states import DensityMatrix, ElementSource, partial_transpose
-from .witness import PairSet, _images
+from .witness import PairSet, Reads, _images
 
 # -W may exceed Omega by this much and still count as dominated (rounding)
 DOMINANCE_ATOL = 1e-12
@@ -34,19 +34,17 @@ class PptWitness:
     """The witness of one antipodal pair and one cut, kept as the entries it
     reads; the dense operator is built only when asked for."""
 
-    d: int
     # the 0/1 mask row of the transposed parties
     gamma: np.ndarray
-    # the entries Omega reads, by rank: the pair's coherence, then the
-    # diagonals of its gamma image, lower rank first
-    rows: np.ndarray
-    cols: np.ndarray
+    # the entries Omega reads: the pair's coherence, then the diagonals of
+    # its one gamma image, lower rank first
+    reads: Reads
 
     @cached_property
     def operator(self) -> np.ndarray:
         """The dense ``d**n x d**n`` operator."""
-        n, d = len(self.gamma), self.d
-        img1, img2 = self.rows[1:].tolist()
+        n, d = self.reads.n, self.reads.d
+        img1, img2 = self.reads.rows[1:].tolist()
         lam = np.zeros(d**n, dtype=complex)
         lam[img1] = 1.0 / math.sqrt(2.0)
         lam[img2] = -1.0 / math.sqrt(2.0)
@@ -69,18 +67,14 @@ def build_ppt_witness(pair: np.ndarray, d: int, gamma: np.ndarray) -> PptWitness
     values = place_values(n, d)
     ranks = pair @ values
     lo, hi = _images(ranks[None], ((pair[1] - pair[0]) * values)[:, None], gamma[None])
-    images = np.concatenate([lo[0], hi[0]])
-    return PptWitness(
-        d=d,
-        gamma=gamma,
-        rows=np.concatenate([ranks[:1], images]),
-        cols=np.concatenate([ranks[1:], images]),
-    )
+    image = np.concatenate([lo, hi]).T  # one cut, one pair: [[lower, higher]]
+    reads = Reads.build(n, d, ranks[None], image, np.zeros(1, dtype=np.int64), ranks[:0])
+    return PptWitness(gamma=gamma, reads=reads)
 
 
 def _reads(w: PptWitness, rho: ElementSource) -> tuple[complex, float, float]:
     """rho_e1e2 and the diagonals at the two image ranks, in one gather."""
-    coherence, diag1, diag2 = rho.elements(w.rows, w.cols).tolist()
+    coherence, diag1, diag2 = w.reads.gather(rho).tolist()
     return coherence, diag1.real, diag2.real
 
 

@@ -39,7 +39,7 @@ from .errors import (
     NotDetectingError,
 )
 from .indices import (
-    CHUNK_ENTRIES,
+    _chunks,
     cut_labels,
     cut_masks,
     digit_strings,
@@ -154,13 +154,15 @@ def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
 
 @dataclass(frozen=True)
 class Reads:
-    """The entries a witness sum reads, gathered in one call.
+    """The entries a witness sum reads over (n, d), gathered in one call.
 
     The sum visits each coherence followed by the noise images subtracted
     from it; the diagonals it weighs come last.  The terms are added by a
     sequential cumulative sum, in the order a loop over them would add.
     """
 
+    n: int
+    d: int
     rows: np.ndarray
     cols: np.ndarray
     coherence_at: np.ndarray
@@ -169,6 +171,8 @@ class Reads:
     @classmethod
     def build(
         cls,
+        n: int,
+        d: int,
         coherences: np.ndarray,
         images: np.ndarray,
         owner: np.ndarray,
@@ -183,7 +187,7 @@ class Reads:
             np.arange(k) + owner.searchsorted(np.arange(k)),
             np.arange(len(images)) + owner + 1,
         )
-        return cls(*map(_read_only, arrays))
+        return cls(n, d, *map(_read_only, arrays))
 
     @property
     def images(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -198,9 +202,18 @@ class Reads:
         """The ranks of I(R), in rank order."""
         return self.rows[len(self.coherence_at) + 2 * len(self.image_at) :]
 
+    def gather(self, rho: ElementSource) -> np.ndarray:
+        """Every entry read, in one call on the state; a state of another
+        (n, d) is refused."""
+        if rho.n != self.n or rho.d != self.d:
+            raise InvalidInputError(
+                f"witness over (n={self.n}, d={self.d}), state over (n={rho.n}, d={rho.d})"
+            )
+        return rho.elements(self.rows, self.cols)
+
     def read(self, rho: ElementSource) -> tuple[float, np.ndarray]:
         """sum |rho_ab| - sum sqrt(rho_a'a' rho_b'b') in visiting order, and the diagonals."""
-        values = rho.elements(self.rows, self.cols)
+        values = self.gather(rho)
         k, m = len(self.coherence_at), len(self.image_at)
         coherence = values[:k]
         first = np.maximum(values[k : k + m].real, 0.0)
@@ -303,12 +316,6 @@ class CutImages:
     profile: np.ndarray
 
 
-def _cut_chunks(cuts: int, size: int) -> list[slice]:
-    """Blocks of cuts small enough that a (block, size) temporary stays near CHUNK_ENTRIES."""
-    step = max(1, CHUNK_ENTRIES // size)
-    return [slice(start, start + step) for start in range(0, cuts, step)]
-
-
 def _cut_images(r: PairSet) -> CutImages:
     """Each chunk of cuts maps every pair to its image in one matmul; that one
     image decides both whether the pair belongs to R^gamma and which noise
@@ -329,7 +336,7 @@ def _cut_images(r: PairSet) -> CutImages:
     # fall back to the diagonal penalty.
     stays = np.empty((len(masks), size), dtype=bool)
     found = []  # per chunk: the first (id, cut, lo, hi) of each noise image
-    for rows in _cut_chunks(len(masks), size):
+    for rows in _chunks(len(masks), size):
         lo, hi = _images(ranks, delta, masks[rows])
         inside = rank_positions(r_keys, _pair_keys(index_ranks, lo, hi)) >= 0
         stays[rows] = inside
@@ -348,7 +355,7 @@ def _cut_images(r: PairSet) -> CutImages:
     first = first[np.lexsort((cut[first], image_id[first] >> n))]
     image_ranks = np.stack([lo[first], hi[first]], axis=1)
     return CutImages(
-        reads=Reads.build(ranks, image_ranks, image_id[first] >> n, index_ranks),
+        reads=Reads.build(n, r.d, ranks, image_ranks, image_id[first] >> n, index_ranks),
         members=_read_only(members),
         stays=_read_only(stays),
         profile=_read_only(stays.sum(axis=1)),
@@ -379,7 +386,7 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
     # are counted (taken in selection order); the excess joins R^gamma.
     m = len(cuts.reads.diagonals)
     counts = np.zeros(m, dtype=np.int64)
-    for rows in _cut_chunks(len(stays), size):
+    for rows in _chunks(len(stays), size):
         survives = stays[rows]
         if variant is NRVariant.MAXIMAL:
             moving = ~survives
@@ -402,10 +409,6 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
 
 def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
     """The certified lower bound on E_m for this state (may be negative)."""
-    if rho.n != w.n or rho.d != w.d:
-        raise InvalidInputError(
-            f"witness over (n={w.n}, d={w.d}), state over (n={rho.n}, d={rho.d})"
-        )
     bracket, diagonal = w.reads.read(rho)
     penalty = 0.5 * float((w.eta_counts * np.maximum(diagonal, 0.0)).cumsum()[-1])
     return w.prefactor * (bracket - penalty)
@@ -435,12 +438,11 @@ def auto_select_R(target: PureState, tau: float = 1e-6) -> PairSet:
     a, b = (support[:, None] < support).nonzero()
     differ = (digits[a] != digits[b]) @ place_values(n, 2)
     cut_bits = masks @ place_values(n, 2)
-    step = max(1, CHUNK_ENTRIES // len(masks))
     covered = np.empty((len(a), len(masks)), dtype=bool)
-    for start in range(0, len(a), step):
+    for rows in _chunks(len(a), len(masks)):
         # a cut fixes a pair iff it exchanges none or all of the parties where they differ
-        common = differ[start : start + step, None] & cut_bits
-        covered[start : start + step] = (common != 0) & (common != differ[start : start + step, None])
+        common = differ[rows, None] & cut_bits
+        covered[rows] = (common != 0) & (common != differ[rows, None])
     sensitive = covered.any(axis=1)
     a, b, covered = a[sensitive], b[sensitive], covered[sensitive]
     weight = np.hypot(*complex_product(re[a], im[a], re[b], im[b]))
@@ -479,10 +481,10 @@ def auto_select_R(target: PureState, tau: float = 1e-6) -> PairSet:
     blocked = np.zeros(len(ranks) ** 2 + 1, dtype=bool)
     own_keys = (a * len(ranks) + b).tolist()
     chosen: list[int] = []
-    for start in range(0, len(order), step):
-        block = order[start : start + step]
+    for rows in _chunks(len(order), len(masks)):
+        block = order[rows]
         keys = _pair_keys(ranks, *_images(pair_ranks[block], delta[:, block], masks))
-        for i, (c, images) in enumerate(zip(block, keys.T), start):
+        for i, (c, images) in enumerate(zip(block, keys.T), rows.start):
             if i >= len(cover) and blocked[own_keys[c]]:
                 continue
             chosen.append(c)

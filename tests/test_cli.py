@@ -346,22 +346,60 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         ("dicke --preset singlet4 --n 4 --d 3 --m 2",
          "state is (n=4, d=2), witness wants (n=4, d=3)"),
         ("dicke --state MIXED --n 3 --d 2 --m 1", "state is (n=2, d=2), witness wants (n=3, d=2)"),
+        ("bound --preset singlet4 --r-set NOFILE", "cannot read pair file {NOFILE}: "),
+        ("bound --preset singlet4 --r-set NOTJSON",
+         "pair file {NOTJSON} is not valid JSON: Expecting value"),
+        ("bound --preset singlet4 --r-set OBJECT",
+         "pair file {OBJECT} must hold a list of [a, b] entries"),
+        ("bound --preset singlet4 --r-set EMPTY", "empty pair selection"),
+        ("bound --state NOFILE", "cannot read state file {NOFILE}: "),
+        ("bound --state NOAMPS", "state not normalized: |psi|^2 = 0"),
+        ("bound --state D0", "state file {D0}: d**n = 0**2 is not a matrix size"),
+        ("entropy --state N1", "need at least 2 parties, got n=1"),
+        ("bound --preset dicke --n 4 --d 2 --m 4", "need 1 <= m <= n-1, got m=4, n=4"),
+        ("reproduce-paper --seed -1", "--seed must be nonnegative, got -1"),
+        ("bound --preset ghz --n 3 --output NODIR", "[Errno 2] No such file or directory"),
     ],
     ids=["dicke-preset-without-m", "p-on-mixed", "mixed-without-r-set", "grid-two-fields",
          "grid-one-point", "threshold-on-mixed", "compare-dicke-without-m", "dicke-without-m",
-         "measure-plan-without-shape", "dicke-preset-shape-differs", "dicke-state-shape-differs"],
+         "measure-plan-without-shape", "dicke-preset-shape-differs", "dicke-state-shape-differs",
+         "r-set-missing", "r-set-not-json", "r-set-object", "r-set-empty", "state-missing",
+         "pure-without-amplitudes", "mixed-d-0", "entropy-one-party", "dicke-preset-m-equals-n",
+         "negative-seed", "output-dir-missing"],
 )
 def test_cli_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
-    mixed = tmp_path / "mixed.json"
-    mixed.write_text(_product_state_text())
-    pairs = tmp_path / "r2.json"
-    pairs.write_text(json.dumps([["00", "11"]]))
-    args = [{"MIXED": str(mixed), "R2": str(pairs)}.get(a, a) for a in argv.split()]
-    assert main(args) == 2
+    files = {
+        "MIXED": _product_state_text(),
+        "R2": json.dumps([["00", "11"]]),
+        "NOTJSON": "[[",
+        "OBJECT": json.dumps({"pairs": [["00", "11"]]}),
+        "EMPTY": "[]",
+        "NOAMPS": json.dumps({"n": 2, "d": 2, "kind": "pure", "amplitudes": []}),
+        "D0": json.dumps({"n": 2, "d": 0, "kind": "mixed", "matrix": [[[1.0, 0.0]]]}),
+        "N1": json.dumps({"n": 1, "d": 2, "kind": "pure", "amplitudes": [{"index": "0", "re": 1.0}]}),
+    }
+    paths = {"NOFILE": str(tmp_path / "absent.json"), "NODIR": str(tmp_path / "absent" / "out")}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
+    assert main([paths.get(a, a) for a in argv.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.startswith(f"error: {message.format(**paths)}")
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "absent").exists()
+
+
+def test_compare_dicke_without_m_is_refused_before_any_selection(monkeypatch, capsys):
+    def called(*args, **kwargs):
+        raise AssertionError("selection or compilation ran before the --m check")
+
+    monkeypatch.setattr(cli, "auto_select_R", called)
+    monkeypatch.setattr(cli, "compile_witness", called)
+    assert main(["threshold", "--preset", "ghz", "--n", "18", "--compare-dicke"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --compare-dicke needs --m (excitation number)\n"
 
 
 def test_dicke_on_a_preset_of_the_witness_shape(capsys):

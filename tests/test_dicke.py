@@ -109,6 +109,12 @@ def test_noise_threshold_q_refuses_undetected_target():
         noise_threshold_q(spec, product)
 
 
+def test_q_witness_refuses_a_state_of_another_shape():
+    spec = DickeWitnessSpec(4, 2, 2)
+    with pytest.raises(InvalidInputError, match=r"^witness over \(n=4, d=2\), state over \(n=4, d=3\)$"):
+        q_witness(spec, embed_pure(make_singlet4(), 3))
+
+
 def test_embedded_dicke_rows_3_3_1():
     spec = DickeWitnessSpec(3, 3, 1)
     rows = {}

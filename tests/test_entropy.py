@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gmebound.entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
+from gmebound.errors import InvalidInputError
 from gmebound.indices import cut_labels, cut_masks, rank_digits
 from gmebound.states import PureState, make_ghz_state, make_singlet4, make_w_state
 
@@ -78,14 +79,19 @@ def test_trace_route_single_cut_against_dense():
 
 
 
+def test_unknown_method_is_refused():
+    with pytest.raises(InvalidInputError, match=r"^unknown entropy method 'x'$"):
+        gme_measure_pure(make_w_state(3), method="x")
+
+
 @pytest.mark.parametrize("size", [5, 40])
 def test_chunked_coeff_route_matches_unchunked(monkeypatch, size):
     """Cut chunks (support 5) and row chunks carrying the running total
     (support 40) give the same floats, and so does one cut at a time."""
-    import gmebound.entropy as entropy_module
+    import gmebound.indices as indices_module
 
     psi = _random_sparse(6, 2, size, np.random.default_rng(5))
     whole = gme_measure_pure(psi).entropies
     assert [linear_entropy_coeff(psi, g) for g in cut_masks(6)] == list(whole.values())
-    monkeypatch.setattr(entropy_module, "CHUNK_ENTRIES", 100)
+    monkeypatch.setattr(indices_module, "CHUNK_ENTRIES", 100)
     assert gme_measure_pure(psi).entropies == whole

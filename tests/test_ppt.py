@@ -81,6 +81,20 @@ def test_rejects_non_antipodal_pair():
         build_ppt_witness(_pair("001", "011"), 2, _cut({1}, 3))
 
 
+@pytest.mark.parametrize("kind", ["pure", "noisy", "dense"])
+def test_witness_refuses_a_state_of_another_shape(kind):
+    """A 3-party witness read against GHZ n = 4 is refused, not answered with
+    zeros from the wrong entries."""
+    ghz4 = make_ghz_state(4, 2)
+    rho = {"pure": ghz4, "noisy": NoisyPureState(ghz4, 0.7), "dense": white_noise_mix(ghz4, 0.7)}[kind]
+    w = build_ppt_witness(_pair("000", "111"), 2, _cut({1}, 3))
+    message = r"^witness over \(n=3, d=2\), state over \(n=4, d=2\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        compare_with_witness_bracket(w, rho)
+    with pytest.raises(InvalidInputError, match=message):
+        ppt_expectation_elements(w, rho)
+
+
 def test_enumerate_ghz_pairs_counts():
     assert len(enumerate_ghz_pairs(3, 2)) == 4
     assert len(enumerate_ghz_pairs(2, 3)) == 4

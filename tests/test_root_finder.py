@@ -101,3 +101,10 @@ def test_nan_value_is_refused(f, where):
     with pytest.raises(AnalysisError, match=rf"^Q = nan at p = {where} is not a number$"):
         _noise_root(f, 1e-12, "Q =")
 
+
+def test_value_still_nonnegative_at_full_noise_gives_zero():
+    """f(0) >= 0: every mixture is detected, so p* = 0 with no search step."""
+    f, points = _recorded(lambda p: p)
+    assert _noise_root(f, 1e-12, "value") == 0.0
+    assert points == [1.0, 0.0]
+

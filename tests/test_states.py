@@ -105,6 +105,16 @@ def test_embed_pure_widens_digits():
     assert _support(wide) == ["00", "11"]
 
 
+def test_embed_pure_refuses_a_smaller_d():
+    with pytest.raises(InvalidInputError, match=r"^cannot embed d=3 into smaller d=2$"):
+        embed_pure(make_ghz_state(2, 3), 2)
+
+
+def test_white_noise_mix_refuses_a_weight_outside_0_1():
+    with pytest.raises(InvalidInputError, match=r"^mixing weight p=1\.5 outside \[0, 1\]$"):
+        white_noise_mix(make_w_state(3), 1.5)
+
+
 def test_white_noise_mix_trace_and_interpolation():
     w = make_w_state(3)
     rho = white_noise_mix(w, 0.25)

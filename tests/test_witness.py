@@ -260,7 +260,7 @@ def test_compile_permutes_each_pair_once_per_cut(monkeypatch, variant):
         seen.append(masks.copy())
         return lo, hi
 
-    monkeypatch.setattr(witness_module, "CHUNK_ENTRIES", 5)
+    monkeypatch.setattr(indices, "CHUNK_ENTRIES", 5)
     monkeypatch.setattr(witness_module, "_images", counted)
     r = PairSet.from_strings(SINGLET_R, 4, 2)
     compile_witness(r, variant)
@@ -272,11 +272,9 @@ def test_compile_permutes_each_pair_once_per_cut(monkeypatch, variant):
 @pytest.mark.parametrize("variant", list(NRVariant))
 def test_chunked_compile_and_selection_match_unchunked(monkeypatch, variant):
     """Tiny chunks split the cuts and the candidates; every field stays the same."""
-    import gmebound.witness as witness_module
-
     targets = [make_w_state(6), make_dicke_state(5, 3, 2), make_singlet4()]
     whole = [(auto_select_R(t), compile_witness(auto_select_R(t), variant)) for t in targets]
-    monkeypatch.setattr(witness_module, "CHUNK_ENTRIES", 5)
+    monkeypatch.setattr(indices, "CHUNK_ENTRIES", 5)
     for target, (r, w) in zip(targets, whole):
         assert auto_select_R(target).as_strings() == r.as_strings()
         # a fresh selection, so that its cut images are computed in chunks
