@@ -27,7 +27,7 @@ from .dicke_witness import (
     q_witness,
 )
 from .entropy import gme_measure_pure
-from .errors import AnalysisError, InvalidInputError
+from .errors import AnalysisError, InvalidInputError, _check_nonnegative
 from .indices import cut_labels, digit_strings
 from .observables import plan_settings
 from .ppt import build_ppt_witness, compare_with_witness_bracket
@@ -229,15 +229,15 @@ def _number(convert: Callable[[str], Any], field: str, flag: str) -> Any:
 
 
 def _check_finite(args: argparse.Namespace) -> None:
-    """A negative --tol would certify more than the data shows, and numpy
-    seeds no generator from a negative --seed; --xtol is checked here too, so
-    a sweep that finds no root refuses it all the same."""
-    for flag in ("tol", "tau", "seed"):
+    """A negative --tol would certify more than the data shows; --xtol is
+    checked here too, so a sweep that finds no root refuses it all the same.
+    ``run_all`` refuses a negative --seed itself."""
+    for flag in ("tol", "tau"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"--{flag} must be finite, got {value}")
-        if value is not None and value < 0:
-            raise InvalidInputError(f"--{flag} must be nonnegative, got {value}")
+        if value is not None:
+            _check_nonnegative(f"--{flag}", value)
     if hasattr(args, "xtol"):
         check_xtol(args.xtol)
 
@@ -349,10 +349,6 @@ def cmd_dicke(args: argparse.Namespace) -> int:
     spec = DickeWitnessSpec(args.n, args.d, args.m, delta_subsets=args.delta)
     if args.state or args.preset:
         _, rho = _load_target(args)
-        if rho.n != args.n or rho.d != args.d:
-            raise InvalidInputError(
-                f"state is (n={rho.n}, d={rho.d}), witness wants (n={args.n}, d={args.d})"
-            )
     else:
         target = make_dicke_state(args.n, args.d, args.m)
         rho = NoisyPureState(target, args.p) if args.p != 1.0 else target
@@ -419,10 +415,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
     plan = plan_settings(w, include_imag=args.include_imag)
     # one record per distinct (coeff, labels) term, shared by every element that has it
     distinct = {term for el in plan.elements for term in el.terms}
-    records = {
-        (c, labs): _Shared(coeff=c, labels=tuple("id" if lab is None else lab for lab in labs))
-        for c, labs in distinct
-    }
+    records = {(c, labs): _Shared(coeff=c, labels=labs) for c, labs in distinct}
     payload = {
         "n": plan.n,
         "d": plan.d,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .indices import cut_masks, excitation_rows, place_values
-from .states import ElementSource, NoisyPureState, PureState
-from .witness import NRVariant, PairSet, Reads, _images, _noise_root, compile_witness
+from .states import ElementSource, NoisyPureState, PureState, _check_dicke_shape
+from .witness import NRVariant, PairSet, Reads, _check_shape, _images, _noise_root, compile_witness
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,7 @@ class DickeWitnessSpec:
     delta_subsets: str = "all"
 
     def __post_init__(self) -> None:
-        if not (1 <= self.m <= self.n - 1):
-            raise InvalidInputError(f"need 1 <= m <= n-1, got m={self.m}, n={self.n}")
-        if self.d < 2:
-            raise InvalidInputError(f"need d >= 2, got d={self.d}")
+        _check_dicke_shape(self.n, self.d, self.m)
         if self.delta_subsets not in ("all", "singles"):
             raise InvalidInputError(f"unknown delta_subsets mode {self.delta_subsets!r}")
 
@@ -123,7 +120,8 @@ class DickeWitnessSpec:
 
 
 def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float:
-    """Evaluate Q on a state."""
+    """Evaluate Q on a state, refusing another (n, d) before Q's reads are built."""
+    _check_shape(spec.n, spec.d, rho)
     total, diagonal = spec.reads.read(rho)
     diag_mass = float(np.cumsum(diagonal)[-1])
     return (total - spec.noise_weight * diag_mass) / spec.m

@@ -28,3 +28,9 @@ class CoverageError(AnalysisError):
 
 class NotDetectingError(AnalysisError):
     """Witness is nonpositive on the pure target; no noise threshold exists."""
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    """Refuse a negative ``value``, naming it ``name``."""
+    if value < 0:
+        raise InvalidInputError(f"{name} must be nonnegative, got {value}")

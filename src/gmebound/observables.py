@@ -34,14 +34,13 @@ from .indices import digit_strings, rank_digits
 from .states import DensityMatrix
 from .witness import CompiledWitness
 
-Label = str | None  # None marks an identity slot
-Term = tuple[float, tuple[Label, ...]]
+Term = tuple[float, tuple[str, ...]]
 
 
 @lru_cache(maxsize=None)
-def op_matrix(label: Label, d: int) -> np.ndarray:
-    """Matrix of one site label: ``id`` (or None), ``s{j}:{k}``, ``a{j}:{k}`` or ``d{l}``."""
-    if label is None or label == "id":
+def op_matrix(label: str, d: int) -> np.ndarray:
+    """Matrix of one site label: ``id``, ``s{j}:{k}``, ``a{j}:{k}`` or ``d{l}``."""
+    if label == "id":
         return np.eye(d, dtype=complex)
     m = np.zeros((d, d), dtype=complex)
     if label.startswith("d"):
@@ -62,7 +61,7 @@ def op_matrix(label: Label, d: int) -> np.ndarray:
     return m
 
 
-def term_operator(labels: tuple[Label, ...], d: int) -> np.ndarray:
+def term_operator(labels: tuple[str, ...], d: int) -> np.ndarray:
     """The Kronecker product of the site matrices, in site order.
 
     Each factor is one broadcast multiply and a reshape, the same products
@@ -80,11 +79,11 @@ def term_operator(labels: tuple[Label, ...], d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _site_factor(a: int, b: int, d: int) -> tuple[np.ndarray, tuple[Label, ...]]:
+def _site_factor(a: int, b: int, d: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Decomposition of |b><a| on one site (bra digit a, ket digit b): the
     read-only complex weights and their labels."""
     if a == b:
-        terms: list[tuple[complex, Label]] = [(1.0 / d, None)]
+        terms: list[tuple[complex, str]] = [(1.0 / d, "id")]
         for l in range(max(a, 1), d):
             scale = math.sqrt(2.0 / (l * (l + 1)))
             terms.append(((scale if a < l else -l * scale) / 2.0, f"d{l}"))
@@ -100,7 +99,7 @@ def _site_factor(a: int, b: int, d: int) -> tuple[np.ndarray, tuple[Label, ...]]
 
 def _product_terms(
     first: Sequence[int], second: Sequence[int], d: int
-) -> tuple[np.ndarray, list[tuple[Label, ...]]]:
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """<first| rho |second> = sum z_k <O_k> over all tensor terms: the complex
     weights z and the label tuples, the last site varying fastest.
 
@@ -115,7 +114,7 @@ def _product_terms(
     return z, list(product(*(labels for _, labels in factors)))
 
 
-def _nonzero(weights: np.ndarray, labels: list[tuple[Label, ...]]) -> tuple[Term, ...]:
+def _nonzero(weights: np.ndarray, labels: list[tuple[str, ...]]) -> tuple[Term, ...]:
     """The terms whose weight is not zero, in order."""
     keep = weights != 0.0
     return tuple(zip(weights[keep].tolist(), compress(labels, keep.tolist())))
@@ -164,7 +163,7 @@ class DecompositionPlan:
     n: int
     d: int
     elements: tuple[PlanElement, ...]
-    settings: tuple[tuple[Label, ...], ...]
+    settings: tuple[tuple[str, ...], ...]
 
     @property
     def element_count(self) -> int:
@@ -204,5 +203,5 @@ def plan_settings(w: CompiledWitness, include_imag: bool = False) -> Decompositi
     # decompose_* keeps stays nonzero and the filled-in key is a term of the
     # same element.  A key with no identity slot folds only into itself, so
     # these keys are exactly the maximal ones.
-    settings = sorted({k for el in elements for _, k in el.terms if None not in k})
+    settings = sorted({k for el in elements for _, k in el.terms if "id" not in k})
     return DecompositionPlan(n=w.n, d=w.d, elements=tuple(elements), settings=tuple(settings))

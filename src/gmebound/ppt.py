@@ -72,24 +72,10 @@ def build_ppt_witness(pair: np.ndarray, d: int, gamma: np.ndarray) -> PptWitness
     return PptWitness(gamma=gamma, reads=reads)
 
 
-def _reads(w: PptWitness, rho: ElementSource) -> tuple[complex, float, float]:
-    """rho_e1e2 and the diagonals at the two image ranks, in one gather."""
-    coherence, diag1, diag2 = w.reads.gather(rho).tolist()
-    return coherence, diag1.real, diag2.real
-
-
-def _omega(coherence: complex, diag1: float, diag2: float) -> float:
-    return 0.5 * (diag1 + diag2) - coherence.real
-
-
 def ppt_expectation(w: PptWitness, rho: DensityMatrix) -> float:
-    """Tr(O rho), through the dense operator."""
+    """Tr(O rho), through the dense operator; :func:`compare_with_witness_bracket`
+    reads the same value from matrix elements."""
     return float(np.trace(w.operator @ rho.matrix).real)
-
-
-def ppt_expectation_elements(w: PptWitness, rho: ElementSource) -> float:
-    """The same expectation from four matrix elements."""
-    return _omega(*_reads(w, rho))
 
 
 @dataclass(frozen=True)
@@ -103,8 +89,9 @@ class PptComparison:
 
 def compare_with_witness_bracket(w: PptWitness, rho: ElementSource) -> PptComparison:
     """Omega from its matrix elements, read in one gather; the dense operator is never built."""
-    coherence, diag1, diag2 = _reads(w, rho)
-    omega = _omega(coherence, diag1, diag2)
+    coherence, diag1, diag2 = w.reads.gather(rho).tolist()
+    diag1, diag2 = diag1.real, diag2.real
+    omega = 0.5 * (diag1 + diag2) - coherence.real
     minus_w = math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
     return PptComparison(omega=omega, minus_w=minus_w, dominance=minus_w <= omega + DOMINANCE_ATOL)
 

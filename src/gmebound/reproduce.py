@@ -21,21 +21,16 @@ from .dicke_witness import (
     r_sigma_size,
 )
 from .entropy import gme_measure_pure, linear_entropy_coeff, linear_entropy_trace
-from .errors import AnalysisError
+from .errors import AnalysisError, _check_nonnegative
 from .indices import cut_masks, rank_digits
 from .observables import decompose_diagonal, decompose_offdiagonal, plan_settings, reconstruct
-from .ppt import (
-    build_ppt_witness,
-    compare_with_witness_bracket,
-    enumerate_ghz_pairs,
-    ppt_expectation,
-    ppt_expectation_elements,
-)
+from .ppt import build_ppt_witness, compare_with_witness_bracket, enumerate_ghz_pairs, ppt_expectation
 from .states import (
     DensityMatrix,
     PureState,
     make_dicke_state,
     make_ghz_state,
+    make_isotropic,
     make_max_entangled,
     make_singlet4,
     make_w_state,
@@ -45,7 +40,6 @@ from .witness import (
     NRVariant,
     PairSet,
     auto_select_R,
-    bipartite_bound_isotropic,
     compile_witness,
     evaluate,
     isotropic_pairset,
@@ -125,13 +119,14 @@ def check_dimensionality_singlet_threshold() -> CheckResult:
 def check_isotropic() -> CheckResult:
     """Isotropic qutrit bound equals 2(4p-1)/sqrt(27) and is tight at p=1."""
     t0 = time.perf_counter()
+    w = compile_witness(isotropic_pairset(3))
     errs = []
     for p in (0.0, 0.25, 0.5, 1.0):
-        got = bipartite_bound_isotropic(3, p)
+        got = evaluate(w, make_isotropic(3, p))
         want = 2.0 * (4.0 * p - 1.0) / math.sqrt(27.0)
         errs.append(abs(got - want))
     e_m = gme_measure_pure(make_max_entangled(3)).e_m
-    tight_err = abs(bipartite_bound_isotropic(3, 1.0) - e_m)
+    tight_err = abs(evaluate(w, make_isotropic(3, 1.0)) - e_m)
     passed = max(errs) <= 1e-10 and tight_err <= 1e-10
     details = (
         f"max formula error {max(errs):.2e} over p in (0, 1/4, 1/2, 1); "
@@ -207,8 +202,9 @@ def check_ppt(seed: int = SEED) -> CheckResult:
         masks = cut_masks(n)
         g = masks[int(rng.integers(len(masks)))]
         wt = build_ppt_witness(p, d, g)
-        route_err = max(route_err, abs(ppt_expectation(wt, rho) - ppt_expectation_elements(wt, rho)))
-        dominance_ok = dominance_ok and compare_with_witness_bracket(wt, rho).dominance
+        cmp = compare_with_witness_bracket(wt, rho)
+        route_err = max(route_err, abs(ppt_expectation(wt, rho) - cmp.omega))
+        dominance_ok = dominance_ok and cmp.dominance
         count += 1
     passed = entry_ok and route_err <= 1e-12 and dominance_ok
     details = (
@@ -432,5 +428,7 @@ _RANDOMIZED = {check_ppt, check_measurement_plans, check_soundness, check_dicke_
 
 
 def run_all(seed: int = SEED) -> list[CheckResult]:
-    """Run the whole battery; ``seed`` re-seeds the randomized property checks."""
+    """Run the whole battery; ``seed`` re-seeds the randomized property checks
+    and is refused before any check runs when negative."""
+    _check_nonnegative("seed", seed)
     return [fn(seed=seed) if fn in _RANDOMIZED else fn() for fn in ALL_CHECKS]

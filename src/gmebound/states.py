@@ -244,16 +244,21 @@ def make_ghz_state(n: int = 3, d: int = 2) -> PureState:
     return PureState(n, d, digits, np.full(2, 1.0 / math.sqrt(2.0)))
 
 
+def _check_dicke_shape(n: int, d: int, m: int) -> None:
+    """Refuse an excitation number outside [1, n-1] or fewer than two levels."""
+    if not (1 <= m <= n - 1):
+        raise InvalidInputError(f"need 1 <= m <= n-1, got m={m}, n={n}")
+    if d < 2:
+        raise InvalidInputError(f"need d >= 2, got d={d}")
+
+
 def make_dicke_state(n: int, d: int, m: int) -> PureState:
     """Higher-dimensional Dicke state with m excitations spread over d-1 levels.
 
     Support strings have digit l+1 on a size-m subset and digit l elsewhere,
     for every level l in [0, d-2]; all amplitudes equal.
     """
-    if not (1 <= m <= n - 1):
-        raise InvalidInputError(f"need 1 <= m <= n-1, got m={m}, n={n}")
-    if d < 2:
-        raise InvalidInputError(f"need d >= 2, got d={d}")
+    _check_dicke_shape(n, d, m)
     levels = np.arange(d - 1, dtype=np.int64)
     digits = (levels[:, None, None] + excitation_rows(n, m)).reshape(-1, n)
     return PureState(n, d, digits, np.full(len(digits), 1.0 / math.sqrt(math.comb(n, m) * (d - 1))))
@@ -274,11 +279,10 @@ def embed_pure(psi: PureState, d: int) -> PureState:
 
 
 def white_noise_mix(pure: PureState, p: float) -> DensityMatrix:
-    """p * |psi><psi| + (1-p) * I / d**n."""
-    if not (0.0 <= p <= 1.0):
-        raise InvalidInputError(f"mixing weight p={p} outside [0, 1]")
-    dim = pure.d**pure.n
-    rho = p * pure.density().matrix + (1.0 - p) * np.eye(dim) / dim
+    """p * |psi><psi| + (1-p) * I / d**n, the entries of
+    :class:`NoisyPureState` as one dense array."""
+    noise = NoisyPureState(pure, p).noise
+    rho = p * pure.density().matrix + noise * np.eye(pure.d**pure.n)
     return DensityMatrix(pure.n, pure.d, rho, validate=False)
 
 

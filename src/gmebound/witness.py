@@ -47,7 +47,7 @@ from .indices import (
     place_values,
     rank_positions,
 )
-from .states import ElementSource, NoisyPureState, PureState, complex_product, make_isotropic
+from .states import ElementSource, NoisyPureState, PureState, complex_product
 
 
 class NRVariant(Enum):
@@ -152,6 +152,12 @@ def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
     return PairSet.from_strings(entries, n, d)
 
 
+def _check_shape(n: int, d: int, rho: ElementSource) -> None:
+    """Refuse a state that is not over the witness's (n, d)."""
+    if rho.n != n or rho.d != d:
+        raise InvalidInputError(f"witness over (n={n}, d={d}), state over (n={rho.n}, d={rho.d})")
+
+
 @dataclass(frozen=True)
 class Reads:
     """The entries a witness sum reads over (n, d), gathered in one call.
@@ -205,10 +211,7 @@ class Reads:
     def gather(self, rho: ElementSource) -> np.ndarray:
         """Every entry read, in one call on the state; a state of another
         (n, d) is refused."""
-        if rho.n != self.n or rho.d != self.d:
-            raise InvalidInputError(
-                f"witness over (n={self.n}, d={self.d}), state over (n={rho.n}, d={rho.d})"
-            )
+        _check_shape(self.n, self.d, rho)
         return rho.elements(self.rows, self.cols)
 
     def read(self, rho: ElementSource) -> tuple[float, np.ndarray]:
@@ -591,9 +594,3 @@ def isotropic_pairset(d: int) -> PairSet:
     """All (jj, kk) pairs, j < k, for the two-qudit maximally entangled target."""
     levels = np.stack(np.triu_indices(d, 1), axis=1)
     return PairSet(np.repeat(levels[:, :, None], 2, axis=2), 2, d)
-
-
-def bipartite_bound_isotropic(d: int, p: float) -> float:
-    """Bound for white noise on the maximally entangled two-qudit state."""
-    w = compile_witness(isotropic_pairset(d))
-    return evaluate(w, make_isotropic(d, p))

@@ -270,8 +270,8 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def local_op(label: str | None, d: int) -> np.ndarray:
-    if label is None or label == "id":
+def local_op(label: str, d: int) -> np.ndarray:
+    if label == "id":
         return np.eye(d, dtype=complex)
     if label.startswith("s"):
         j, k = (int(t) for t in label[1:].split(":"))
@@ -291,22 +291,22 @@ def local_op(label: str | None, d: int) -> np.ndarray:
     raise ValueError(f"unknown label {label!r}")
 
 
-def maximal_label_keys(keys) -> list[tuple[str | None, ...]]:
+def maximal_label_keys(keys) -> list[tuple[str, ...]]:
     """Label tuples that no other tuple covers, by an all-pairs scan.
 
-    ``None`` is an identity slot: ``key`` folds into ``other`` when every
+    ``"id"`` is an identity slot: ``key`` folds into ``other`` when every
     committed slot of ``key`` holds the same label in ``other``.
     """
     keys = set(keys)
 
     def folds(key, other):
-        return key != other and all(a is None or a == b for a, b in zip(key, other))
+        return key != other and all(a == "id" or a == b for a, b in zip(key, other))
 
     maximal = [k for k in keys if not any(folds(k, other) for other in keys)]
-    return sorted(maximal, key=lambda t: tuple("" if x is None else x for x in t))
+    return sorted(maximal, key=lambda t: tuple("" if x == "id" else x for x in t))
 
 
-def expectation(labels: tuple[str | None, ...], rho: np.ndarray, d: int) -> float:
+def expectation(labels: tuple[str, ...], rho: np.ndarray, d: int) -> float:
     op = np.array([[1.0]], dtype=complex)
     for lab in labels:
         op = np.kron(op, local_op(lab, d))

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from gmebound import reproduce
+from gmebound.errors import InvalidInputError
 
 BATTERY_PINS = json.loads((Path(__file__).parent / "battery_pins.json").read_text())
 
@@ -76,3 +77,12 @@ def test_battery_details_match_pins(battery, seed):
 
 def test_total_runtime_under_budget(battery):
     assert sum(res.elapsed for res in battery.values()) < 60.0
+
+
+def test_negative_seed_is_refused_before_any_check(monkeypatch):
+    def called(*args, **kwargs):
+        raise AssertionError("a check ran before the seed was refused")
+
+    monkeypatch.setattr(reproduce, "ALL_CHECKS", [called] * len(reproduce.ALL_CHECKS))
+    with pytest.raises(InvalidInputError, match=r"^seed must be nonnegative, got -1$"):
+        reproduce.run_all(-1)

@@ -344,8 +344,8 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         ("dicke --n 4 --d 2", "dicke needs --n, --d and --m"),
         ("measure-plan --r-set R2", "measure-plan needs --state/--preset or --r-set with --n --d"),
         ("dicke --preset singlet4 --n 4 --d 3 --m 2",
-         "state is (n=4, d=2), witness wants (n=4, d=3)"),
-        ("dicke --state MIXED --n 3 --d 2 --m 1", "state is (n=2, d=2), witness wants (n=3, d=2)"),
+         "witness over (n=4, d=3), state over (n=4, d=2)"),
+        ("dicke --state MIXED --n 3 --d 2 --m 1", "witness over (n=3, d=2), state over (n=2, d=2)"),
         ("bound --preset singlet4 --r-set NOFILE", "cannot read pair file {NOFILE}: "),
         ("bound --preset singlet4 --r-set NOTJSON",
          "pair file {NOTJSON} is not valid JSON: Expecting value"),
@@ -357,7 +357,7 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         ("bound --state D0", "state file {D0}: d**n = 0**2 is not a matrix size"),
         ("entropy --state N1", "need at least 2 parties, got n=1"),
         ("bound --preset dicke --n 4 --d 2 --m 4", "need 1 <= m <= n-1, got m=4, n=4"),
-        ("reproduce-paper --seed -1", "--seed must be nonnegative, got -1"),
+        ("reproduce-paper --seed -1", "seed must be nonnegative, got -1"),
         ("bound --preset ghz --n 3 --output NODIR", "[Errno 2] No such file or directory"),
     ],
     ids=["dicke-preset-without-m", "p-on-mixed", "mixed-without-r-set", "grid-two-fields",
@@ -745,7 +745,7 @@ def test_measure_plan_text_is_the_plan_through_stdlib_json(tmp_path, capsys, see
                 "kind": el.kind,
                 "indices": list(el.indices),
                 "terms": [
-                    {"coeff": float(f"{c:.12g}"), "labels": ["id" if x is None else x for x in labs]}
+                    {"coeff": float(f"{c:.12g}"), "labels": list(labs)}
                     for c, labs in el.terms
                 ],
             }

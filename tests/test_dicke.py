@@ -115,6 +115,13 @@ def test_q_witness_refuses_a_state_of_another_shape():
         q_witness(spec, embed_pure(make_singlet4(), 3))
 
 
+def test_q_witness_refuses_another_shape_before_building_its_reads():
+    spec = DickeWitnessSpec(4, 3, 2)
+    with pytest.raises(InvalidInputError, match=r"^witness over \(n=4, d=3\), state over \(n=4, d=2\)$"):
+        q_witness(spec, make_singlet4())
+    assert "reads" not in spec.__dict__
+
+
 def test_embedded_dicke_rows_3_3_1():
     spec = DickeWitnessSpec(3, 3, 1)
     rows = {}

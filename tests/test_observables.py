@@ -32,13 +32,13 @@ from gmebound.witness import (
 
 # diagonal |0><0| x |1><1| over the product-diagonal basis, exact values
 QUTRIT_01_ROW = {
-    (None, None): 1.0 / 9.0,
-    (None, "d1"): -1.0 / 6.0,
-    (None, "d2"): 1.0 / (6.0 * math.sqrt(3.0)),
-    ("d1", None): 1.0 / 6.0,
+    ("id", "id"): 1.0 / 9.0,
+    ("id", "d1"): -1.0 / 6.0,
+    ("id", "d2"): 1.0 / (6.0 * math.sqrt(3.0)),
+    ("d1", "id"): 1.0 / 6.0,
     ("d1", "d1"): -1.0 / 4.0,
     ("d1", "d2"): 1.0 / (4.0 * math.sqrt(3.0)),
-    ("d2", None): 1.0 / (6.0 * math.sqrt(3.0)),
+    ("d2", "id"): 1.0 / (6.0 * math.sqrt(3.0)),
     ("d2", "d1"): -1.0 / (4.0 * math.sqrt(3.0)),
     ("d2", "d2"): 1.0 / 12.0,
 }
@@ -65,6 +65,16 @@ def test_basis_size_and_orthogonality():
                     assert tr.real > 0
                 else:
                     assert abs(tr) < 1e-13
+
+
+def test_identity_is_spelled_id_everywhere():
+    """decompose_*, plan terms and op_matrix all name the identity slot "id"."""
+    for d in (2, 3):
+        assert (op_matrix("id", d) == np.eye(d)).all()
+    assert ("id", "id") in [labels for _, labels in decompose_diagonal([0, 0], 2)]
+    plan = plan_settings(compile_witness(auto_select_R(make_w_state(3)), NRVariant.MINIMAL))
+    labels = {lab for el in plan.elements for _, labs in el.terms for lab in labs}
+    assert "id" in labels and None not in labels
 
 
 def test_qubit_ops_are_paulis():
@@ -145,8 +155,8 @@ def test_kronecker_weights_match_the_product_loop_bit_for_bit(n, d):
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3)])
 def test_term_operator_equals_a_kron_loop_bit_for_bit(n, d):
-    """Every label tuple, the identity slot both ways, against np.kron."""
-    for labels in product([None, *_basis_labels(d)], repeat=n):
+    """Every label tuple against np.kron."""
+    for labels in product(_basis_labels(d), repeat=n):
         want = np.array([[1.0 + 0.0j]])
         for lab in labels:
             want = np.kron(want, op_matrix(lab, d))
@@ -183,7 +193,7 @@ def test_every_element_folds_into_a_setting():
     plan = plan_settings(w)
 
     def fits(labels, setting):
-        return all(a is None or a == b for a, b in zip(labels, setting))
+        return all(a == "id" or a == b for a, b in zip(labels, setting))
 
     for el in plan.elements:
         for _, labels in el.terms:

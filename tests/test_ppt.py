@@ -10,7 +10,6 @@ from gmebound.ppt import (
     compare_with_witness_bracket,
     enumerate_ghz_pairs,
     ppt_expectation,
-    ppt_expectation_elements,
 )
 from gmebound.states import (
     DensityMatrix,
@@ -46,7 +45,7 @@ def test_routes_agree_on_random_states():
     for _ in range(20):
         rho = DensityMatrix(3, 2, oracles.random_density(3, 2, rng))
         assert ppt_expectation(w, rho) == pytest.approx(
-            ppt_expectation_elements(w, rho), abs=1e-12
+            compare_with_witness_bracket(w, rho).omega, abs=1e-12
         )
 
 
@@ -91,8 +90,6 @@ def test_witness_refuses_a_state_of_another_shape(kind):
     message = r"^witness over \(n=3, d=2\), state over \(n=4, d=2\)$"
     with pytest.raises(InvalidInputError, match=message):
         compare_with_witness_bracket(w, rho)
-    with pytest.raises(InvalidInputError, match=message):
-        ppt_expectation_elements(w, rho)
 
 
 def test_enumerate_ghz_pairs_counts():
@@ -163,4 +160,3 @@ def test_bracket_reads_one_gather_with_scalar_values(kind):
     diag1, diag2 = entry(img1, img1).real, entry(img2, img2).real
     assert got.omega == 0.5 * (diag1 + diag2) - coherence.real
     assert got.minus_w == math.sqrt(max(diag1, 0.0) * max(diag2, 0.0)) - abs(coherence)
-    assert ppt_expectation_elements(w, _CountingSource(rho)) == got.omega

@@ -31,7 +31,6 @@ from gmebound.ppt import (
     compare_with_witness_bracket,
     enumerate_ghz_pairs,
     ppt_expectation,
-    ppt_expectation_elements,
 )
 from gmebound.states import (
     DensityMatrix,
@@ -50,7 +49,6 @@ from gmebound.witness import (
     NRVariant,
     PairSet,
     auto_select_R,
-    bipartite_bound_isotropic,
     compile_witness,
     evaluate,
     isotropic_pairset,
@@ -137,8 +135,9 @@ def test_singlet_verdicts_straddle_threshold():
 
 
 def test_isotropic_formula_and_tightness():
+    qutrit = compile_witness(isotropic_pairset(3))
     for p in (0.0, 0.25, 0.5, 1.0):
-        assert bipartite_bound_isotropic(3, p) == pytest.approx(
+        assert evaluate(qutrit, make_isotropic(3, p)) == pytest.approx(
             2.0 * (4.0 * p - 1.0) / math.sqrt(27.0), abs=1e-12
         )
     for d in (2, 3, 4):
@@ -333,9 +332,8 @@ def test_hot_paths_agree_with_the_dense_route():
     ppt = build_ppt_witness(pairs.digits[4], 3, cut_masks(3)[2])
     ghz = make_ghz_state(3, 3)
     for rho, mat in ((ghz, ghz.density()), (NoisyPureState(ghz, 0.7), white_noise_mix(ghz, 0.7))):
-        omega = ppt_expectation_elements(ppt, rho)
-        assert omega == pytest.approx(ppt_expectation(ppt, mat), abs=1e-12)
         lazy, full = (compare_with_witness_bracket(ppt, x) for x in (rho, mat))
+        assert lazy.omega == pytest.approx(ppt_expectation(ppt, mat), abs=1e-12)
         assert (lazy.omega, lazy.minus_w) == pytest.approx((full.omega, full.minus_w), abs=1e-12)
         assert lazy.dominance == full.dominance
 
