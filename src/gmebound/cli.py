@@ -15,9 +15,12 @@ import argparse
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .dicke_witness import (
     DickeWitnessSpec,
@@ -58,7 +61,11 @@ from .witness import (
 PRESETS = ("w", "ghz", "dicke", "singlet4", "isotropic")
 # a --p-grid start:stop:count longer than this is refused before any point is built
 MAX_GRID_POINTS = 10**6
-_CONTAINERS = (dict, list, tuple)
+# a measurement plan of more tensor terms than this (GHZ n = 10 has about
+# 1.05e6) is refused before any term is built
+MAX_PLAN_TERMS = 2**22
+# _emit writes its text in slices of this many characters
+_WRITE_SLICE = 1 << 20
 # options that several subcommands take, each declared here once
 _SHARED_FLAGS: dict[str, dict[str, Any]] = {
     "--nr": dict(choices=("min", "max"), default="min",
@@ -70,9 +77,19 @@ _SHARED_FLAGS: dict[str, dict[str, Any]] = {
 }
 
 
-class _Shared(dict):
-    """A dict that sits at many places of one payload; :func:`_dump` renders
-    its text once per indent."""
+@dataclass(frozen=True)
+class _Rows:
+    """A list of records given as row indices into ``table``, a list of
+    records that many lists of one payload share.  ``texts`` is shared with
+    them too: the writer keeps in it the table's texts per indent, so a
+    record is rendered once per indent however many lists hold it."""
+
+    table: Sequence[Any]
+    texts: dict[str, tuple[np.ndarray, np.ndarray]]
+    rows: Sequence[int]
+
+
+_CONTAINERS = (dict, list, tuple, _Rows)
 
 
 class _NotFinite(ValueError):
@@ -88,6 +105,11 @@ def _scalar(x: Any) -> str:
     """JSON text of a leaf; a float is first rounded to 12 significant digits."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
+    if isinstance(x, float):
+        rounded = float(f"{x:.12g}")
+        if not math.isfinite(rounded):
+            raise _NotFinite(x)
+        return float.__repr__(rounded)
     if x is None:
         return "null"
     if x is True:
@@ -96,54 +118,80 @@ def _scalar(x: Any) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, float):
-        rounded = float(f"{x:.12g}")
-        if not math.isfinite(rounded):
-            raise _NotFinite(x)
-        return float.__repr__(rounded)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _dump(obj: Any, pad: str = "", cache: dict | None = None) -> str:
+def _dump(obj: Any, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)`` with every float at 12
     significant digits (stable output), in one walk.
 
-    Dict keys are strings; tuples render as lists.  ``cache`` holds, per
-    output, the text of each :class:`_Shared` dict at each indent, so a
-    measurement-plan term that many entries share is rendered once.  Leaves
-    are rendered in place rather than through a call of their own.
+    Dict keys are strings; tuples render as lists, and :class:`_Rows` as the
+    list of its records.  The walk appends the text in pieces to one list,
+    joined once at the end, so no text is copied into its container's.
     """
+    out: list[str] = []
+    _write(obj, pad, out)
+    return "".join(out)
+
+
+def _write(obj: Any, pad: str, out: list[str]) -> None:
+    """Append the text of ``obj`` at indent ``pad`` to ``out``.  Leaves are
+    rendered in place rather than through a call of their own."""
+    if type(obj) is _Rows:
+        _write_rows(obj, pad, out)
+        return
     if not isinstance(obj, _CONTAINERS):
-        return _scalar(obj)
+        out.append(_scalar(obj))
+        return
     if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    if cache is None:
-        cache = {}
-    write = _members if isinstance(obj, dict) else _items
-    if type(obj) is not _Shared:
-        return write(obj, pad, pad + "  ", cache)
-    key = (id(obj), pad)  # the payload holds obj, so no other object takes its id
-    text = cache.get(key)
-    if text is None:
-        text = cache[key] = write(obj, pad, pad + "  ", cache)
-    return text
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        head = "{\n" + inner
+        for k, v in obj.items():
+            key = head + encode_basestring_ascii(k) + ": "
+            try:
+                if isinstance(v, _CONTAINERS):
+                    out.append(key)
+                    _write(v, inner, out)
+                else:
+                    out.append(key + _scalar(v))
+            except _NotFinite as exc:
+                exc.keys.append(k)
+                raise
+            head = ",\n" + inner
+        out.append("\n" + pad + "}")
+        return
+    head = "[\n" + inner
+    for v in obj:
+        if type(v) is str:  # the labels of measurement-plan terms
+            out.append(head + encode_basestring_ascii(v))
+        elif isinstance(v, _CONTAINERS):
+            out.append(head)
+            _write(v, inner, out)
+        else:
+            out.append(head + _scalar(v))
+        head = ",\n" + inner
+    out.append("\n" + pad + "]")
 
 
-def _members(obj: dict, pad: str, inner: str, cache: dict) -> str:
-    parts = []
-    for k, v in obj.items():
-        try:
-            text = _dump(v, inner, cache) if isinstance(v, _CONTAINERS) else _scalar(v)
-        except _NotFinite as exc:
-            exc.keys.append(k)
-            raise
-        parts.append(f"{encode_basestring_ascii(k)}: {text}")
-    return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-
-
-def _items(obj: list | tuple, pad: str, inner: str, cache: dict) -> str:
-    parts = [_dump(v, inner, cache) if isinstance(v, _CONTAINERS) else _scalar(v) for v in obj]
-    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+def _write_rows(obj: _Rows, pad: str, out: list[str]) -> None:
+    """The records of ``obj.rows``, each as its line break, indent and text,
+    then a comma for all but the last: the table's texts at this indent, in
+    both forms, are rendered once for every list over the table."""
+    rows = obj.rows
+    if not len(rows):
+        out.append("[]")
+        return
+    inner = pad + "  "
+    texts = obj.texts.get(inner)
+    if texts is None:
+        text = "\n" + inner + np.array([_dump(r, inner) for r in obj.table], dtype=object)
+        texts = obj.texts[inner] = (text + ",", text)
+    out.append("[")
+    out += texts[0][rows[:-1]].tolist()
+    out.append(texts[1][rows[-1]] + "\n" + pad + "]")
 
 
 def _emit(document: dict[str, Any] | str, output: str | None) -> None:
@@ -155,11 +203,11 @@ def _emit(document: dict[str, Any] | str, output: str | None) -> None:
     except _NotFinite as exc:
         where = "/".join(reversed(exc.keys))
         raise AnalysisError(f"output value {where!r} is {exc.value!r}, not finite") from None
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        # in slices, so that no encoded copy of the whole text is made
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
+        fh.write("\n")
 
 
 def _build_preset(args: argparse.Namespace) -> PureState:
@@ -412,10 +460,10 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
         _check_digit_strings(d)
     r = _resolve_pairset(args, pure, n, d)
     w = compile_witness(r, NRVariant(args.nr))
-    plan = plan_settings(w, include_imag=args.include_imag)
+    plan = plan_settings(w, include_imag=args.include_imag, max_terms=MAX_PLAN_TERMS)
     # one record per distinct (coeff, labels) term, shared by every element that has it
-    distinct = {term for el in plan.elements for term in el.terms}
-    records = {(c, labs): _Shared(coeff=c, labels=labs) for c, labs in distinct}
+    table = [{"coeff": c, "labels": labels} for c, labels in plan.table]
+    texts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     payload = {
         "n": plan.n,
         "d": plan.d,
@@ -423,7 +471,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
         "setting_count": plan.setting_count,
         "settings": plan.settings,
         "elements": [
-            {"kind": el.kind, "indices": el.indices, "terms": [records[t] for t in el.terms]}
+            {"kind": el.kind, "indices": el.indices, "terms": _Rows(table, texts, el.terms)}
             for el in plan.elements
         ],
     }

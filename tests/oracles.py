@@ -306,6 +306,80 @@ def maximal_label_keys(keys) -> list[tuple[str, ...]]:
     return sorted(maximal, key=lambda t: tuple("" if x == "id" else x for x in t))
 
 
+def gell_mann_terms(first: str, second: str, d: int) -> list[tuple[complex, tuple[str, ...]]]:
+    """Every tensor term of <first| rho |second> = Tr(rho |second><first|), for
+    two digit strings, before any zero filter: a term-by-term loop over the
+    per-site identities, in site order, the last site varying fastest.
+
+    For j < k:  |k><j| = (s - i a)/2,  |j><k| = (s + i a)/2, and
+    |j><j| = id/d + sum_{l >= max(j,1)} (d_l[j,j]/2) d_l with
+    d_l[j,j] = sqrt(2/(l(l+1))) for j < l and -l sqrt(2/(l(l+1))) for j = l.
+    """
+
+    def site(a: int, b: int) -> list[tuple[complex, str]]:
+        if a == b:
+            out = [(1.0 / d, "id")]
+            for l in range(max(a, 1), d):
+                entry = math.sqrt(2.0 / (l * (l + 1))) * (1.0 if a < l else -l)
+                out.append((entry / 2.0, f"d{l}"))
+            return out
+        j, k = min(a, b), max(a, b)
+        a_weight = -0.5j if b == k else 0.5j  # |k><j| or |j><k|
+        return [(0.5, f"s{j}:{k}"), (a_weight, f"a{j}:{k}")]
+
+    terms = []
+    sites = [site(int(a), int(b)) for a, b in zip(first, second)]
+    for combo in itertools.product(*sites):
+        z = 1.0 + 0.0j
+        for weight, _ in combo:
+            z *= weight
+        terms.append((z, tuple(label for _, label in combo)))
+    return terms
+
+
+def measure_plan_direct(
+    pairs: list[tuple[str, str]], n: int, d: int, include_imag: bool, variant: str = "min"
+) -> dict:
+    """The measure-plan document, recomputed from digit strings: each pair
+    (lower index first, repeats dropped) as the real and, on request, the
+    imaginary part of its coherence, then each diagonal the witness reads
+    (every noise-image member and every index with a nonzero N_eta), in
+    index order; each element's nonzero terms, and as settings the maximal
+    label keys over all of them."""
+    pairs = list(dict.fromkeys(tuple(sorted(p)) for p in pairs))
+    fields = compiled_fields_direct(pairs, n, d, variant)
+    diagonals = {s for images in fields["noise_images"] for img in images for s in img}
+    diagonals |= {s for s, count in fields["n_eta"].items() if count > 0}
+    elements = []
+    for a, b in pairs:
+        terms = gell_mann_terms(a, b, d)
+        parts = [("offdiag_re", lambda z: z.real)]
+        if include_imag:
+            parts.append(("offdiag_im", lambda z: z.imag))
+        for kind, part in parts:
+            kept = [(part(z), labels) for z, labels in terms if part(z) != 0.0]
+            elements.append((kind, [a, b], kept))
+    for s in sorted(diagonals, key=lambda s: int(s, d)):
+        kept = [(z.real, labels) for z, labels in gell_mann_terms(s, s, d) if z.real != 0.0]
+        elements.append(("diag", [s], kept))
+    settings = maximal_label_keys(labels for *_, kept in elements for _, labels in kept)
+    return {
+        "n": n,
+        "d": d,
+        "element_count": len(elements),
+        "setting_count": len(settings),
+        "settings": settings,
+        "elements": [
+            {
+                "kind": kind,
+                "indices": indices,
+                "terms": [{"coeff": c, "labels": labels} for c, labels in kept],
+            }
+            for kind, indices, kept in elements
+        ],
+    }
+
+
 def expectation(labels: tuple[str, ...], rho: np.ndarray, d: int) -> float:
     op = np.array([[1.0]], dtype=complex)
     for lab in labels:

@@ -20,7 +20,7 @@ import gmebound.witness as witness
 import oracles
 from gmebound.cli import main
 from gmebound.entropy import EntropyReport
-from gmebound.errors import DegenerateSelectionError
+from gmebound.errors import DegenerateSelectionError, InvalidInputError
 from gmebound.indices import digit_strings
 from gmebound.observables import plan_settings
 from gmebound.witness import NRVariant, PairSet, compile_witness
@@ -613,7 +613,7 @@ PINS = json.loads((Path(__file__).parent / "output_pins.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(PINS))
-def test_output_matches_recorded_digest(capsys, command):
+def test_output_matches_recorded_digest(capsys, monkeypatch, command):
     """sha256 of the stdout each command gave; output must stay byte for byte.
 
     The ten pins without ``--include-imag`` on GHZ qutrits or singlet4 were
@@ -623,7 +623,11 @@ def test_output_matches_recorded_digest(capsys, command):
     the commit before term records were rendered once per distinct term; the
     three ``threshold`` pins without ``--p-grid`` at 739aeab, the last commit
     that found roots with scipy.optimize.brentq; the three ``--p-grid`` sweep
-    pins at e775f20, the last commit that wrote sweeps through the csv module."""
+    pins at e775f20, the last commit that wrote sweeps through the csv module;
+    the ``--r-set pairs_d10_n10.json`` pin, whose label keys outgrow int64, at
+    ec2d676, the last commit that found distinct terms by hashing label
+    tuples.  File names are read from this directory."""
+    monkeypatch.chdir(Path(__file__).parent)
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[command]
 
@@ -702,57 +706,77 @@ PAYLOADS = st.recursive(
 
 @given(PAYLOADS, st.lists(st.text(), max_size=3).map(tuple))
 def test_dump_matches_stdlib_json(payload, labels):
-    """One walk gives what the stdlib gives after rounding; ``labels`` and a
-    shared record sit at two depths, so a cached text must be keyed by its
-    indent."""
-    shared = cli._Shared(coeff=0.1 + 0.2, labels=labels, payload=payload)
-    deep = {"top": labels, "deep": [[labels, payload], labels], "records": [shared, [shared]]}
-    for doc in (payload, deep, shared):
-        assert cli._dump(doc) == json.dumps(oracles.round12_oracle(doc), indent=2, allow_nan=False)
+    """One walk gives what the stdlib gives after rounding; ``labels`` and
+    lists of rows over one shared table sit at two depths, so a record's text
+    must be kept per indent."""
+    table = [{"coeff": 0.1 + 0.2, "labels": labels, "payload": payload}, {"labels": labels}]
+    texts: dict = {}
+    rows = cli._Rows(table, texts, [0, 1, 0])
+    empty = cli._Rows(table, texts, [])
+    deep = {"top": labels, "deep": [[labels, payload], labels], "records": [rows, [rows, empty]]}
+    records = [table[0], table[1], table[0]]
+    expanded = {
+        "top": labels,
+        "deep": [[labels, payload], labels],
+        "records": [records, [records, []]],
+    }
+    for doc, full in ((payload, payload), (deep, expanded), (rows, records)):
+        want = json.dumps(oracles.round12_oracle(full), indent=2, allow_nan=False)
+        assert cli._dump(doc) == want
 
 
-def _random_witness(rng):
-    """A random pair selection at n <= 4, d <= 3 that compiles."""
+# every (n, d) with n <= 5 and d <= 4, one per seed
+PLAN_SHAPES = [(n, d) for n in (2, 3, 4, 5) for d in (2, 3, 4)]
+
+
+def _random_selection(rng, n, d):
+    """The index strings of a random pair selection over (n, d) that compiles."""
     while True:
-        n, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         pairs = [rng.choice(d**n, size=2, replace=False) for _ in range(rng.integers(1, 6))]
         entries = [digit_strings(pair, n, d) for pair in pairs]
         try:
-            return entries, compile_witness(PairSet.from_strings(entries, n, d), NRVariant.MINIMAL)
+            compile_witness(PairSet.from_strings(entries, n, d), NRVariant.MINIMAL)
         except DegenerateSelectionError:
             continue
+        return entries
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(len(PLAN_SHAPES)))
 @pytest.mark.parametrize("include_imag", [False, True])
 def test_measure_plan_text_is_the_plan_through_stdlib_json(tmp_path, capsys, seed, include_imag):
     """Each term record is rendered once and shared, yet the text is what
-    ``json.dumps`` gives for the plan written out in full."""
-    entries, w = _random_witness(np.random.default_rng(seed))
+    ``json.dumps`` gives for the plan the term-by-term oracle writes out in
+    full."""
+    n, d = PLAN_SHAPES[seed]
+    entries = _random_selection(np.random.default_rng(seed), n, d)
     path = tmp_path / "r.json"
     path.write_text(json.dumps(entries))
-    argv = ["measure-plan", "--r-set", str(path), "--n", str(w.n), "--d", str(w.d)]
+    argv = ["measure-plan", "--r-set", str(path), "--n", str(n), "--d", str(d)]
     assert main(argv + ["--include-imag"] * include_imag) == 0
-    plan = plan_settings(w, include_imag=include_imag)
-    reference = {
-        "n": plan.n,
-        "d": plan.d,
-        "element_count": len(plan.elements),
-        "setting_count": len(plan.settings),
-        "settings": [list(s) for s in plan.settings],
-        "elements": [
-            {
-                "kind": el.kind,
-                "indices": list(el.indices),
-                "terms": [
-                    {"coeff": float(f"{c:.12g}"), "labels": list(labs)}
-                    for c, labs in el.terms
-                ],
-            }
-            for el in plan.elements
-        ],
-    }
-    assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
+    reference = oracles.measure_plan_direct(entries, n, d, include_imag)
+    assert capsys.readouterr().out == json.dumps(oracles.round12_oracle(reference), indent=2) + "\n"
+
+
+def test_oversized_plan_is_refused_before_any_term_is_built(capsys):
+    """GHZ n = 16 reads one coherence and 2**16 - 2 diagonals, each of 2**16
+    terms; that count, taken from the factor sizes alone, is refused with
+    exit 2 naming it and the limit."""
+    assert main(["measure-plan", "--preset", "ghz", "--n", "16"]) == 2
+    err = capsys.readouterr().err
+    assert f"{2**32 - 2**16} terms" in err and str(cli.MAX_PLAN_TERMS) in err
+    assert "Traceback" not in err
+    # the count is the number of terms before the zero filter, and the limit is inclusive
+    entries = [["0011", "0101"], ["0011", "1010"]]
+    w = compile_witness(PairSet.from_strings(entries, 4, 2), NRVariant.MINIMAL)
+    plan = oracles.measure_plan_direct(entries, 4, 2, include_imag=True)
+    total = sum(
+        len(oracles.gell_mann_terms(el["indices"][0], el["indices"][-1], 2))
+        for el in plan["elements"]
+    )
+    got = plan_settings(w, include_imag=True, max_terms=total)
+    assert got.element_count == plan["element_count"]
+    with pytest.raises(InvalidInputError, match=f"has {total} terms"):
+        plan_settings(w, include_imag=True, max_terms=total - 1)
 
 
 def test_non_finite_output_is_analysis_error(monkeypatch, tmp_path, capsys):

@@ -12,7 +12,8 @@ import oracles
 from gmebound.errors import DegenerateSelectionError
 from gmebound.indices import parse_index, rank_digits
 from gmebound.observables import (
-    _product_terms,
+    _alphabet,
+    _product,
     _site_factor,
     decompose_diagonal,
     decompose_offdiagonal,
@@ -73,7 +74,7 @@ def test_identity_is_spelled_id_everywhere():
         assert (op_matrix("id", d) == np.eye(d)).all()
     assert ("id", "id") in [labels for _, labels in decompose_diagonal([0, 0], 2)]
     plan = plan_settings(compile_witness(auto_select_R(make_w_state(3)), NRVariant.MINIMAL))
-    labels = {lab for el in plan.elements for _, labs in el.terms for lab in labs}
+    labels = {lab for el in plan.elements for _, labs in plan.terms_of(el) for lab in labs}
     assert "id" in labels and None not in labels
 
 
@@ -118,7 +119,7 @@ def test_offdiagonal_parts_reconstruct_element(d, strings):
 
 def _loop_terms(first, second, d):
     """Every tensor term of |second><first| as a term-by-term product loop."""
-    factors = [list(zip(*_site_factor(a, b, d))) for a, b in zip(first, second)]
+    factors = [_site_factor(a, b, d) for a, b in zip(first, second)]
     out = []
     for combo in product(*factors):
         z = 1.0 + 0.0j
@@ -132,18 +133,27 @@ def _bits(terms):
     return [(float.hex(c), labels) for c, labels in terms]
 
 
+def _weight_bits(weights):
+    return [(c.real.hex(), c.imag.hex()) for c in weights]
+
+
 @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3)])
 def test_kronecker_weights_match_the_product_loop_bit_for_bit(n, d):
     """The Kronecker-built weights are the loop's floats, in the loop's
-    order, and the zero filter drops the same terms."""
+    order, for one element and for every element of one factor shape in one
+    call, and the zero filter drops the same terms."""
     digits = list(product(range(d), repeat=n))
+    names = _alphabet(d)
+    shapes: dict = {}
     for first, second in product(digits, repeat=2):
         want = _loop_terms(first, second, d)
-        z, labels = _product_terms(first, second, d)
-        assert labels == [labs for _, labs in want]
-        assert [(c.real.hex(), c.imag.hex()) for c in z.tolist()] == [
-            (c.real.hex(), c.imag.hex()) for c, _ in want
+        shape = tuple(len(_site_factor(a, b, d)) for a, b in zip(first, second))
+        shapes.setdefault(shape, []).append((first, second, want))
+        z, codes = _product(np.array([first]), np.array([second]), d)
+        assert [tuple(names[c] for c in col) for col in codes[:, 0].T.tolist()] == [
+            labs for _, labs in want
         ]
+        assert _weight_bits(z[0].tolist()) == _weight_bits(c for c, _ in want)
         if first == second:
             got = decompose_diagonal(first, d)
             assert _bits(got) == _bits((c.real, labs) for c, labs in want if c.real != 0.0)
@@ -151,6 +161,19 @@ def test_kronecker_weights_match_the_product_loop_bit_for_bit(n, d):
             for part, take in (("re", lambda c: c.real), ("im", lambda c: c.imag)):
                 got = decompose_offdiagonal(first, second, d, part)
                 assert _bits(got) == _bits((take(c), labs) for c, labs in want if take(c) != 0.0)
+    for members in shapes.values():
+        bra, ket, wants = zip(*members)
+        z, codes = _product(np.array(bra), np.array(ket), d)
+        per_element = codes.transpose(1, 2, 0).tolist()
+        for weights, element_codes, want in zip(z.tolist(), per_element, wants):
+            assert _weight_bits(weights) == _weight_bits(c for c, _ in want)
+            assert [tuple(names[c] for c in row) for row in element_codes] == [l for _, l in want]
+
+
+def test_label_codes_order_as_label_text():
+    """A label's code is its rank in text order, over all d*d labels."""
+    for d in (2, 3, 4, 10):
+        assert list(_alphabet(d)) == sorted(_basis_labels(d))
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3)])
@@ -196,7 +219,7 @@ def test_every_element_folds_into_a_setting():
         return all(a == "id" or a == b for a, b in zip(labels, setting))
 
     for el in plan.elements:
-        for _, labels in el.terms:
+        for _, labels in plan.terms_of(el):
             assert any(fits(labels, s) for s in plan.settings), (el.kind, labels)
 
 
@@ -227,5 +250,42 @@ def test_settings_are_the_maximal_label_keys(n, d, size, seed, variant, include_
     except DegenerateSelectionError:
         return
     plan = plan_settings(w, include_imag=include_imag)
-    keys = [labels for el in plan.elements for _, labels in el.terms]
+    keys = [labels for el in plan.elements for _, labels in plan.terms_of(el)]
+    assert list(plan.settings) == oracles.maximal_label_keys(keys)
+
+
+def _check_table(plan, w):
+    """Each element's rows give its decomposition, and the table holds each
+    (coeff, labels) term once, in label order."""
+    assert len(set(plan.table)) == len(plan.table)
+    assert [labels for _, labels in plan.table] == sorted(labels for _, labels in plan.table)
+    digits = {text: parse_index(text, w.d, w.n) for el in plan.elements for text in el.indices}
+    for el in plan.elements:
+        rows = [digits[text] for text in el.indices]
+        if el.kind == "diag":
+            want = decompose_diagonal(rows[0], w.d)
+        else:
+            want = decompose_offdiagonal(*rows, w.d, "re" if el.kind == "offdiag_re" else "im")
+        assert plan.terms_of(el) == want, el.indices
+
+
+@pytest.mark.parametrize("include_imag", [False, True])
+def test_plan_rows_give_each_elements_decomposition(include_imag):
+    for w in (
+        compile_witness(isotropic_pairset(3), NRVariant.MINIMAL),
+        compile_witness(auto_select_R(make_w_state(4)), NRVariant.MINIMAL),
+    ):
+        _check_table(plan_settings(w, include_imag=include_imag), w)
+
+
+def test_plan_keys_stay_exact_past_int64():
+    """At d = 10 a label key over n = 10 sites takes up to 100**10 > 2**63
+    values, and terms that differ only past the ninth site must stay apart."""
+    r = PairSet.from_strings([["8999999998", "9999999999"]], 10, 10)
+    w = compile_witness(r, NRVariant.MINIMAL)
+    plan = plan_settings(w)
+    assert (plan.element_count, plan.setting_count) == (5, 6)
+    assert sum(len(el.terms) for el in plan.elements) == 6912
+    _check_table(plan, w)
+    keys = [labels for el in plan.elements for _, labels in plan.terms_of(el)]
     assert list(plan.settings) == oracles.maximal_label_keys(keys)
