@@ -105,11 +105,6 @@ def _scalar(x: Any) -> str:
     """JSON text of a leaf; a float is first rounded to 12 significant digits."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    if isinstance(x, float):
-        rounded = float(f"{x:.12g}")
-        if not math.isfinite(rounded):
-            raise _NotFinite(x)
-        return float.__repr__(rounded)
     if x is None:
         return "null"
     if x is True:
@@ -118,6 +113,11 @@ def _scalar(x: Any) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
+    if isinstance(x, float):
+        rounded = float(f"{x:.12g}")
+        if not math.isfinite(rounded):
+            raise _NotFinite(x)
+        return float.__repr__(rounded)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
@@ -126,27 +126,33 @@ def _dump(obj: Any, pad: str = "") -> str:
     significant digits (stable output), in one walk.
 
     Dict keys are strings; tuples render as lists, and :class:`_Rows` as the
-    list of its records.  The walk appends the text in pieces to one list,
-    joined once at the end, so no text is copied into its container's.
+    list of its records.
     """
     out: list[str] = []
     _write(obj, pad, out)
     return "".join(out)
 
 
-def _write(obj: Any, pad: str, out: list[str]) -> None:
-    """Append the text of ``obj`` at indent ``pad`` to ``out``.  Leaves are
-    rendered in place rather than through a call of their own."""
+def _write(obj: Any, pad: str, out: list[str]) -> bool:
+    """Append the text of ``obj`` at indent ``pad`` to ``out``, and return
+    whether it holds a :class:`_Rows` list.
+
+    A container's pieces are joined into one text when it closes, so that a
+    large payload is not held as many small strings.  A container over a
+    :class:`_Rows` list keeps its pieces, most of them the table's shared
+    texts, for :func:`_dump` to join once.  Leaves are rendered in place
+    rather than through a call of their own.
+    """
     if type(obj) is _Rows:
         _write_rows(obj, pad, out)
-        return
+        return True
     if not isinstance(obj, _CONTAINERS):
         out.append(_scalar(obj))
-        return
+        return False
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = pad + "  "
+        return False
+    start, shared, inner = len(out), False, pad + "  "
     if isinstance(obj, dict):
         head = "{\n" + inner
         for k, v in obj.items():
@@ -154,7 +160,7 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
             try:
                 if isinstance(v, _CONTAINERS):
                     out.append(key)
-                    _write(v, inner, out)
+                    shared |= _write(v, inner, out)
                 else:
                     out.append(key + _scalar(v))
             except _NotFinite as exc:
@@ -162,18 +168,19 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
                 raise
             head = ",\n" + inner
         out.append("\n" + pad + "}")
-        return
-    head = "[\n" + inner
-    for v in obj:
-        if type(v) is str:  # the labels of measurement-plan terms
-            out.append(head + encode_basestring_ascii(v))
-        elif isinstance(v, _CONTAINERS):
-            out.append(head)
-            _write(v, inner, out)
-        else:
-            out.append(head + _scalar(v))
-        head = ",\n" + inner
-    out.append("\n" + pad + "]")
+    else:
+        head = "[\n" + inner
+        for v in obj:
+            if isinstance(v, _CONTAINERS):
+                out.append(head)
+                shared |= _write(v, inner, out)
+            else:
+                out.append(head + _scalar(v))
+            head = ",\n" + inner
+        out.append("\n" + pad + "]")
+    if not shared:
+        out[start:] = ["".join(out[start:])]
+    return shared
 
 
 def _write_rows(obj: _Rows, pad: str, out: list[str]) -> None:

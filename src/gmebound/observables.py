@@ -104,10 +104,11 @@ def _site_factor(a: int, b: int, d: int) -> list[tuple[complex, str]]:
 @lru_cache(maxsize=None)
 def _site_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every site factor, at row ``a * d + b``: its size, and its weights and
-    label codes padded to ``d`` entries (all read-only)."""
+    label codes padded to ``d`` entries (all read-only).  The codes take the
+    smallest unsigned type that holds the d*d of them."""
     sizes = np.zeros(d * d, dtype=np.int64)
     weights = np.zeros((d * d, d), dtype=complex)
-    codes = np.zeros((d * d, d), dtype=np.uint8)
+    codes = np.zeros((d * d, d), dtype=np.min_scalar_type(d * d - 1))
     for a in range(d):
         for b in range(d):
             factor = a * d + b
@@ -137,7 +138,7 @@ def _product(first: np.ndarray, second: np.ndarray, d: int) -> tuple[np.ndarray,
     z = weights[factor[0], : shape[0]]
     for f, k in zip(factor[1:], shape[1:]):
         z = (z[:, :, None] * weights[f, :k][:, None, :]).reshape(count, -1)
-    out = np.empty((n, count, *shape), dtype=np.uint8)
+    out = np.empty((n, count, *shape), dtype=codes.dtype)
     for site, (f, k) in enumerate(zip(factor, shape)):
         out[site] = codes[f, :k].reshape(count, *(1,) * site, k, *(1,) * (n - 1 - site))
     return z, out.reshape(n, count, -1)

@@ -176,6 +176,23 @@ def test_label_codes_order_as_label_text():
         assert list(_alphabet(d)) == sorted(_basis_labels(d))
 
 
+def test_decompositions_past_256_site_labels():
+    """At d = 17 a site has 289 labels, more than one byte of code holds;
+    the terms still sum to |eta><eta| and to |second><first|."""
+    d, eta, first, second = 17, [16, 3], [16, 0], [3, 16]
+    projector = sum(c * term_operator(labs, d) for c, labs in decompose_diagonal(eta, d))
+    want = np.zeros((d * d, d * d), dtype=complex)
+    want[eta[0] * d + eta[1], eta[0] * d + eta[1]] = 1.0
+    assert np.allclose(projector, want, atol=1e-12)
+    parts = {
+        part: sum(c * term_operator(labs, d) for c, labs in decompose_offdiagonal(first, second, d, part))
+        for part in ("re", "im")
+    }
+    want = np.zeros((d * d, d * d), dtype=complex)
+    want[second[0] * d + second[1], first[0] * d + first[1]] = 1.0
+    assert np.allclose(parts["re"] + 1j * parts["im"], want, atol=1e-12)
+
+
 @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3)])
 def test_term_operator_equals_a_kron_loop_bit_for_bit(n, d):
     """Every label tuple against np.kron."""
