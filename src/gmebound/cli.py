@@ -12,6 +12,7 @@ the target, a result that is not a finite number), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -376,10 +377,14 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     w = compile_witness(r, NRVariant(args.nr))
 
     if args.p_grid:
+        grid = _parse_grid(args.p_grid)
         lines = ["p,witness" if spec is None else "p,witness,q"]
-        for p in _parse_grid(args.p_grid):
-            rho = NoisyPureState(pure, p)
-            row = [p, evaluate(w, rho)] + ([] if spec is None else [q_witness(spec, rho)])
+        w_family = w.reads.family(pure)
+        q_family = None if spec is None else spec.reads.family(pure)
+        for p in grid:
+            row = [p, evaluate(w, w_family.at(p))]
+            if q_family is not None:
+                row.append(q_witness(spec, q_family.at(p)))
             lines.append(",".join(f"{v:.12g}" for v in row))
         _emit("\n".join(lines), args.output)
         return 0
@@ -601,9 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on the first call of main rather than at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_finite(args)
         return args.func(args)

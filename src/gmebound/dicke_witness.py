@@ -16,8 +16,17 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .indices import cut_masks, excitation_rows, place_values
-from .states import ElementSource, NoisyPureState, PureState, _check_dicke_shape
-from .witness import NRVariant, PairSet, Reads, _check_shape, _images, _noise_root, compile_witness
+from .states import ElementSource, PureState, _check_dicke_shape
+from .witness import (
+    NRVariant,
+    PairSet,
+    Reads,
+    _check_shape,
+    _images,
+    _noise_root,
+    check_xtol,
+    compile_witness,
+)
 
 
 @dataclass(frozen=True)
@@ -133,9 +142,16 @@ def noise_threshold_q(
     """Largest white-noise fraction at which Q crosses zero.
 
     Mirrors witness.noise_threshold: root of p -> Q(p * target + (1-p) * I/dim)
-    in [0, 1]; raises when Q is not positive even on the pure target.
+    in [0, 1]; raises when Q is not positive even on the pure target.  The
+    target's entries on ``spec.reads`` are gathered once, for every step.
+    Q is built like the witness sum (moduli of coherences, minus geometric
+    means of diagonals, minus diagonal weight), so the convexity argument of
+    witness.noise_threshold makes the root its only crossing too.
     """
-    return _noise_root(lambda p: q_witness(spec, NoisyPureState(target, p)), xtol, "Q =")
+    check_xtol(xtol)
+    _check_shape(spec.n, spec.d, target)  # before Q's reads are built
+    family = spec.reads.family(target)
+    return _noise_root(lambda p: q_witness(spec, family.at(p)), xtol, "Q =")
 
 
 def dimensionality_certificate(q: float, tol: float = 1e-9) -> int:

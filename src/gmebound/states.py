@@ -6,6 +6,8 @@ complex arrays whose row/column order follows the big-endian rank; white
 noise on a pure state is a view that is never materialised.  All three
 answer ``elements(rows, cols)`` on arrays of ranks, which is the one way the
 package reads matrix entries; a single entry is a gather of length one.
+White noise at many weights on one set of entries is a
+:class:`WhiteNoiseFamily`, which gathers the pure entries once.
 
 Arithmetic on amplitudes goes component by component through
 :func:`complex_product`, in the operation order of Python's complex product,
@@ -130,12 +132,16 @@ class NoisyPureState:
     """p * |psi><psi| + (1-p) * I / d**n, read element by element.
 
     Entries equal those of ``white_noise_mix(pure, p).matrix`` without ever
-    building the ``d**n x d**n`` array.
+    building the ``d**n x d**n`` array.  A read is the arithmetic of a
+    :class:`WhiteNoiseFamily` on its entries: ``family``'s when they are the
+    ones it was gathered on (members made by :meth:`WhiteNoiseFamily.at`),
+    otherwise a family gathered for this read alone.
     """
 
     pure: PureState
     p: float
     noise: float = field(init=False, repr=False)
+    family: "WhiteNoiseFamily | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
@@ -151,9 +157,43 @@ class NoisyPureState:
         return self.pure.d
 
     def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        pure = self.pure.elements(rows, cols)
-        re = self.p * pure.real + np.where(rows == cols, self.noise, 0.0)
-        return _complex(re, self.p * pure.imag)
+        family = self.family
+        if family is None or rows is not family.rows or cols is not family.cols:
+            family = WhiteNoiseFamily(self.pure, rows, cols)
+        return family.entries(self.p, self.noise)
+
+
+@dataclass(frozen=True, eq=False)
+class WhiteNoiseFamily:
+    """The states p * |psi><psi| + (1-p) * I / d**n, read at fixed entries.
+
+    The pure entries at ``(rows, cols)`` are gathered once, here; each
+    member's entries are then arithmetic on them.  A threshold search or a
+    ``--p-grid`` sweep holds one family per witness for the command, so its
+    steps repeat no rank lookup and no amplitude product.
+    """
+
+    pure: PureState
+    rows: np.ndarray
+    cols: np.ndarray
+    _pure_entries: np.ndarray = field(init=False, repr=False)
+    _diagonal: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_pure_entries", self.pure.elements(self.rows, self.cols))
+        object.__setattr__(self, "_diagonal", self.rows == self.cols)
+
+    def at(self, p: float) -> NoisyPureState:
+        """The member of weight p, whose reads of the family's entries cost no gather."""
+        member = NoisyPureState(self.pure, p)
+        object.__setattr__(member, "family", self)
+        return member
+
+    def entries(self, p: float, noise: float) -> np.ndarray:
+        """p * pure entry, plus ``noise`` = (1-p) / d**n on the diagonal."""
+        pure = self._pure_entries
+        re = p * pure.real + np.where(self._diagonal, noise, 0.0)
+        return _complex(re, p * pure.imag)
 
 
 def _gershgorin_floor(m: np.ndarray) -> float:

@@ -47,7 +47,7 @@ from .indices import (
     place_values,
     rank_positions,
 )
-from .states import ElementSource, NoisyPureState, PureState, complex_product
+from .states import ElementSource, PureState, WhiteNoiseFamily, complex_product
 
 
 class NRVariant(Enum):
@@ -213,6 +213,12 @@ class Reads:
         (n, d) is refused."""
         _check_shape(self.n, self.d, rho)
         return rho.elements(self.rows, self.cols)
+
+    def family(self, pure: PureState) -> WhiteNoiseFamily:
+        """The white-noise family of a pure target on these entries, gathered
+        once; a target of another (n, d) is refused."""
+        _check_shape(self.n, self.d, pure)
+        return WhiteNoiseFamily(pure, self.rows, self.cols)
 
     def read(self, rho: ElementSource) -> tuple[float, np.ndarray]:
         """sum |rho_ab| - sum sqrt(rho_a'a' rho_b'b') in visiting order, and the diagonals."""
@@ -556,13 +562,13 @@ def check_xtol(xtol: float) -> None:
 
 
 def _noise_root(f: Callable[[float], float], xtol: float, label: str) -> float:
-    """Root in [0, 1] of a witness value f(p) on the noisy line of a pure target.
+    """Root in [0, 1] of a witness value f(p) on the noisy line of a pure
+    target, for a tolerance ``xtol`` the caller has checked.
 
     Raises when f is not positive at p = 1 (nothing to tolerate) and returns 0
     when f is still nonnegative at p = 0 (every mixture is detected).  A NaN
     value anywhere on the search is refused.
     """
-    check_xtol(xtol)
 
     def value(p: float) -> float:
         v = float(f(p))
@@ -583,11 +589,22 @@ def noise_threshold(w: CompiledWitness, target: PureState, xtol: float = 1e-12) 
     """Largest white-noise fraction the witness tolerates.
 
     Returns the root p* of  f(p) = bound(p * target + (1-p) * I/d**n)  in
-    [0, 1]; the witness detects the mixture for every p > p*.
+    [0, 1]; the witness detects the mixture for every p > p*.  The target's
+    entries are gathered once, and every step reads the same white-noise
+    family.
+
+    The root is the only crossing.  On this line an off-diagonal entry is
+    rho_ab = p psi_a conj(psi_b), so |rho_ab| is linear in p, and each
+    diagonal rho_ee = p |psi_e|**2 + (1-p)/d**n is affine, so the N_eta
+    penalty is affine too.  Each image term sqrt(rho_a'a' rho_b'b') is the
+    geometric mean of two nonnegative affine functions of p, so it is
+    concave and its negative is convex.  f is a positive multiple of a sum of
+    convex terms, hence convex, and a convex f with f(0) < 0 < f(1) crosses
+    zero once: f < 0 on [0, p*) and f > 0 on (p*, 1], in exact arithmetic.
     """
-    return _noise_root(
-        lambda p: evaluate(w, NoisyPureState(target, p)), xtol, "witness value"
-    )
+    check_xtol(xtol)
+    family = w.reads.family(target)
+    return _noise_root(lambda p: evaluate(w, family.at(p)), xtol, "witness value")
 
 
 def isotropic_pairset(d: int) -> PairSet:

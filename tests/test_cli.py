@@ -133,6 +133,26 @@ def test_threshold_sweep_csv(capsys, singlet_r_file):
     assert last[1] == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
+def test_threshold_sweep_gathers_each_witness_once(monkeypatch, capsys, singlet_r_file):
+    """A sweep reads one white-noise family per witness: the witness column
+    and the Q column gather the target once each, whatever the grid."""
+    import gmebound.states as states
+
+    gathers = []
+    elements = states.PureState.elements
+
+    def counted(self, rows, cols):
+        gathers.append(len(rows))
+        return elements(self, rows, cols)
+
+    monkeypatch.setattr(states.PureState, "elements", counted)
+    argv = ["threshold", "--preset", "singlet4", "--r-set", singlet_r_file,
+            "--compare-dicke", "--m", "2", "--p-grid", "0:1:21"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 22
+    assert len(gathers) == 2
+
+
 def test_threshold_nondetecting_exits_1(capsys, tmp_path):
     # the W selection cannot detect GHZ: analysis error, exit code 1
     path = tmp_path / "rw.json"
@@ -191,6 +211,70 @@ def test_cli_run_imports_no_scipy():
     assert res.returncode == 0, res.stderr
     assert res.stderr.strip().splitlines()[-1] == "0 []"
     assert json.loads(res.stdout)["threshold"] > 0.0
+
+
+def _first_call(capsys, argv):
+    """Exit code and output of ``main(argv)`` on a newly built parser."""
+    cli._parser.cache_clear()
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "before, argv",
+    [
+        (["bound", "--preset", "ghz", "--n", "3", "--p", "0.7"], ["bound", "--preset", "ghz", "--n", "3"]),
+        (["threshold", "--preset", "ghz", "--n", "3", "--p-grid", "0:1:5"],
+         ["threshold", "--preset", "ghz", "--n", "3"]),
+        (["bound", "--preset", "ghz", "--no-such-flag"], ["bound", "--preset", "ghz", "--n", "3"]),
+    ],
+    ids=["p-falls-back", "grid-then-json", "after-exit-2"],
+)
+def test_the_reused_parser_leaks_nothing_between_calls(capsys, before, argv):
+    """main builds its parser once per process; a call after another one
+    parses as a first call would."""
+    want = _first_call(capsys, argv)
+    parser = cli._parser()
+    try:
+        assert main(before) == 0
+    except SystemExit as exc:
+        assert exc.code == 2
+    capsys.readouterr()
+    assert main(argv) == want[0] == 0
+    assert capsys.readouterr().out == want[1]
+    assert cli._parser() is parser
+    payload = json.loads(want[1])
+    if argv[0] == "bound":
+        assert payload["value"] == pytest.approx(1.0, abs=1e-12)  # pure GHZ: p = 1.0
+    else:
+        assert payload["threshold"] == pytest.approx(3.0 / 7.0, abs=1e-12)
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built by the first main call, once, and not at import."""
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import gmebound.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    gmebound.cli.main(['dimensionality', '--n', '3', '--d', '2', '--m', '1'])\n"
+        "    counts.append(len(built))\n"
+        "print(counts, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert res.returncode == 0, res.stderr
+    first, second, third = json.loads(res.stderr.strip().splitlines()[-1])
+    assert first == 0
+    assert second > 0 and third == second
 
 
 def test_dicke_subcommand_defaults_to_pure_target(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
-from gmebound.dicke_witness import DickeWitnessSpec, em_bound_from_q, q_witness
+from gmebound.dicke_witness import DickeWitnessSpec, em_bound_from_q, noise_threshold_q, q_witness
 from gmebound.entropy import gme_measure_pure
 from gmebound.errors import (
     AnalysisError,
@@ -585,3 +586,134 @@ def test_threshold_matches_dense_oracle_root(make, args):
         got = noise_threshold(compile_witness(r, variant), psi)
         want = _dense_oracle_threshold(psi, pairs, variant.value)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@dataclass(frozen=True)
+class _PointwiseNoise:
+    """White noise on a pure state as NoisyPureState read it before families:
+    the pure entries gathered on every read, then the same arithmetic."""
+
+    pure: PureState
+    p: float
+
+    @property
+    def n(self) -> int:
+        return self.pure.n
+
+    @property
+    def d(self) -> int:
+        return self.pure.d
+
+    def elements(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        pure = self.pure.elements(rows, cols)
+        noise = (1.0 - self.p) / self.pure.d**self.pure.n
+        out = np.empty(rows.shape, dtype=complex)
+        out.real = self.p * pure.real + np.where(rows == cols, noise, 0.0)
+        out.imag = self.p * pure.imag
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 3),
+    st.integers(1, 8),
+    st.integers(0, 2**31),
+    st.sampled_from(list(NRVariant)),
+    st.sampled_from(["all", "singles"]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_white_noise_family_reads_bit_for_bit(n, d, size, seed, variant, delta, ps):
+    """One family per witness, read at several weights: every witness value
+    and Q has the bits of a single-point NoisyPureState and of the
+    gather-per-read arithmetic, on random sparse targets."""
+    rng = np.random.default_rng(seed)
+    target = reproduce._random_sparse_pure(rng, n, d)
+    try:
+        w = compile_witness(PairSet.from_strings(_random_selection(n, d, size, rng), n, d), variant)
+    except DegenerateSelectionError:
+        return
+    spec = DickeWitnessSpec(n, d, 1 + seed % (n - 1), delta_subsets=delta)
+    w_family, q_family = w.reads.family(target), spec.reads.family(target)
+    for p in ps:
+        want = evaluate(w, _PointwiseNoise(target, p)).hex()
+        assert evaluate(w, w_family.at(p)).hex() == want
+        assert evaluate(w, NoisyPureState(target, p)).hex() == want
+        want = q_witness(spec, _PointwiseNoise(target, p)).hex()
+        assert q_witness(spec, q_family.at(p)).hex() == want
+        assert q_witness(spec, NoisyPureState(target, p)).hex() == want
+
+
+def test_a_threshold_gathers_the_target_once(monkeypatch):
+    """Every step of a root search reads the one family gathered before it."""
+    gathers = []
+    elements = PureState.elements
+
+    def counted(self, rows, cols):
+        gathers.append(len(rows))
+        return elements(self, rows, cols)
+
+    monkeypatch.setattr(PureState, "elements", counted)
+    target = make_singlet4()
+    w = compile_witness(PairSet.from_strings(SINGLET_R, 4, 2))
+    spec = DickeWitnessSpec(4, 2, 2)
+    for threshold in (lambda: noise_threshold(w, target), lambda: noise_threshold_q(spec, target)):
+        gathers.clear()
+        threshold()
+        assert len(gathers) == 1
+    # a single-point view gathers on each read, as before
+    gathers.clear()
+    evaluate(w, NoisyPureState(target, 0.5))
+    evaluate(w, NoisyPureState(target, 0.5))
+    assert len(gathers) == 2
+
+
+def test_a_family_member_reads_other_entries_as_a_single_point():
+    target, other = make_w_state(4), make_ghz_state(4)
+    w = compile_witness(auto_select_R(target))
+    member = compile_witness(auto_select_R(other)).reads.family(target).at(0.6)
+    assert evaluate(w, member).hex() == evaluate(w, NoisyPureState(target, 0.6)).hex()
+    with pytest.raises(InvalidInputError, match="outside"):
+        w.reads.family(target).at(1.5)
+    with pytest.raises(InvalidInputError, match=r"witness over \(n=4, d=2\), state over \(n=3"):
+        w.reads.family(make_w_state(3))
+
+
+SIGN_TARGETS = (
+    [(f"ghz{n}", make_ghz_state(n)) for n in range(3, 7)]
+    + [(f"w{n}", make_w_state(n)) for n in range(3, 7)]
+    + [("singlet4", make_singlet4()), ("dicke-4-2-2", make_dicke_state(4, 2, 2))]
+)
+
+
+def _sign_grid(root: float) -> np.ndarray:
+    """401 even points on [0, 1] and two points 1e-6 either side of the root,
+    leaving out any within 1e-9 of it, where a rounding may flip the sign."""
+    grid = np.concatenate([np.linspace(0.0, 1.0, 401), [root - 1e-6, root + 1e-6]])
+    return grid[(grid >= 0.0) & (grid <= 1.0) & (np.abs(grid - root) > 1e-9)]
+
+
+@pytest.mark.parametrize("target", [t[1] for t in SIGN_TARGETS], ids=[t[0] for t in SIGN_TARGETS])
+def test_threshold_is_the_only_sign_change(target):
+    """f(p) = bound at weight p is convex on the white-noise line (see
+    noise_threshold), so it is negative below p* and positive above it."""
+    r = auto_select_R(target)
+    for variant in NRVariant:
+        w = compile_witness(r, variant)
+        root = noise_threshold(w, target)
+        assert 0.0 < root < 1.0
+        grid = _sign_grid(root)
+        values = np.array([evaluate(w, NoisyPureState(target, p)) for p in grid])
+        assert (values[grid > root] > 0.0).all()
+        assert (values[grid < root] < 0.0).all()
+
+
+@pytest.mark.parametrize("target", [make_singlet4(), make_dicke_state(4, 2, 2)],
+                         ids=["singlet4", "dicke-4-2-2"])
+def test_q_threshold_is_the_only_sign_change(target):
+    spec = DickeWitnessSpec(4, 2, 2)
+    root = noise_threshold_q(spec, target)
+    grid = _sign_grid(root)
+    values = np.array([q_witness(spec, NoisyPureState(target, p)) for p in grid])
+    assert (values[grid > root] > 0.0).all()
+    assert (values[grid < root] < 0.0).all()
