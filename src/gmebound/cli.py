@@ -12,6 +12,7 @@ the target, a result that is not a finite number), 2 input error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import math
 import sys
@@ -32,7 +33,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure
 from .errors import AnalysisError, InvalidInputError, _check_nonnegative
-from .indices import cut_labels, digit_strings
+from .indices import _chunks, cut_labels, digit_strings
 from .observables import plan_settings
 from .ppt import build_ppt_witness, compare_with_witness_bracket
 from .reproduce import SEED, run_all
@@ -79,26 +80,66 @@ _SHARED_FLAGS: dict[str, dict[str, Any]] = {
 
 
 @dataclass(frozen=True)
-class _Rows:
-    """A list of records given as row indices into ``table``, a list of
-    records that many lists of one payload share.  ``texts`` is shared with
-    them too: the writer keeps in it the table's texts per indent, so a
-    record is rendered once per indent however many lists hold it."""
+class _Leaves:
+    """A column of JSON leaves, or of lists of them: item i is the leaf
+    ``data[i]``, or with a 2-D ``data`` the list of the leaves in row i.
+    Numbers are rendered by :func:`_scalar`, once per distinct bit pattern;
+    with ``texts``, ``data`` holds codes and ``texts(codes)`` gives their JSON
+    strings in the same shape."""
 
-    table: Sequence[Any]
+    data: np.ndarray
+    texts: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+@dataclass(frozen=True)
+class _Groups:
+    """A column of lists: item i holds items ``bounds[i]`` to ``bounds[i + 1]``
+    of the column ``items``."""
+
+    items: Any
+    bounds: Sequence[int]
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A column of objects with one set of keys: item i holds item i of each
+    field's column."""
+
+    fields: dict[str, Any]
+
+
+@dataclass(frozen=True)
+class _Column:
+    """The list of a column's items or, with ``keys``, the object that maps
+    each key to its item; rendered column by column, in chunks of items."""
+
+    items: Any
+    keys: Sequence[str] | None = None
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The list of the items at ``rows`` of the column ``table``, which many
+    lists of one payload share.  ``texts`` is shared with them too: the writer
+    keeps in it the table's texts per indent, so an item is rendered once per
+    indent however many lists hold it."""
+
+    table: Any
     texts: dict[str, tuple[np.ndarray, np.ndarray]]
     rows: Sequence[int]
 
 
-_CONTAINERS = (dict, list, tuple, _Rows)
+_CONTAINERS = (dict, list, tuple, _Column, _Rows)
 
 
 class _NotFinite(ValueError):
-    """A float JSON cannot hold; ``keys`` collects the dict keys above it, innermost first."""
+    """A float JSON cannot hold; ``keys`` collects the dict keys above it,
+    innermost first, and ``item`` its item's position in a column."""
 
-    def __init__(self, value: float) -> None:
+    def __init__(self, value: float, item: int | None = None) -> None:
         super().__init__(f"{value!r} is not a finite number")
         self.value = value
+        self.item = item
         self.keys: list[str] = []
 
 
@@ -126,8 +167,8 @@ def _dump(obj: Any, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)`` with every float at 12
     significant digits (stable output), in one walk.
 
-    Dict keys are strings; tuples render as lists, and :class:`_Rows` as the
-    list of its records.
+    Dict keys are strings; tuples render as lists, a :class:`_Column` as its
+    list or object, and :class:`_Rows` as the list of its items.
     """
     out: list[str] = []
     _write(obj, pad, out)
@@ -147,6 +188,9 @@ def _write(obj: Any, pad: str, out: list[str]) -> bool:
     if type(obj) is _Rows:
         _write_rows(obj, pad, out)
         return True
+    if type(obj) is _Column:
+        out.append(_column_text(obj, pad))
+        return False
     if not isinstance(obj, _CONTAINERS):
         out.append(_scalar(obj))
         return False
@@ -184,8 +228,119 @@ def _write(obj: Any, pad: str, out: list[str]) -> bool:
     return shared
 
 
+def _numbers(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup from a chunk of the float or int array ``values`` to the
+    JSON texts of its entries.  Each distinct bit pattern is rendered once,
+    so ``-0.0`` keeps a text of its own; a value that is not finite raises
+    :class:`_NotFinite` at the first item (row) that holds one."""
+    bits = np.dtype(f"i{values.dtype.itemsize}") if values.dtype.kind == "f" else values.dtype
+    distinct = np.unique(values.view(bits))
+    try:
+        texts = np.array([_scalar(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    except _NotFinite:
+        rows = values.reshape(len(values), -1)
+        item = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        raise _NotFinite(float(rows[item][~np.isfinite(rows[item])][0]), item) from None
+    return lambda chunk: texts[distinct.searchsorted(chunk.view(bits))]
+
+
+def _spans(start: int, stop: int, width: int) -> list[slice]:
+    """:func:`indices._chunks` over ``range(start, stop)``."""
+    return [slice(start + c.start, min(start + c.stop, stop)) for c in _chunks(stop - start, width)]
+
+
+def _render(column: Any, pad: str) -> tuple[int, int, Callable[[slice], list[str]]]:
+    """A column's item count, its leaves per item, and the function that
+    gives the texts of a slice of its items at indent ``pad``.
+
+    Every value is checked here, before any item is rendered: a value that is
+    not finite raises :class:`_NotFinite` naming the first item that holds
+    one, with the keys below that item.
+    """
+    inner = pad + "  "
+    if type(column) is _Records:
+        fields, errors = [], []
+        for key, field in column.fields.items():
+            try:
+                fields.append((encode_basestring_ascii(key) + ": ", *_render(field, inner)))
+            except _NotFinite as exc:
+                exc.keys.append(key)
+                errors.append(exc)
+        if errors:  # the first in the walk: the lowest item, then the first field
+            raise min(errors, key=lambda exc: exc.item)
+        names = [name for name, _, _, _ in fields]
+        head, sep, tail = "{\n" + inner, ",\n" + inner, "\n" + pad + "}"
+
+        def records(items: slice) -> list[str]:
+            columns = [render(items) for _, _, _, render in fields]
+            return [head + sep.join(map(str.__add__, names, item)) + tail for item in zip(*columns)]
+
+        return fields[0][1], sum(width for _, _, width, _ in fields), records
+    if type(column) is _Groups:
+        bounds = column.bounds
+        try:
+            _, width, render = _render(column.items, inner)
+        except _NotFinite as exc:
+            exc.item = bisect.bisect_right(bounds, exc.item) - 1
+            raise
+        head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+        count = len(bounds) - 1
+
+        def groups(items: slice) -> list[str]:
+            # the inner items of these groups in spans of about one chunk,
+            # each span's texts joined per group it meets
+            ids = range(count)[items]
+            parts: list[list[str]] = [[] for _ in ids]
+            for span in _spans(bounds[ids.start], bounds[ids.stop], width):
+                texts, at = render(span), span.start
+                group = bisect.bisect_right(bounds, at, ids.start, ids.stop) - 1
+                while at < span.stop:
+                    end = min(bounds[group + 1], span.stop)
+                    if end > at:
+                        part = texts[at - span.start : end - span.start]
+                        parts[group - ids.start].append(sep.join(part))
+                    at, group = end, group + 1
+            return [head + sep.join(part) + tail if part else "[]" for part in parts]
+
+        return count, max(1, width * bounds[-1] // max(count, 1)), groups
+    data = column.data
+    texts = column.texts or _numbers(data)
+    if data.ndim == 1:
+        return len(data), 1, lambda items: texts(data[items]).tolist()
+    width = data.shape[1]
+    if not width:
+        return len(data), 1, lambda items: ["[]"] * len(range(len(data))[items])
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+    return len(data), width, lambda items: [
+        head + sep.join(row) + tail for row in texts(data[items]).tolist()
+    ]
+
+
+def _column_text(obj: _Column, pad: str) -> str:
+    """The text of a :class:`_Column` at indent ``pad``, joined chunk by chunk."""
+    try:
+        count, width, render = _render(obj.items, pad + "  ")
+    except _NotFinite as exc:
+        if obj.keys is not None:
+            exc.keys.append(obj.keys[exc.item])
+        raise
+    opening, closing = "[]" if obj.keys is None else "{}"
+    if not count:
+        return opening + closing
+    inner = pad + "  "
+    sep = ",\n" + inner
+    chunks = []
+    for items in _chunks(count, width):
+        texts = render(items)
+        if obj.keys is not None:
+            keys = map(encode_basestring_ascii, obj.keys[items])
+            texts = [key + ": " + text for key, text in zip(keys, texts)]
+        chunks.append(sep.join(texts))
+    return opening + "\n" + inner + sep.join(chunks) + "\n" + pad + closing
+
+
 def _write_rows(obj: _Rows, pad: str, out: list[str]) -> None:
-    """The records of ``obj.rows``, each as its line break, indent and text,
+    """The items at ``obj.rows``, each as its line break, indent and text,
     then a comma for all but the last: the table's texts at this indent, in
     both forms, are rendered once for every list over the table."""
     rows = obj.rows
@@ -195,7 +350,10 @@ def _write_rows(obj: _Rows, pad: str, out: list[str]) -> None:
     inner = pad + "  "
     texts = obj.texts.get(inner)
     if texts is None:
-        text = "\n" + inner + np.array([_dump(r, inner) for r in obj.table], dtype=object)
+        count, width, render = _render(obj.table, inner)
+        text, head = np.empty(count, dtype=object), "\n" + inner
+        for items in _chunks(count, width):
+            text[items] = [head + item for item in render(items)]
         texts = obj.texts[inner] = (text + ",", text)
     out.append("[")
     out += texts[0][rows[:-1]].tolist()
@@ -319,17 +477,37 @@ def _parse_grid(text: str) -> list[float]:
 # subcommands
 
 
+def _index_texts(n: int, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The JSON strings of the bare digit strings of an array of ranks, in its
+    shape; digits need no escaping, so each is its text in quotes."""
+
+    def texts(ranks: np.ndarray) -> np.ndarray:
+        strings = np.array(digit_strings(ranks.ravel(), n, d), dtype=object)
+        return ('"' + strings + '"').reshape(ranks.shape)
+
+    return texts
+
+
+def _term_table(coeffs: np.ndarray, codes: np.ndarray, alphabet: Sequence[str]) -> _Records:
+    """The records ``{"coeff": c, "labels": [...]}`` of a plan's term table,
+    from its ``(T,)`` coefficients and ``(n, T)`` codes into ``alphabet``,
+    whose labels are each encoded once."""
+    names = np.array([encode_basestring_ascii(label) for label in alphabet], dtype=object)
+    return _Records({"coeff": _Leaves(coeffs), "labels": _Leaves(codes.T, names.take)})
+
+
 def cmd_entropy(args: argparse.Namespace) -> int:
     pure, _ = _load_target(args)
     if pure is None:
         raise InvalidInputError("entropy profile needs a pure state (kind == 'pure')")
     report = gme_measure_pure(pure, method=args.method)
+    labels = cut_labels(pure.n)
     payload = {
         "n": pure.n,
         "d": pure.d,
         "method": args.method,
-        "entropies": report.entropies,
-        "minimizer": cut_labels(pure.n)[report.best],
+        "entropies": _Column(_Leaves(np.array(report.values, dtype=float)), labels),
+        "minimizer": labels[report.best],
         "e_m": report.e_m,
     }
     _emit(payload, args.output)
@@ -342,21 +520,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
     w = compile_witness(r, NRVariant(args.nr))
     value = evaluate(w, rho)
     n, d = rho.n, rho.d
-    pairs = r.as_strings()
+    indices = _index_texts(n, d)
     first, second, bounds = w.reads.images
-    images = [[a, b] for a, b in zip(digit_strings(first, n, d), digit_strings(second, n, d))]
+    images = _Groups(_Leaves(np.stack((first, second), axis=1), indices), bounds)
+    pair_keys = [f"{a}~{b}" for a, b in r.as_strings()]
     payload = {
         "n": n,
         "d": d,
         "variant": args.nr,
-        "pairs": pairs,
+        "pairs": _Column(_Leaves(r.ranks, indices)),
         "n_r": w.n_r,
         "prefactor": w.prefactor,
-        "n_eta": dict(zip(digit_strings(w.reads.diagonals, n, d), w.eta_counts.tolist())),
-        "noise_images": {
-            f"{a}~{b}": images[bounds[i] : bounds[i + 1]] for i, (a, b) in enumerate(pairs)
-        },
-        "uncounted_profile": w.uncounted_profile,
+        "n_eta": _Column(_Leaves(w.eta_counts), digit_strings(w.reads.diagonals, n, d)),
+        "noise_images": _Column(images, pair_keys),
+        "uncounted_profile": _Column(_Leaves(w.profile), cut_labels(n)),
         "value": value,
         "detects_gme": bool(value > args.tol),
     }
@@ -474,7 +651,7 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
     w = compile_witness(r, NRVariant(args.nr))
     plan = plan_settings(w, include_imag=args.include_imag, max_terms=MAX_PLAN_TERMS)
     # one record per distinct (coeff, labels) term, shared by every element that has it
-    table = [{"coeff": c, "labels": labels} for c, labels in plan.table]
+    table = _term_table(plan.coeffs, plan.codes, plan.alphabet)
     texts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     payload = {
         "n": plan.n,

@@ -85,19 +85,22 @@ def cut_labels(n: int) -> tuple[str, ...]:
     """
     masks = cut_masks(n)
     parties = np.arange(n, dtype=np.int16)
-    # token p < n is party p + 1 and token n the bar; sorting these keys puts
-    # the first side's parties, the bar, then the other side's parties in order
-    bar = np.full((len(masks), 1), n, dtype=np.int16)
-    keys = np.concatenate([np.where(masks == 1, parties, parties + n + 1), bar], axis=1)
-    tokens = np.argsort(keys, axis=1)
     # token text NUL-padded to a common width; dropping the padding leaves
     # labels of one length
     names = [str(p).encode() for p in range(1, n + 1)] + [b"|"]
     text = np.array(names, dtype=f"S{len(str(n))}").view(np.uint8).reshape(n + 1, -1)
-    chars = text[tokens].reshape(len(masks), -1)
     length = sum(map(len, names))
-    chars = chars[chars != 0].reshape(len(masks), length)
-    return tuple(chars.view(f"S{length}").ravel().astype(f"U{length}").tolist())
+    labels: list[str] = []
+    for rows in _chunks(len(masks), n + 1):
+        block = masks[rows]
+        # token p < n is party p + 1 and token n the bar; sorting these keys puts
+        # the first side's parties, the bar, then the other side's parties in order
+        bar = np.full((len(block), 1), n, dtype=np.int16)
+        keys = np.concatenate([np.where(block == 1, parties, parties + n + 1), bar], axis=1)
+        chars = text[np.argsort(keys, axis=1)].reshape(len(block), -1)
+        chars = chars[chars != 0].reshape(len(block), length)
+        labels += chars.view(f"S{length}").ravel().astype(f"U{length}").tolist()
+    return tuple(labels)
 
 
 def rank_dtype(n: int, base: int) -> np.dtype:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -198,9 +197,14 @@ class PlanElement:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionPlan:
+    """The plan's distinct (coeff, labels) terms, in label order, are held as
+    arrays: ``coeffs`` and the ``(n, T)`` label ``codes``, which index
+    :attr:`alphabet`.  ``table`` is a view of them, built on first access."""
+
     n: int
     d: int
-    table: tuple[Term, ...]  # the distinct (coeff, labels) terms, in label order
+    coeffs: np.ndarray
+    codes: np.ndarray
     elements: tuple[PlanElement, ...]
     settings: tuple[tuple[str, ...], ...]
 
@@ -211,6 +215,16 @@ class DecompositionPlan:
     @property
     def setting_count(self) -> int:
         return len(self.settings)
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        """The site label of each code."""
+        return _alphabet(self.d)
+
+    @cached_property
+    def table(self) -> tuple[Term, ...]:
+        """The distinct (coeff, labels) terms, in label order."""
+        return tuple(zip(self.coeffs.tolist(), _labels(self.codes, self.d)))
 
     def terms_of(self, element: PlanElement) -> list[Term]:
         """The (coeff, labels) terms of one element, in order."""
@@ -285,9 +299,9 @@ def plan_settings(
     _, firsts, rows = np.unique(
         _dense_rank(codes, coeffs, d * d), return_index=True, return_inverse=True
     )
-    rows.flags.writeable = False  # each element's terms are a view of it
-    labels = _labels(codes[:, firsts], d)
-    table = tuple(zip(coeffs[firsts].tolist(), labels))
+    coeffs, codes = coeffs[firsts], codes[:, firsts]
+    for array in (rows, coeffs, codes):
+        array.flags.writeable = False  # each element's terms are a view of rows
     ends = np.cumsum(np.bincount(block, minlength=len(layout))[layout]).tolist()
     blocks = {e: rows[start:end] for e, start, end in zip(layout.tolist(), [0, *ends], ends)}
 
@@ -309,6 +323,6 @@ def plan_settings(
     # same element.  A key with no identity slot folds only into itself, so
     # these keys are exactly the maximal ones.  The table is in label order,
     # so they come out sorted.
-    identity_free = (codes[:, firsts] != _alphabet(d).index("id")).all(axis=0).tolist()
-    settings = tuple(dict.fromkeys(compress(labels, identity_free)))
-    return DecompositionPlan(n, d, table, tuple(elements), settings)
+    identity_free = (codes != _alphabet(d).index("id")).all(axis=0)
+    settings = tuple(dict.fromkeys(_labels(codes[:, identity_free], d)))
+    return DecompositionPlan(n, d, coeffs, codes, tuple(elements), settings)

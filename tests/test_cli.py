@@ -21,8 +21,8 @@ import oracles
 from gmebound.cli import main
 from gmebound.entropy import EntropyReport
 from gmebound.errors import DegenerateSelectionError, InvalidInputError
-from gmebound.indices import digit_strings
-from gmebound.observables import plan_settings
+from gmebound.indices import CHUNK_ENTRIES, digit_strings
+from gmebound.observables import _alphabet, plan_settings
 from gmebound.witness import NRVariant, PairSet, compile_witness
 
 SINGLET_R = [["0011", "0101"], ["0011", "0110"], ["0011", "1001"], ["0011", "1010"]]
@@ -710,7 +710,11 @@ def test_output_matches_recorded_digest(capsys, monkeypatch, command):
     pins at e775f20, the last commit that wrote sweeps through the csv module;
     the ``--r-set pairs_d10_n10.json`` pin, whose label keys outgrow int64, at
     ec2d676, the last commit that found distinct terms by hashing label
-    tuples.  File names are read from this directory."""
+    tuples; the four pins of ``bound --preset w --n 12``, ``bound --preset ghz
+    --n 14``, ``entropy --preset ghz --n 12`` and ``measure-plan --preset w
+    --n 8``, large enough that the cut labels or the term table span more
+    than one chunk, at 57f6657, the last commit that rendered every leaf of
+    the output one at a time.  File names are read from this directory."""
     monkeypatch.chdir(Path(__file__).parent)
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[command]
@@ -791,14 +795,16 @@ PAYLOADS = st.recursive(
 @given(PAYLOADS, st.lists(st.text(), max_size=3).map(tuple))
 def test_dump_matches_stdlib_json(payload, labels):
     """One walk gives what the stdlib gives after rounding; ``labels`` and
-    lists of rows over one shared table sit at two depths, so a record's text
-    must be kept per indent."""
-    table = [{"coeff": 0.1 + 0.2, "labels": labels, "payload": payload}, {"labels": labels}]
+    lists of rows over one shared term table sit at two depths, so a record's
+    text must be kept per indent."""
+    codes = np.tile(np.arange(len(labels)), (2, 1)).T  # (n, T): both terms carry labels
+    table = cli._term_table(np.array([0.1 + 0.2, -0.0]), codes, labels)
     texts: dict = {}
     rows = cli._Rows(table, texts, [0, 1, 0])
     empty = cli._Rows(table, texts, [])
     deep = {"top": labels, "deep": [[labels, payload], labels], "records": [rows, [rows, empty]]}
-    records = [table[0], table[1], table[0]]
+    table_records = [{"coeff": 0.1 + 0.2, "labels": labels}, {"coeff": -0.0, "labels": labels}]
+    records = [table_records[0], table_records[1], table_records[0]]
     expanded = {
         "top": labels,
         "deep": [[labels, payload], labels],
@@ -807,6 +813,163 @@ def test_dump_matches_stdlib_json(payload, labels):
     for doc, full in ((payload, payload), (deep, expanded), (rows, records)):
         want = json.dumps(oracles.round12_oracle(full), indent=2, allow_nan=False)
         assert cli._dump(doc) == want
+
+
+# floats whose texts are easy to get wrong: signed zero, the smallest
+# subnormal, a float past 2**53, a sum off by one ulp, and values that round
+# at the 12th significant digit (up to the next power of ten too)
+TRICKY_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0000000000005, 0.1234567890125,
+                 9.9999999999995, 123456789012.5, -2.00000000000049e-7]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(TRICKY_FLOATS)
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _digit_string(rank: int, n: int, d: int) -> str:
+    return "".join(str(rank // d**k % d) for k in range(n - 1, -1, -1))
+
+
+@st.composite
+def _leaf_columns(draw, count, non_finite):
+    """A leaf column of ``count`` items (leaves, or lists of leaves) and the
+    items it stands for: floats, int64s, index strings of ranks, or labels
+    given by codes into the Gell-Mann alphabet of some d."""
+    kind = draw(st.sampled_from(["float", "int", "index", "label"]))
+    width = draw(st.none() | st.integers(0, 3))
+    shape = (count,) if width is None else (count, width)
+    size = math.prod(shape)
+    texts = None
+    if kind == "float":
+        values = draw(st.lists(FLOATS, min_size=size, max_size=size))
+        if non_finite and size:
+            for at in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+                values[at] = draw(NON_FINITE)
+        data = np.array(values, dtype=float)
+    elif kind == "int":
+        values = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size))
+        data = np.array(values, dtype=np.int64)
+    elif kind == "index":
+        n, d = draw(st.integers(1, 6)), draw(st.integers(2, 10))
+        data = np.array(draw(st.lists(st.integers(0, d**n - 1), min_size=size, max_size=size)),
+                        dtype=np.int64)
+        values = [_digit_string(rank, n, d) for rank in data.tolist()]
+        texts = cli._index_texts(n, d)
+    else:
+        alphabet = _alphabet(draw(st.sampled_from([2, 3, 4, 17])))
+        data = np.array(draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=size,
+                                      max_size=size)), dtype=np.min_scalar_type(len(alphabet)))
+        values = [alphabet[code] for code in data.tolist()]
+        texts = np.array([json.dumps(label) for label in alphabet], dtype=object).take
+    items = values if width is None else [values[i * width : (i + 1) * width] for i in range(count)]
+    return cli._Leaves(data.reshape(shape), texts), items
+
+
+@st.composite
+def _columns(draw, count, non_finite, depth=2):
+    """A column of ``count`` items, nested up to ``depth`` groups or records
+    deep, and the items it stands for."""
+    kind = draw(st.sampled_from(["leaves", "groups", "records"] if depth else ["leaves"]))
+    if kind == "leaves":
+        return draw(_leaf_columns(count, non_finite))
+    if kind == "groups":
+        sizes = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        bounds = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]).tolist()
+        inner, items = draw(_columns(bounds[-1], non_finite, depth - 1))
+        return cli._Groups(inner, bounds), [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+    fields = {key: draw(_columns(count, non_finite, depth - 1)) for key in keys}
+    records = cli._Records({key: column for key, (column, _) in fields.items()})
+    return records, [{key: fields[key][1][i] for key in keys} for i in range(count)]
+
+
+def _node(data, non_finite):
+    """A list or object node over a drawn column, and the payload it stands for."""
+    count = data.draw(st.integers(0, 6))
+    column, items = data.draw(_columns(count, non_finite))
+    keys = data.draw(st.none() | st.lists(st.text(max_size=3), min_size=count, max_size=count,
+                                          unique=True))
+    full = items if keys is None else dict(zip(keys, items))
+    return cli._Column(column, keys), full
+
+
+def _outcome(doc, chunk=CHUNK_ENTRIES):
+    """The text of a payload, or the key path and value of its first
+    non-finite float, with columns rendered in chunks of about ``chunk``
+    leaves."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("gmebound.indices.CHUNK_ENTRIES", chunk)
+        try:
+            return cli._dump(doc)
+        except cli._NotFinite as exc:
+            return "/".join(reversed(exc.keys)), repr(exc.value)
+
+
+# chunks of one leaf, of a few, and of the default size
+CHUNKS = st.sampled_from([1, 3, CHUNK_ENTRIES])
+
+
+@given(st.data(), CHUNKS)
+def test_columns_render_as_the_walk_over_their_records(data, chunk):
+    """A column node, at two indents and in chunks of any size, is the text
+    ``json.dumps`` gives for the records it stands for, after rounding."""
+    node, full = _node(data, non_finite=False)
+    doc = {"top": node, "deep": [[node], {"at": node}]}
+    expanded = {"top": full, "deep": [[full], {"at": full}]}
+    want = json.dumps(oracles.round12_oracle(expanded), indent=2, allow_nan=False)
+    assert _outcome(doc, chunk) == want
+
+
+@given(st.data(), CHUNKS)
+def test_non_finite_in_a_column_names_the_walks_key_path(data, chunk):
+    """A value that is not finite stops a column node where the walk over its
+    records stops: at the same first value, under the same keys."""
+    node, full = _node(data, non_finite=True)
+    doc, expanded = {"ok": 1.5, "member": node}, {"ok": 1.5, "member": full}
+    assert _outcome(doc, chunk) == _outcome(expanded)
+
+
+def test_non_finite_in_a_group_or_record_names_its_own_key():
+    """The key of a non-finite value in a list of lists is that of its list,
+    not of its position among all the leaves; in records, the first item
+    that holds one wins over a field that comes first."""
+    floats = np.array([1.0, 2.0, 3.0, math.nan, -math.inf])
+    groups = cli._Column(cli._Groups(cli._Leaves(floats), [0, 2, 2, 5]), ["a", "b", "c"])
+    assert _outcome({"member": groups}) == ("member/c", "nan")
+    x, y = np.array([0.5, math.inf]), np.array([math.nan, 1.0])
+    records = cli._Column(cli._Records({"x": cli._Leaves(x), "y": cli._Leaves(y)}), ["p", "q"])
+    assert _outcome({"member": records}) == ("member/p/y", "nan")
+
+
+@given(st.sampled_from([2, 3, 4, 17]), st.integers(1, 4), st.data(), CHUNKS)
+def test_term_table_rows_render_as_their_records(d, n, data, chunk):
+    """A plan's term table, from its coefficient column and (n, T) label
+    codes, renders at two indents as its records; a planted inf or nan
+    exits naming ``elements/terms/coeff``."""
+    alphabet = _alphabet(d)
+    count = data.draw(st.integers(1, 6))
+    coeffs = data.draw(st.lists(FLOATS, min_size=count, max_size=count))
+    codes = np.array(data.draw(st.lists(st.integers(0, d * d - 1), min_size=n * count,
+                                        max_size=n * count)), dtype=np.min_scalar_type(d * d - 1))
+    codes = codes.reshape(n, count)
+    records = [{"coeff": c, "labels": [alphabet[k] for k in codes[:, t].tolist()]}
+               for t, c in enumerate(coeffs)]
+    # every row is listed, so the walk over the records meets every term
+    order = data.draw(st.permutations(range(count)))
+    extra = data.draw(st.lists(st.integers(0, count - 1), max_size=4))
+    lists = [list(order), extra]
+
+    def plan(coeff_values):
+        table = cli._term_table(np.array(coeff_values, dtype=float), codes, alphabet)
+        texts: dict = {}
+        elements = [{"kind": "diag", "terms": cli._Rows(table, texts, np.array(rows, dtype=int))}
+                    for rows in lists]
+        return {"elements": elements + [[{"terms": cli._Rows(table, texts, np.array(order))}]]}
+
+    elements = [{"kind": "diag", "terms": [records[r] for r in rows]} for rows in lists]
+    expanded = {"elements": elements + [[{"terms": [records[r] for r in order]}]]}
+    assert _outcome(plan(coeffs), chunk) == json.dumps(oracles.round12_oracle(expanded), indent=2)
+    planted, bad = list(coeffs), data.draw(NON_FINITE)
+    planted[data.draw(st.integers(0, count - 1))] = bad
+    assert _outcome(plan(planted), chunk) == ("elements/terms/coeff", repr(bad))
 
 
 # every (n, d) with n <= 5 and d <= 4, one per seed
