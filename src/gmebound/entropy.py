@@ -32,14 +32,17 @@ def linear_entropy_trace(psi: PureState, gamma: np.ndarray) -> float:
     The reduced matrix is summed from the products of the reshaped
     statevector, laid out as the dense route's ``|psi><psi|`` had them, so
     every float equals the partial trace of ``psi.density()``; no
-    ``d**n x d**n`` matrix is built.
+    ``d**n x d**n`` matrix is built, and the products are formed a block of
+    rows at a time.
     """
     n, d = psi.n, psi.d
     keep, drop = _cut_sides(n, gamma)
     psi_matrix = psi.to_vector().reshape((d,) * n).transpose(keep + drop).reshape(d ** len(keep), -1)
-    # products psi_ik * conj(psi_jk) with j innermost, then a sequential sum over k
-    products = psi_matrix[:, :, None] * np.ascontiguousarray(psi_matrix.conj().T)[None, :, :]
-    reduced = np.einsum("ikj->ij", products)
+    conj_t = np.ascontiguousarray(psi_matrix.conj().T)
+    reduced = np.empty((len(psi_matrix), len(psi_matrix)), dtype=complex)
+    for rows in _chunks(len(psi_matrix), psi_matrix.size):
+        # products psi_ik * conj(psi_jk) with j innermost, then a sequential sum over k
+        reduced[rows] = np.einsum("ikj->ij", psi_matrix[rows, :, None] * conj_t[None, :, :])
     purity = float((reduced @ reduced).trace().real)
     return 2.0 * (1.0 - purity)
 

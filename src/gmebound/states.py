@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .indices import excitation_rows, parse_index, place_values, rank_positions
+from .indices import _chunks, excitation_rows, parse_index, place_values, rank_positions
 
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-12
@@ -206,9 +206,18 @@ def _gershgorin_floor(m: np.ndarray) -> float:
     to first order.  On a trace-1 matrix whose floor is at least
     ``-PSD_MARGIN`` that scale is at most about 1, so the error stays below
     ``PSD_MARGIN / 2`` for any ``D`` below 2e5, past any matrix that fits in
-    memory."""
-    lower = np.tril(np.abs(m), -1)
-    return float((m.diagonal().real - lower.sum(axis=1) - lower.sum(axis=0)).min())
+    memory.
+
+    The sums are formed a block of rows at a time, in the order a whole-matrix
+    ``np.tril(np.abs(m), -1)`` would give them: each row sum over its full
+    row, each column sum down the rows in order, its running total first."""
+    dim = len(m)
+    row_sums, col_sums = np.empty(dim), np.zeros(dim)
+    for rows in _chunks(dim, dim):
+        lower = np.tril(np.abs(m[rows]), rows.start - 1)
+        row_sums[rows] = lower.sum(axis=1)
+        col_sums = np.concatenate([col_sums[None], lower]).sum(axis=0)
+    return float((m.diagonal().real - row_sums - col_sums).min())
 
 
 @dataclass
@@ -245,12 +254,15 @@ class DensityMatrix:
             )
         if self.validate:
             m = self.matrix
+            blocks = _chunks(dim, dim)
             # the verdict of allclose(rtol=0) on finite entries; a non-finite
-            # entry makes its difference non-finite, so it is refused here
+            # entry makes its difference non-finite, so it is refused here.
+            # The block maxima are folded by numpy, whose max keeps a NaN
+            # (Python's max(0.0, nan) is 0.0)
             with np.errstate(invalid="ignore"):
-                spread = np.abs(m - m.conj().T).max()
+                spread = np.max([np.abs(m[rows] - m[:, rows].conj().T).max() for rows in blocks])
             if not spread <= HERMITICITY_ATOL:
-                if not np.isfinite(m).all():
+                if not all(np.isfinite(m[rows]).all() for rows in blocks):
                     raise InvalidInputError("density matrix has a non-finite entry")
                 raise InvalidInputError("density matrix is not Hermitian")
             tr = np.trace(m).real
@@ -389,10 +401,12 @@ _MATRIX_END = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\]")
 # ValueError covers JSONDecodeError, UnicodeDecodeError and ints past Python's digit limit
 _JSON_ERRORS = (ValueError, RecursionError)
 _NUMBER_BYTES = b"0123456789.eE+-"
+_MATRIX_BYTES = b"[]," + _WHITESPACE + _NUMBER_BYTES
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
-# numbers are read in slices of about this many bytes, so that no list of
-# Python floats for the whole matrix is ever built
+# the array is walked in slices of about this many bytes, cut after a comma,
+# so that no copy of its text and no list of Python floats for the whole
+# matrix is ever built
 _SLICE_BYTES = 1 << 16
 
 
@@ -402,17 +416,38 @@ def _int_as_float(digits: str) -> float:
     return float(digits) + 0.0
 
 
-def _entry_at(text: bytes, pos: int) -> tuple[int, int, int]:
-    """Row and column of the matrix entry at byte ``pos`` of an array's text
-    (the last one opened), and how many arrays are open there."""
-    c = np.frombuffer(text, np.uint8)[: pos + 1]
-    opens = c == ord("[")
-    depth = np.cumsum(opens, dtype=np.int64) - np.cumsum(c == ord("]"))
-    rows = np.flatnonzero(opens & (depth == 2))
-    start = rows[-1] if len(rows) else 0
-    cols = np.count_nonzero(opens[start:] & (depth[start:] == 3))
-    inside = int(depth[pos - 1]) if 0 < pos <= len(depth) else 0
-    return max(len(rows) - 1, 0), max(cols - 1, 0), inside
+# A bracket tally is (depth, rows, cols) after some prefix of an array's text:
+# how many arrays are open, how many rows have opened (a "[" that leaves two
+# open) and how many entries have opened (a "[" that leaves three open) since
+# the last row did, or since the start before any row.
+
+
+def _tally(state: tuple[int, int, int], part: bytes) -> tuple[int, int, int]:
+    """The bracket tally after ``part``, from ``state`` before it; only its
+    brackets count, in blocks of ``CHUNK_ENTRIES`` bytes."""
+    depth, rows, cols = state
+    codes = np.frombuffer(part, np.uint8)
+    for block in _chunks(len(codes), 1):
+        c = codes[block]
+        opens = c == ord("[")
+        levels = depth + np.cumsum(opens, dtype=np.int64) - np.cumsum(c == ord("]"))
+        row_opens = np.flatnonzero(opens & (levels == 2))
+        entry_opens = opens & (levels == 3)
+        if len(row_opens):
+            cols = np.count_nonzero(entry_opens[row_opens[-1] :])
+        else:
+            cols += np.count_nonzero(entry_opens)
+        depth, rows = int(levels[-1]), rows + len(row_opens)
+    return depth, rows, int(cols)
+
+
+def _entry_at(state: tuple[int, int, int], part: bytes, pos: int) -> tuple[int, int, int]:
+    """Row and column of the matrix entry at byte ``pos`` of ``part``, text
+    that follows the bracket tally ``state``, and how many arrays are open
+    before that byte."""
+    before = _tally(state, part[:pos])
+    _, rows, cols = _tally(before, part[pos : pos + 1])
+    return max(rows - 1, 0), max(cols - 1, 0), before[0]
 
 
 _NOT_A_PAIR = "is not [re, im] with two JSON numbers"
@@ -424,82 +459,143 @@ def _entry_error(path: str | Path, row: int, col: int, problem: str) -> InvalidI
     )
 
 
-def _skeleton(dim: int, size: int) -> bytes:
-    """The first ``size`` brackets and commas of a ``dim x dim`` matrix of
-    ``[re, im]`` entries; rows and entries past ``size`` are not built."""
-    row = b"[" + b",".join([b"[,]"] * min(dim, size // 4 + 1)) + b"]"
-    rows = b",".join([row] * min(dim, size // len(row) + 1))
-    return (b"[" + rows + b"]")[:size]
+def _skeleton_error(path: str | Path, dim: int, where: tuple[int, int, int]) -> InvalidInputError:
+    """The refusal of a skeleton that departs at ``where``, from :func:`_entry_at`."""
+    row, col, inside = where
+    if inside >= 3:
+        return _entry_error(path, row, col, _NOT_A_PAIR)
+    return InvalidInputError(
+        f"state file {path}: matrix is not {dim} rows of {dim} [re, im] entries"
+        f" (it departs from that at row {row}, column {col})"
+    )
 
 
-def _parse_matrix(text: bytes, n: int, d: int, path: str | Path) -> np.ndarray:
-    """The ``(dim, dim)`` complex matrix written in ``text``, ``dim = d**n``:
-    a JSON array of ``dim`` rows of ``dim`` entries ``[re, im]``, each part a
-    JSON number.
+def _skeleton(dim: int, start: int, stop: int) -> bytes:
+    """Bytes ``start:stop`` of the brackets and commas of a ``dim x dim``
+    matrix of ``[re, im]`` entries: "[", then ``dim`` rows of ``dim`` "[,]"
+    joined by commas, each row in brackets, the rows joined by commas, then
+    "]".  Nothing past ``stop`` is built."""
+    size = 4 * dim * dim + 2 * dim + 1
+    stop = min(stop, size)
+    if start >= stop:
+        return b""
+    row = b"[" + b",".join([b"[,]"] * dim) + b"],"  # a row and the comma after it
+    first, skip = divmod(max(start, 1) - 1, len(row))
+    end = stop - 1 - first * len(row)  # in the rows from row ``first`` on
+    body = (row * -(-end // len(row)))[skip:end]
+    if stop == size:  # the last row is followed by the closing bracket
+        body = body[:-1] + b"]"
+    return (b"[" if start == 0 else b"") + body
 
-    The bytes, the bracket structure and each number's place between the
-    brackets are checked first; ``json`` then reads the numbers as flat comma
-    lists, so each entry equals ``complex(re, im)`` of the numbers ``json``
-    reads for the whole file.
+
+def _skeleton_tally(dim: int, offset: int) -> tuple[int, int, int]:
+    """The bracket tally after the first ``offset`` bytes of the skeleton of
+    a ``dim x dim`` matrix, counted from the start of the row they end in."""
+    if offset == 0:
+        return 0, 0, 0
+    row, rest = divmod(offset - 1, 4 * dim + 2)
+    if row and not rest:  # from the row before, so that its end is counted
+        row -= 1
+    start = 1 + row * (4 * dim + 2)
+    return _tally((1, row, dim if row else 0), _skeleton(dim, start, offset))
+
+
+def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str | Path) -> np.ndarray:
+    """The ``(dim, dim)`` complex matrix written in ``text[start:stop]``,
+    ``dim = d**n``: a JSON array of ``dim`` rows of ``dim`` entries
+    ``[re, im]``, each part a JSON number.
+
+    The array is walked once, in slices cut after a comma.  On each slice the
+    bytes, the bracket structure and each number's place between the
+    brackets are checked; ``json`` then reads the slice's numbers as a flat
+    comma list, so each entry equals ``complex(re, im)`` of the numbers
+    ``json`` reads for the whole file, and they must be finite.  A refusal
+    names the first fault of the first of these checks that fails anywhere
+    in the array, as running each check over all of it would: a fault found
+    is held until the walk ends, and only the first fault of an earlier
+    check replaces it.
     """
     # a d**n that could not fit in the text is refused before it is computed
-    if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(len(text)):
+    if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(stop - start):
         raise InvalidInputError(
-            f"state file {path}: a matrix of {len(text)} bytes has no {d}**{n} rows"
+            f"state file {path}: a matrix of {stop - start} bytes has no {d}**{n} rows"
         )
     dim = d**n
     if not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"state file {path}: d**n = {d}**{n} is not a matrix size")
-    stray = text.translate(None, b"[]," + _WHITESPACE + _NUMBER_BYTES)
-    if stray:
-        bad = text.index(stray[:1])
-        row, col, _ = _entry_at(text, bad)
-        infinite = text.startswith((b"NaN", b"Infinity"), bad)
-        raise _entry_error(path, row, col, "is not a finite number" if infinite else _NOT_A_PAIR)
-    skeleton = text.translate(None, _NUMBER_BYTES + _WHITESPACE)
     size = 4 * dim * dim + 2 * dim + 1
-    if len(skeleton) != size or skeleton != _skeleton(dim, size):
-        want = np.frombuffer(_skeleton(dim, len(skeleton) + 1), np.uint8)
-        got = np.frombuffer(skeleton, np.uint8)
-        common = min(len(got), len(want))
-        differ = np.flatnonzero(got[:common] != want[:common])
-        row, col, inside = _entry_at(skeleton, int(differ[0]) if len(differ) else common)
-        if inside >= 3:
-            raise _entry_error(path, row, col, _NOT_A_PAIR)
-        raise InvalidInputError(
-            f"state file {path}: matrix is not {dim} rows of {dim} [re, im] entries"
-            f" (it departs from that at row {row}, column {col})"
-        )
-    del skeleton
-    # the skeleton is right; a number moved across a bracket within its comma
-    # slot, which the flat comma list below cannot see, shows with whitespace
-    # gone and each number byte a 0 as "]0" or "0["
-    marked = text.translate(_NUMBERS_TO_ZEROS, _WHITESPACE)
-    moved = [pos for pos in (marked.find(b"]0"), marked.find(b"0[")) if pos >= 0]
-    if moved:
-        row, col, _ = _entry_at(marked, min(moved) + 1)
-        raise _entry_error(path, row, col, _NOT_A_PAIR)
-    del marked
-    # with the brackets blanked the numbers are one comma list, cut at commas
-    numbers = text.translate(_BRACKETS_TO_SPACES)
-    values = np.empty(2 * dim * dim)
-    start = filled = 0
-    while start < len(numbers):
-        stop = numbers.find(b",", start + _SLICE_BYTES)
-        stop = len(numbers) if stop < 0 else stop
-        try:
-            part = json.loads(b"[" + numbers[start:stop] + b"]", parse_int=_int_as_float)
-        except json.JSONDecodeError as exc:
-            row, col, _ = _entry_at(text, start + exc.pos - 1)
-            raise _entry_error(path, row, col, _NOT_A_PAIR) from None
-        values[filled : filled + len(part)] = part
-        filled += len(part)
-        start = stop + 1
-    del numbers
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = divmod(int(np.argmin(finite)) // 2, dim)
-        raise _entry_error(path, row, col, "is not a finite number")
+    # a text shorter than the skeleton has a skeleton fault, so is never read
+    values = np.empty(2 * dim * dim) if stop - start >= size else None
+    # the check that found the refusal held so far, counted 1 to 4 (skeleton,
+    # moved number, JSON number, finite number; 5 while none has), and the refusal
+    fault: tuple[int, InvalidInputError | None] = (5, None)
+    offset = filled = 0  # skeleton bytes and numbers read so far
+    tally = None  # once the skeleton departs, the bracket tally of the text
+
+    def here() -> tuple[int, int, int]:  # the bracket tally before the slice
+        return _skeleton_tally(dim, offset) if tally is None else tally
+
+    while start < stop:
+        cut = text.find(b",", start + _SLICE_BYTES, stop)
+        chunk = text[start : stop if cut < 0 else cut + 1]
+        stray = chunk.translate(None, _MATRIX_BYTES)
+        if stray:
+            bad = chunk.index(stray[:1])
+            row, col, _ = _entry_at(here(), chunk, bad)
+            infinite = text.startswith((b"NaN", b"Infinity"), start + bad, stop)
+            raise _entry_error(path, row, col, "is not a finite number" if infinite else _NOT_A_PAIR)
+        if tally is None:
+            skeleton = chunk.translate(None, _NUMBER_BYTES + _WHITESPACE)
+            want = _skeleton(dim, offset, offset + len(skeleton))
+            if skeleton != want:
+                common = min(len(skeleton), len(want))
+                got, expected = (np.frombuffer(b, np.uint8, common) for b in (skeleton, want))
+                differ = np.flatnonzero(got != expected)
+                tally = here()  # from here on the text's own brackets are counted
+                where = _entry_at(tally, skeleton, int(differ[0]) if len(differ) else common)
+                fault = (1, _skeleton_error(path, dim, where))
+            walked = len(skeleton)
+            del skeleton, want
+        if fault[0] > 2:
+            # the skeleton is right so far; a number moved across a bracket
+            # within its comma slot, which the flat comma list below cannot
+            # see, shows with whitespace gone and each number byte a 0 as
+            # "]0" or "0[" (never across a cut, which follows a comma)
+            marked = chunk.translate(_NUMBERS_TO_ZEROS, _WHITESPACE)
+            moved = [pos for pos in (marked.find(b"]0"), marked.find(b"0[")) if pos >= 0]
+            if moved:
+                row, col, _ = _entry_at(here(), marked, min(moved) + 1)
+                fault = (2, _entry_error(path, row, col, _NOT_A_PAIR))
+            del marked
+        if values is not None and fault[0] > 3:
+            # with the brackets blanked the numbers are one comma list; the
+            # comma the slice was cut after is left out
+            numbers = chunk.translate(_BRACKETS_TO_SPACES)
+            listed = b"".join((b"[", memoryview(numbers)[: len(numbers) - (cut >= 0)], b"]"))
+            del numbers
+            try:
+                part = json.loads(listed, parse_int=_int_as_float)
+            except json.JSONDecodeError as exc:
+                row, col, _ = _entry_at(here(), chunk, exc.pos - 1)
+                fault = (3, _entry_error(path, row, col, _NOT_A_PAIR))
+            else:
+                read = values[filled : filled + len(part)]
+                read[:] = part
+                del part, listed
+                finite = np.isfinite(read)
+                if fault[0] > 4 and not finite.all():
+                    row, col = divmod((filled + int(np.argmin(finite))) // 2, dim)
+                    fault = (4, _entry_error(path, row, col, "is not a finite number"))
+                filled += len(read)
+        if tally is None:
+            offset += walked
+        else:
+            tally = _tally(tally, chunk)
+        start += len(chunk)
+    if tally is None and offset < size:  # the skeleton stops short
+        fault = (1, _skeleton_error(path, dim, _entry_at(here(), b"", 0)))
+    if fault[1] is not None:
+        raise fault[1]
     return values.view(complex).reshape(dim, dim)
 
 
@@ -522,11 +618,13 @@ def _decode(text: bytes, path: str | Path) -> tuple[object, int]:
 
 
 def _read_state_file(path: str | Path) -> object:
-    """The JSON value in a state file, a mixed state's matrix left as its bytes.
+    """The JSON value in a state file, a mixed state's matrix left in its bytes.
 
     The top-level "matrix" array of a mixed state is found in the bytes and
-    the rest of the file is parsed with that array replaced by null.  A file
-    where this finds no such array, or another one, is parsed whole.
+    the rest of the file is parsed with that array replaced by null; the
+    value of "matrix" is then ``(bytes, start, stop)``, the file's bytes and
+    the array's span in them.  A file where this finds no such array, or
+    another one, is parsed whole.
     """
     try:
         raw = Path(path).read_bytes()
@@ -543,7 +641,7 @@ def _read_state_file(path: str | Path) -> object:
         # one "matrix" key in the file, at the top level, and it held the span
         top_level = holders == 1 and isinstance(payload, dict)
         if top_level and payload.get("kind") == "mixed" and payload.get("matrix", False) is None:
-            payload["matrix"] = raw[start:stop]
+            payload["matrix"] = (raw, start, stop)
             return payload
     try:
         return _decode(raw, path)[0]
@@ -596,13 +694,15 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
     if kind == "mixed":
         if "matrix" not in payload:
             raise InvalidInputError(f'state file {path} has no "matrix"')
-        text = payload.pop("matrix")
-        if isinstance(text, list):  # found by the whole-file parse: checked the same way
-            text = json.dumps(text).encode()
-        if not isinstance(text, bytes):
+        span = payload.pop("matrix")
+        if isinstance(span, list):  # found by the whole-file parse: checked the same way
+            text = json.dumps(span).encode()
+            span = (text, 0, len(text))
+            del text
+        if not isinstance(span, tuple):
             raise InvalidInputError(f'state file {path}: "matrix" is not an array')
-        matrix = _parse_matrix(text, n, d, path)
-        del text  # validation below needs only the array
+        matrix = _parse_matrix(*span, n, d, path)
+        del span  # validation below needs only the array, not the file's bytes
         return DensityMatrix(n, d, matrix)
 
     raise InvalidInputError(f"unknown state kind {kind!r} in {path}")

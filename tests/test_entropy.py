@@ -95,3 +95,37 @@ def test_chunked_coeff_route_matches_unchunked(monkeypatch, size):
     assert [linear_entropy_coeff(psi, g) for g in cut_masks(6)] == list(whole.values())
     monkeypatch.setattr(indices_module, "CHUNK_ENTRIES", 100)
     assert gme_measure_pure(psi).entropies == whole
+
+
+def _unchunked_trace_entropy(psi: PureState, gamma: np.ndarray) -> float:
+    """The trace route with the whole (a, b, a) product array at once."""
+    keep = np.flatnonzero(gamma).tolist()
+    drop = np.flatnonzero(np.asarray(gamma) == 0).tolist()
+    psi_matrix = psi.to_vector().reshape((psi.d,) * psi.n).transpose(keep + drop)
+    psi_matrix = psi_matrix.reshape(psi.d ** len(keep), -1)
+    products = psi_matrix[:, :, None] * np.ascontiguousarray(psi_matrix.conj().T)[None, :, :]
+    reduced = np.einsum("ikj->ij", products)
+    return 2.0 * (1.0 - float((reduced @ reduced).trace().real))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    d=st.integers(2, 3),
+    seed=st.integers(0, 2**31),
+    chunk=st.sampled_from([1, 7, 64, 1 << 14]),
+)
+@example(n=6, d=3, seed=0, chunk=1 << 14)
+def test_chunked_trace_route_matches_unchunked_bits(n, d, seed, chunk):
+    """Rows of the reduced matrix formed a block at a time keep each entry's
+    sequential sum over k, so every cut's entropy has the same bits."""
+    import gmebound.indices as indices_module
+
+    rng = np.random.default_rng(seed)
+    psi = _random_sparse(n, d, d**n, rng)
+    states = [psi, make_w_state(n), make_ghz_state(n, d)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indices_module, "CHUNK_ENTRIES", chunk)
+        for state in states:
+            for g in cut_masks(n):
+                assert linear_entropy_trace(state, g).hex() == _unchunked_trace_entropy(state, g).hex()

@@ -278,6 +278,81 @@ def test_eigvalsh_runs_only_where_gershgorin_does_not_accept(monkeypatch, tmp_pa
     assert calls == [(8, 8), (4, 4)]
 
 
+def _whole_matrix_floor(m: np.ndarray) -> float:
+    """The Gershgorin floor of the lower triangle over the whole matrix at once."""
+    lower = np.tril(np.abs(m), -1)
+    return float((m.diagonal().real - lower.sum(axis=1) - lower.sum(axis=0)).min())
+
+
+def _whole_matrix_refusal(m: np.ndarray) -> str | None:
+    """DensityMatrix's checks, each over the whole matrix at once: the
+    refusal's text, or None for a density matrix."""
+    with np.errstate(invalid="ignore"):
+        spread = np.abs(m - m.conj().T).max()
+    if not spread <= 1e-12:
+        finite = np.isfinite(m).all()
+        return "density matrix is not Hermitian" if finite else "density matrix has a non-finite entry"
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > 1e-12:
+        return f"density matrix has trace {tr!r}, expected 1"
+    if _whole_matrix_floor(m) < -5e-11:
+        eigmin = float(np.linalg.eigvalsh(m).min())
+        if eigmin < -1e-10:
+            return f"density matrix has negative eigenvalue {eigmin!r}"
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (5, 2), (3, 3), (2, 7), (5, 3), (8, 2)]),
+    rows=st.one_of(st.integers(1, 12), st.just(None)),
+    eigmin=st.sampled_from([-1e-3, -2e-10, 0.0, 1e-3]),
+    fault=st.sampled_from(["none", "nan", "inf", "-inf", "imag-inf", "nan-pair", "inf-pair",
+                           "non-hermitian", "trace", "indefinite"]),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_row_block_checks_match_whole_matrix_checks(shape, rows, eigmin, fault, seed, data):
+    """Blocks of ``rows`` rows (the default size when None), D below, equal
+    to and not a multiple of the block: the same refusal or acceptance as
+    the checks over the whole matrix, and a Gershgorin floor with the same
+    bits, a NaN anywhere included."""
+    import gmebound.indices as indices_module
+    from gmebound.states import _gershgorin_floor
+
+    n, d = shape
+    dim = d**n
+    m = _planted(n, d, eigmin, np.random.default_rng(seed), data.draw(st.sampled_from([0.0, 1.0])))
+    block = rows or max(1, indices_module.CHUNK_ENTRIES // dim)
+    # a row in the first, a middle or the last block, and a column anywhere
+    i = data.draw(st.sampled_from(sorted({0, min(block, dim - 1), dim // 2, dim - 1})))
+    j = data.draw(st.sampled_from(sorted({0, i, dim // 2, dim - 1})))
+    bad = {"nan": NAN, "inf": INF, "-inf": -INF, "imag-inf": complex(0.0, INF)}
+    if fault in bad:
+        m[i, j] = bad[fault]
+    elif fault in ("nan-pair", "inf-pair"):
+        m[i, j] = m[j, i] = NAN if fault == "nan-pair" else INF
+    elif fault == "non-hermitian":
+        m[i, j] += 1e-9 if i != j else 1e-9j
+    elif fault == "trace":
+        m = m * (1 + 1e-9)
+    elif fault == "indefinite":  # the trace kept, the smallest eigenvalues lowered
+        m = m - np.eye(dim) * 1e-3
+        m[0, 0] += dim * 1e-3
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(indices_module, "CHUNK_ENTRIES", rows * dim)
+        try:
+            DensityMatrix(n, d, m)
+            refusal = None
+        except InvalidInputError as exc:
+            refusal = str(exc)
+        floor = _gershgorin_floor(m)
+    assert refusal == _whole_matrix_refusal(m)
+    want = _whole_matrix_floor(m)
+    assert floor.hex() == want.hex() or (math.isnan(floor) and math.isnan(want))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 3), st.data())
 def test_partial_trace_matches_dense_oracle(n, d, data):
@@ -540,20 +615,129 @@ def test_mixed_file_layouts_the_byte_search_skips(tmp_path):
         load_state_json(path)
 
 
-def test_mixed_file_loader_peak_memory(tmp_path):
-    """tracemalloc peak of loading a dense GHZ n = 8 file (1.2 MB of JSON),
-    validation included.  Through json.loads and one complex() per entry it
-    was 13.2 MB; reading the bytes it is about 4.5 MB."""
-    dim = 2**8
-    rows = [[[0.5 if i in (0, dim - 1) and j in (0, dim - 1) else 0.0, 0.0] for j in range(dim)]
-            for i in range(dim)]
-    path = tmp_path / "ghz8.json"
-    path.write_text(json.dumps({"n": 8, "d": 2, "kind": "mixed", "matrix": rows}))
-    del rows
+def _dense_ghz_text(n: int) -> str:
+    """A dense GHZ n-qubit file as ``json.dumps`` writes it, built row by row."""
+    dim = 2**n
+    rows = []
+    for i in range(dim):
+        row = ["[0.0, 0.0]"] * dim
+        if i in (0, dim - 1):
+            row[0] = row[-1] = "[0.5, 0.0]"
+        rows.append("[" + ", ".join(row) + "]")
+    return '{"n": %d, "d": 2, "kind": "mixed", "matrix": [%s]}' % (n, ", ".join(rows))
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        load_state_json(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13.2e6 / 2
+
+
+def test_mixed_file_loader_peak_memory(tmp_path):
+    """tracemalloc peak of loading a dense GHZ file, validation included, at
+    n = 8 (0.8 MB of JSON) and n = 9 (3.2 MB): the file's bytes and the
+    matrix (16 bytes an entry) and at most 1 MB more.  Through json.loads and
+    one complex() per entry it was 13.2 MB at n = 8; with each check run over
+    the whole text 3.4 and 12.7 MB."""
+    for n in (8, 9):
+        path = tmp_path / f"ghz{n}.json"
+        path.write_text(_dense_ghz_text(n))
+        peak = _traced_peak(lambda: load_state_json(path))
+        assert peak < path.stat().st_size + 16 * 4**n + 1e6, n
+
+
+def test_refusing_the_last_entry_stays_within_the_loader_bound(tmp_path):
+    """A malformed last entry of a dense GHZ n = 9 file is refused, at its
+    row and column, within the same bound as a load; locating it by counting
+    the brackets of the whole text peaked at 85 MB."""
+    text = _dense_ghz_text(9)
+    last = text.rindex("0.0")
+    path = tmp_path / "ghz9_bad.json"
+    path.write_text(text[:last] + "0.x" + text[last + 3 :])
+    del text
+
+    def refuse():
+        with pytest.raises(InvalidInputError, match=re.escape(f"row 511, column 511 {NOT_A_PAIR}")):
+            load_state_json(path)
+
+    assert _traced_peak(refuse) < path.stat().st_size + 16 * 4**9 + 1e6
+
+
+NOT_A_PAIR = "is not [re, im] with two JSON numbers"
+
+
+def _mixed_text(entries: dict[tuple[int, int], str], indent=None) -> str:
+    """The two-qubit |10><10| file with some entries' text replaced."""
+    rows = [[[1.0 if i == j == 2 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for at in entries:
+        rows[at[0]][at[1]] = f"ENTRY{at[0]}{at[1]}"
+    text = json.dumps({"n": 2, "d": 2, "kind": "mixed", "matrix": rows}, indent=indent)
+    for (i, j), entry in entries.items():
+        text = text.replace(f'"ENTRY{i}{j}"', entry)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (_mixed_text({(2, 2): "[ 1.0 ,\n\t  0.0 ]", (0, 1): "[0.0,    -0.0]"}), None),
+        (_mixed_text({(2, 2): "[1.0, 0.0] 7"}), f"row 2, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({(2, 3): "7 [0.0, 0.0]"}), f"row 2, column 3 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 0): "[01, 0.0]", (3, 3): "[0.0, 0.0, 0.0]"}), f"row 3, column 3 {NOT_A_PAIR}"),
+        (_mixed_text({(0, 0): "[0.0, 0.0, 0.0]", (3, 1): "[0.0, 0.x]"}), f"row 3, column 1 {NOT_A_PAIR}"),
+        (_mixed_text({(0, 2): "[1e400, 0.0]", (3, 0): "[0.0 0.0, 1]"}), f"row 3, column 0 {NOT_A_PAIR}"),
+        (_mixed_text({(0, 2): "[1e400, 0.0]", (3, 0): "[NaN, 1]"}), "row 3, column 0 is not a finite number"),
+        (_mixed_text({(1, 1): "[01, 0.0]", (2, 0): "[0.0, 0.0] 7"}), f"row 2, column 0 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 2): "[1e400, 0.0]", (3, 3): "[-1e400, 0.0]"}), "row 1, column 2 is not a finite number"),
+    ],
+    ids=["whitespace-in-entries", "number-after-bracket", "number-before-bracket",
+         "json-number-then-skeleton", "skeleton-then-stray", "infinite-then-json-number",
+         "infinite-then-nan", "json-number-then-moved", "two-infinite"],
+)
+def test_refusals_do_not_depend_on_where_slices_are_cut(tmp_path, monkeypatch, text, problem):
+    """Every slice length from one byte up gives the verdict of the walk in
+    one slice, which is that of each check run over the whole array in turn:
+    a cut inside an entry's whitespace, a moved number right at a cut, and
+    files with two faults, where the earlier check's fault wins wherever the
+    faults fall."""
+    import gmebound.states as states_module
+
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    want = load_state_json(path).matrix if problem is None else None
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(states_module, "_SLICE_BYTES", size)
+        if problem is None:
+            assert _same_bits(load_state_json(path).matrix, want)
+        else:
+            with pytest.raises(InvalidInputError, match=re.escape(problem)):
+                load_state_json(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mixed_texts(), data=st.data())
+def test_sliced_walk_gives_the_one_slice_verdict(tmp_path_factory, text, data):
+    """Up to three byte mutations anywhere: the loader's verdict and message
+    at a short drawn slice length equal those of one slice."""
+    import gmebound.states as states_module
+
+    chars = list(text)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(chars) - 1))
+        chars[at] = data.draw(st.sampled_from(MUTATION_BYTES + "x"))
+    path = tmp_path_factory.getbasetemp() / "sliced.json"
+    path.write_text("".join(chars))
+
+    def outcome():
+        try:
+            return load_state_json(path).matrix.view(np.int64).tobytes()
+        except InvalidInputError as exc:
+            return str(exc)
+
+    whole = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states_module, "_SLICE_BYTES", data.draw(st.integers(1, 40)))
+        assert outcome() == whole
