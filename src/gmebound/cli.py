@@ -41,6 +41,7 @@ from .states import (
     ElementSource,
     NoisyPureState,
     PureState,
+    _check_weights,
     embed_pure,
     load_state_json,
     make_dicke_state,
@@ -554,15 +555,19 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     w = compile_witness(r, NRVariant(args.nr))
 
     if args.p_grid:
-        grid = _parse_grid(args.p_grid)
+        grid = np.array(_parse_grid(args.p_grid))
+        _check_weights(grid)  # the first point outside [0, 1] is refused before any is read
+        sweeps = [(evaluate, w, w.reads.family(pure))]
+        if spec is not None:
+            sweeps.append((q_witness, spec, spec.reads.family(pure)))
+        # stacks of grid points whose entries, over both families, stay near CHUNK_ENTRIES
+        stacks = _chunks(len(grid), sum(len(family.rows) for *_, family in sweeps))
+        columns = [grid] + [
+            np.concatenate([value(witness, family.at(grid[rows])) for rows in stacks])
+            for value, witness, family in sweeps
+        ]
         lines = ["p,witness" if spec is None else "p,witness,q"]
-        w_family = w.reads.family(pure)
-        q_family = None if spec is None else spec.reads.family(pure)
-        for p in grid:
-            row = [p, evaluate(w, w_family.at(p))]
-            if q_family is not None:
-                row.append(q_witness(spec, q_family.at(p)))
-            lines.append(",".join(f"{v:.12g}" for v in row))
+        lines += [",".join(f"{v:.12g}" for v in row) for row in zip(*(c.tolist() for c in columns))]
         _emit("\n".join(lines), args.output)
         return 0
 

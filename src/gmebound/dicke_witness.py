@@ -24,6 +24,7 @@ from .witness import (
     _check_shape,
     _images,
     _noise_root,
+    _value,
     check_xtol,
     compile_witness,
 )
@@ -128,12 +129,13 @@ class DickeWitnessSpec:
         return Reads.build(n, d, ranks, np.concatenate(images)[order], owner[order], diagonals)
 
 
-def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float:
-    """Evaluate Q on a state, refusing another (n, d) before Q's reads are built."""
+def q_witness(spec: DickeWitnessSpec, rho: ElementSource) -> float | np.ndarray:
+    """Evaluate Q on a state, refusing another (n, d) before Q's reads are
+    built; an array of values, one per weight, for a stack of white-noise states."""
     _check_shape(spec.n, spec.d, rho)
     total, diagonal = spec.reads.read(rho)
-    diag_mass = float(np.cumsum(diagonal)[-1])
-    return (total - spec.noise_weight * diag_mass) / spec.m
+    diag_mass = np.add.accumulate(diagonal)[-1]
+    return _value((total - spec.noise_weight * diag_mass) / spec.m)
 
 
 def noise_threshold_q(

@@ -193,11 +193,13 @@ def check_ppt(seed: int = SEED) -> CheckResult:
     route_err = 0.0
     dominance_ok = True
     count = 0
+    # the GHZ pairs of each shape the draws take, built once
+    ghz_pairs = {(n, d): enumerate_ghz_pairs(n, d).digits for n in (2, 3) for d in (2, 3)}
     for _ in range(500):
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4))
         rho = _random_density(rng, n, d)
-        pairs = enumerate_ghz_pairs(n, d).digits
+        pairs = ghz_pairs[n, d]
         p = pairs[int(rng.integers(len(pairs)))]
         masks = cut_masks(n)
         g = masks[int(rng.integers(len(masks)))]

@@ -127,6 +127,18 @@ class PureState:
         return _complex(*complex_product(ar, ai, br, -bi))
 
 
+def _check_weights(p: float | np.ndarray) -> None:
+    """Refuse a mixing weight outside [0, 1], NaN included; of a 1-D array of
+    weights, the first such in order."""
+    if isinstance(p, np.ndarray):
+        inside = (0.0 <= p) & (p <= 1.0)
+        if inside.all():
+            return
+        p = p[np.argmin(inside)].item()
+    if not (0.0 <= p <= 1.0):
+        raise InvalidInputError(f"mixing weight p={p} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class NoisyPureState:
     """p * |psi><psi| + (1-p) * I / d**n, read element by element.
@@ -136,16 +148,18 @@ class NoisyPureState:
     :class:`WhiteNoiseFamily` on its entries: ``family``'s when they are the
     ones it was gathered on (members made by :meth:`WhiteNoiseFamily.at`),
     otherwise a family gathered for this read alone.
+
+    ``p`` may also be a 1-D array of weights: the state is then the stack of
+    those mixtures, and each read gains a trailing axis over the weights.
     """
 
     pure: PureState
-    p: float
-    noise: float = field(init=False, repr=False)
+    p: float | np.ndarray
+    noise: float | np.ndarray = field(init=False, repr=False)
     family: "WhiteNoiseFamily | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0):
-            raise InvalidInputError(f"mixing weight p={self.p} outside [0, 1]")
+        _check_weights(self.p)
         object.__setattr__(self, "noise", (1.0 - self.p) / self.pure.d**self.pure.n)
 
     @property
@@ -170,7 +184,8 @@ class WhiteNoiseFamily:
     The pure entries at ``(rows, cols)`` are gathered once, here; each
     member's entries are then arithmetic on them.  A threshold search or a
     ``--p-grid`` sweep holds one family per witness for the command, so its
-    steps repeat no rank lookup and no amplitude product.
+    steps repeat no rank lookup and no amplitude product; a sweep reads its
+    members a stack at a time (:meth:`at` of an array of weights).
     """
 
     pure: PureState
@@ -183,16 +198,20 @@ class WhiteNoiseFamily:
         object.__setattr__(self, "_pure_entries", self.pure.elements(self.rows, self.cols))
         object.__setattr__(self, "_diagonal", self.rows == self.cols)
 
-    def at(self, p: float) -> NoisyPureState:
-        """The member of weight p, whose reads of the family's entries cost no gather."""
+    def at(self, p: float | np.ndarray) -> NoisyPureState:
+        """The member of weight p, or the stack of members of a 1-D array of
+        weights, whose reads of the family's entries cost no gather."""
         member = NoisyPureState(self.pure, p)
         object.__setattr__(member, "family", self)
         return member
 
-    def entries(self, p: float, noise: float) -> np.ndarray:
-        """p * pure entry, plus ``noise`` = (1-p) / d**n on the diagonal."""
-        pure = self._pure_entries
-        re = p * pure.real + np.where(self._diagonal, noise, 0.0)
+    def entries(self, p: float | np.ndarray, noise: float | np.ndarray) -> np.ndarray:
+        """p * pure entry, plus ``noise`` = (1-p) / d**n on the diagonal; for
+        arrays of weights and noise terms, one column of entries per weight."""
+        pure, diagonal = self._pure_entries, self._diagonal
+        if isinstance(p, np.ndarray):
+            pure, diagonal = pure[:, None], diagonal[:, None]
+        re = p * pure.real + np.where(diagonal, noise, 0.0)
         return _complex(re, p * pure.imag)
 
 
@@ -210,14 +229,22 @@ def _gershgorin_floor(m: np.ndarray) -> float:
 
     The sums are formed a block of rows at a time, in the order a whole-matrix
     ``np.tril(np.abs(m), -1)`` would give them: each row sum over its full
-    row, each column sum down the rows in order, its running total first."""
+    row, each column sum down the rows in order, its running total first.
+    The block is written below that total, in one buffer, so summing down
+    its rows takes no copy."""
     dim = len(m)
-    row_sums, col_sums = np.empty(dim), np.zeros(dim)
-    for rows in _chunks(dim, dim):
-        lower = np.tril(np.abs(m[rows]), rows.start - 1)
+    blocks = _chunks(dim, dim)
+    # the running column totals in row 0, each block of rows below them
+    row_sums, stacked = np.empty(dim), np.zeros((min(blocks[0].stop, dim) + 1, dim))
+    for rows in blocks:
+        block = m[rows]
+        lower = stacked[1 : 1 + len(block)]
+        np.abs(block, out=lower)
+        # what np.tril(..., rows.start - 1) keeps: columns left of each row's own
+        np.copyto(lower, 0.0, where=~np.tri(len(lower), dim, rows.start - 1, dtype=bool))
         row_sums[rows] = lower.sum(axis=1)
-        col_sums = np.concatenate([col_sums[None], lower]).sum(axis=0)
-    return float((m.diagonal().real - row_sums - col_sums).min())
+        stacked[0] = stacked[: 1 + len(lower)].sum(axis=0)
+    return float((m.diagonal().real - row_sums - stacked[0]).min())
 
 
 @dataclass
@@ -398,10 +425,13 @@ _WHITESPACE = b" \t\n\r"
 # place a valid matrix closes three arrays at once.
 _MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 _MATRIX_END = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\]")
+# a matrix that closes the file's object: its "]]]", then "}", within the
+# file's last bytes
+_TRAILING_END = re.compile(rb"(\][ \t\n\r]*\][ \t\n\r]*\])[ \t\n\r]*\}[ \t\n\r]*\Z")
+_TAIL_BYTES = 64
 # ValueError covers JSONDecodeError, UnicodeDecodeError and ints past Python's digit limit
 _JSON_ERRORS = (ValueError, RecursionError)
 _NUMBER_BYTES = b"0123456789.eE+-"
-_MATRIX_BYTES = b"[]," + _WHITESPACE + _NUMBER_BYTES
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 # the array is walked in slices of about this many bytes, cut after a comma,
@@ -502,8 +532,22 @@ def _skeleton_tally(dim: int, offset: int) -> tuple[int, int, int]:
 
 def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str | Path) -> np.ndarray:
     """The ``(dim, dim)`` complex matrix written in ``text[start:stop]``,
-    ``dim = d**n``: a JSON array of ``dim`` rows of ``dim`` entries
-    ``[re, im]``, each part a JSON number.
+    ``dim = d**n``, read by :func:`_walk_matrix`."""
+    # a d**n that could not fit in the text is refused before it is computed
+    if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(stop - start):
+        raise InvalidInputError(
+            f"state file {path}: a matrix of {stop - start} bytes has no {d}**{n} rows"
+        )
+    dim = d**n
+    if not isinstance(dim, int) or dim < 1:
+        raise InvalidInputError(f"state file {path}: d**n = {d}**{n} is not a matrix size")
+    return _walk_matrix(text, start, stop, dim, path)
+
+
+def _walk_matrix(text: bytes, start: int, stop: int, dim: int, path: str | Path) -> np.ndarray:
+    """The ``(dim, dim)`` complex matrix written in ``text[start:stop]``: a
+    JSON array of ``dim`` rows of ``dim`` entries ``[re, im]``, each part a
+    JSON number.
 
     The array is walked once, in slices cut after a comma.  On each slice the
     bytes, the bracket structure and each number's place between the
@@ -515,14 +559,6 @@ def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str 
     is held until the walk ends, and only the first fault of an earlier
     check replaces it.
     """
-    # a d**n that could not fit in the text is refused before it is computed
-    if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(stop - start):
-        raise InvalidInputError(
-            f"state file {path}: a matrix of {stop - start} bytes has no {d}**{n} rows"
-        )
-    dim = d**n
-    if not isinstance(dim, int) or dim < 1:
-        raise InvalidInputError(f"state file {path}: d**n = {d}**{n} is not a matrix size")
     size = 4 * dim * dim + 2 * dim + 1
     # a text shorter than the skeleton has a skeleton fault, so is never read
     values = np.empty(2 * dim * dim) if stop - start >= size else None
@@ -538,14 +574,17 @@ def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str 
     while start < stop:
         cut = text.find(b",", start + _SLICE_BYTES, stop)
         chunk = text[start : stop if cut < 0 else cut + 1]
-        stray = chunk.translate(None, _MATRIX_BYTES)
+        # each number byte a 0 and whitespace gone: the stray bytes and the
+        # skeleton are read from this shorter text
+        marked = chunk.translate(_NUMBERS_TO_ZEROS, _WHITESPACE)
+        stray = marked.translate(None, b"[],0")
         if stray:
             bad = chunk.index(stray[:1])
             row, col, _ = _entry_at(here(), chunk, bad)
             infinite = text.startswith((b"NaN", b"Infinity"), start + bad, stop)
             raise _entry_error(path, row, col, "is not a finite number" if infinite else _NOT_A_PAIR)
         if tally is None:
-            skeleton = chunk.translate(None, _NUMBER_BYTES + _WHITESPACE)
+            skeleton = marked.translate(None, b"0")
             want = _skeleton(dim, offset, offset + len(skeleton))
             if skeleton != want:
                 common = min(len(skeleton), len(want))
@@ -559,14 +598,17 @@ def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str 
         if fault[0] > 2:
             # the skeleton is right so far; a number moved across a bracket
             # within its comma slot, which the flat comma list below cannot
-            # see, shows with whitespace gone and each number byte a 0 as
-            # "]0" or "0[" (never across a cut, which follows a comma)
-            marked = chunk.translate(_NUMBERS_TO_ZEROS, _WHITESPACE)
-            moved = [pos for pos in (marked.find(b"]0"), marked.find(b"0[")) if pos >= 0]
-            if moved:
-                row, col, _ = _entry_at(here(), marked, min(moved) + 1)
+            # see, shows in the marked text as "]0" or "0[" (never across a
+            # cut, which follows a comma).  Neighbouring bytes are compared
+            # as arrays: a byte search for either pair stops at every 0
+            codes = np.frombuffer(marked, np.uint8)
+            zero = codes == ord("0")
+            moved = zero[1:] & (codes[:-1] == ord("]")) | zero[:-1] & (codes[1:] == ord("["))
+            if moved.any():
+                row, col, _ = _entry_at(here(), marked, int(np.argmax(moved)) + 1)
                 fault = (2, _entry_error(path, row, col, _NOT_A_PAIR))
-            del marked
+            del codes, zero, moved
+        del marked
         if values is not None and fault[0] > 3:
             # with the brackets blanked the numbers are one comma list; the
             # comma the slice was cut after is left out
@@ -617,38 +659,89 @@ def _decode(text: bytes, path: str | Path) -> tuple[object, int]:
     return json.loads(text.decode("utf-8"), object_pairs_hook=unique_keys), holders
 
 
-def _read_state_file(path: str | Path) -> object:
-    """The JSON value in a state file, a mixed state's matrix left in its bytes.
+def _not_json(path: str | Path, exc: Exception) -> InvalidInputError:
+    return InvalidInputError(f"state file {path} is not valid JSON: {exc}")
 
-    The top-level "matrix" array of a mixed state is found in the bytes and
-    the rest of the file is parsed with that array replaced by null; the
-    value of "matrix" is then ``(bytes, start, stop)``, the file's bytes and
-    the array's span in them.  A file where this finds no such array, or
-    another one, is parsed whole.
-    """
+
+def _reads_as_json(raw: bytes, start: int, stop: int, path: str | Path) -> bool:
+    """Whether ``raw[start:stop]`` is a square matrix of ``[re, im]`` entries
+    that :func:`_walk_matrix` accepts, so that ``json`` reads it without
+    fault: the size from its 1 + dim + dim**2 opening brackets."""
+    opens = raw.count(b"[", start, stop)
+    dim = (math.isqrt(4 * opens - 3) - 1) // 2
+    if dim < 1 or 1 + dim + dim * dim != opens:
+        return False
     try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read state file {path}: {exc}") from exc
-    keys = [m for m in _MATRIX_KEY.finditer(raw) if raw[m.start() - 1 : m.start()] != b"\\"]
-    end = _MATRIX_END.search(raw, keys[0].end() - 1) if len(keys) == 1 else None
-    if end is not None:
-        start, stop = keys[0].end() - 1, end.end()
+        _walk_matrix(raw, start, stop, dim, path)
+    except InvalidInputError:
+        return False
+    return True
+
+
+def _refuse_rest(exc: Exception, raw: bytes, start: int, stop: int, path: str | Path) -> None:
+    """Raise, for the rest of the object around the span ``raw[start:stop]``
+    that failed to decode with ``exc``, what parsing the whole file would
+    raise, when the span is a matrix that ``json`` reads without fault.
+
+    The whole-file parse then meets the same fault at the same place of the
+    same text: before the span, where the texts agree, or after it, moved by
+    the span's length less the 4 of "null" (the span is ASCII).  It returns
+    when it cannot vouch for that: a span that is not such a matrix, bytes
+    that are not UTF-8, or nesting past the recursion limit.
+    """
+    if isinstance(exc, (UnicodeDecodeError, RecursionError)):
+        return
+    if not _reads_as_json(raw, start, stop, path):
+        return
+    if isinstance(exc, InvalidInputError):  # a repeated key, met in the same order
+        raise exc
+    if isinstance(exc, json.JSONDecodeError):
+        before = len(raw[:start].decode("utf-8"))  # characters before the span
+        pos = exc.pos if exc.pos < before else exc.pos - 4 + (stop - start)
+        exc = json.JSONDecodeError(exc.msg, raw.decode("utf-8"), pos)
+    raise _not_json(path, exc) from exc
+
+
+class _UnsureSpan(Exception):
+    """A matrix end taken on trust did not give a mixed state's object."""
+
+
+def _read_state_file(
+    raw: bytes, path: str | Path, start: int | None, stop: int | None, trusted: bool
+) -> object:
+    """The JSON value in a state file's bytes, a mixed state's matrix left in
+    them.
+
+    ``raw[start:stop]`` is the span of the one "matrix" array, when the file
+    has one.  The rest of the file is parsed with that array replaced by
+    null; the value of "matrix" is then ``(raw, start, stop)``.  When the
+    rest is not JSON but the span is a matrix that ``json`` reads, the rest's
+    error is refused as the whole file's (:func:`_refuse_rest`).  A file with
+    no span, or whose rest is not a mixed state's object holding it at the
+    top level, is parsed whole.  An end ``trusted`` (not yet checked) raises
+    :class:`_UnsureSpan` wherever that end decides the outcome.
+    """
+    if stop is not None:
         try:
             payload, holders = _decode(raw[:start] + b"null" + raw[stop:], path)
-        except _JSON_ERRORS:  # the whole-file parse below says why
+        except _JSON_ERRORS as exc:
+            if trusted:
+                raise _UnsureSpan from None
+            _refuse_rest(exc, raw, start, stop, path)
             payload, holders = None, 0
         # one "matrix" key in the file, at the top level, and it held the span
         top_level = holders == 1 and isinstance(payload, dict)
         if top_level and payload.get("kind") == "mixed" and payload.get("matrix", False) is None:
             payload["matrix"] = (raw, start, stop)
             return payload
+        if trusted:
+            raise _UnsureSpan
     try:
         return _decode(raw, path)[0]
     except InvalidInputError:
         raise
     except _JSON_ERRORS as exc:
-        raise InvalidInputError(f"state file {path} is not valid JSON: {exc}") from exc
+        raise _not_json(path, exc) from exc
 
 
 def load_state_json(path: str | Path) -> PureState | DensityMatrix:
@@ -661,8 +754,65 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
     JSON numbers.
     ``"n"`` and ``"d"`` are JSON integers.  A key repeated in any object is
     refused.
+
+    A mixed state's matrix is checked in the file's bytes.  It ends at the
+    first "]]]" after its key, the only place a valid matrix closes three
+    arrays at once.  When the matrix closes the file's object, that end is
+    read from the file's last bytes and trusted; it is the first "]]]" once
+    the walk of the matrix closes its skeleton there, since a skeleton that
+    matches up to its close has none before.  Anything else the trusted end
+    gives stands only if the search for the first "]]]" finds the same end.
     """
-    payload = _read_state_file(path)
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read state file {path}: {exc}") from exc
+    start = _matrix_start(raw)
+    state = None
+    if start is not None:
+        tail = _tail_end(raw, start)
+        if tail is not None:
+            try:
+                state = _read_state(raw, path, start, tail, trusted=True)
+            except _UnsureSpan:
+                pass
+            except InvalidInputError:
+                if _matrix_end(raw, start) == tail:
+                    raise
+    if state is None:
+        stop = None if start is None else _matrix_end(raw, start)
+        state = _read_state(raw, path, start, stop, trusted=False)
+    del raw  # a mixed state's checks need only its matrix, not the file's bytes
+    return state if isinstance(state, PureState) else DensityMatrix(*state)
+
+
+def _matrix_start(raw: bytes) -> int | None:
+    """Where the array of the file's one "matrix" key, not after a
+    backslash, opens; None for no such key or several."""
+    keys = [m for m in _MATRIX_KEY.finditer(raw) if raw[m.start() - 1 : m.start()] != b"\\"]
+    return keys[0].end() - 1 if len(keys) == 1 else None
+
+
+def _tail_end(raw: bytes, start: int) -> int | None:
+    """Just past the "]]]" that closes the file's object, if one does."""
+    tail = _TRAILING_END.search(raw, max(start, len(raw) - _TAIL_BYTES))
+    return None if tail is None else tail.end(1)
+
+
+def _matrix_end(raw: bytes, start: int) -> int | None:
+    """Just past the first "]]]" from ``start``, if there is one."""
+    end = _MATRIX_END.search(raw, start)
+    return None if end is None else end.end()
+
+
+def _read_state(
+    raw: bytes, path: str | Path, start: int | None, stop: int | None, trusted: bool
+) -> PureState | tuple[int, int, np.ndarray]:
+    """The pure state in a file's bytes, or a mixed state's ``(n, d,
+    matrix)``, its matrix span ``raw[start:stop]`` (see
+    :func:`_read_state_file`); the matrix is not yet a checked
+    :class:`DensityMatrix`."""
+    payload = _read_state_file(raw, path, start, stop, trusted)
     try:
         n, d, kind = payload["n"], payload["d"], payload["kind"]
     except (KeyError, TypeError) as exc:
@@ -701,8 +851,6 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
             del text
         if not isinstance(span, tuple):
             raise InvalidInputError(f'state file {path}: "matrix" is not an array')
-        matrix = _parse_matrix(*span, n, d, path)
-        del span  # validation below needs only the array, not the file's bytes
-        return DensityMatrix(n, d, matrix)
+        return n, d, _parse_matrix(*span, n, d, path)
 
     raise InvalidInputError(f"unknown state kind {kind!r} in {path}")

@@ -165,6 +165,9 @@ class Reads:
     The sum visits each coherence followed by the noise images subtracted
     from it; the diagonals it weighs come last.  The terms are added by a
     sequential cumulative sum, in the order a loop over them would add.
+    Entries lie on the first axis, so a stack of states (a
+    :class:`NoisyPureState` over an array of weights, one column each) is
+    read by the same code, each column summed as its state alone would be.
     """
 
     n: int
@@ -220,17 +223,18 @@ class Reads:
         _check_shape(self.n, self.d, pure)
         return WhiteNoiseFamily(pure, self.rows, self.cols)
 
-    def read(self, rho: ElementSource) -> tuple[float, np.ndarray]:
-        """sum |rho_ab| - sum sqrt(rho_a'a' rho_b'b') in visiting order, and the diagonals."""
+    def read(self, rho: ElementSource) -> tuple[np.ndarray, np.ndarray]:
+        """sum |rho_ab| - sum sqrt(rho_a'a' rho_b'b') in visiting order, and
+        the diagonals; one sum and one column of diagonals per stacked state."""
         values = self.gather(rho)
         k, m = len(self.coherence_at), len(self.image_at)
         coherence = values[:k]
         first = np.maximum(values[k : k + m].real, 0.0)
         second = np.maximum(values[k + m : k + 2 * m].real, 0.0)
-        terms = np.empty(k + m)
+        terms = np.empty((k + m,) + values.shape[1:])
         terms[self.coherence_at] = np.hypot(coherence.real, coherence.imag)
         terms[self.image_at] = -np.sqrt(first * second)
-        return float(terms.cumsum()[-1]), values[k + 2 * m :].real
+        return np.add.accumulate(terms)[-1], values[k + 2 * m :].real
 
 
 @dataclass(frozen=True)
@@ -416,11 +420,17 @@ def compile_witness(r: PairSet, variant: NRVariant = NRVariant.MINIMAL) -> Compi
     )
 
 
-def evaluate(w: CompiledWitness, rho: ElementSource) -> float:
-    """The certified lower bound on E_m for this state (may be negative)."""
+def evaluate(w: CompiledWitness, rho: ElementSource) -> float | np.ndarray:
+    """The certified lower bound on E_m for this state (may be negative); an
+    array of them, one per weight, for a stack of white-noise states."""
     bracket, diagonal = w.reads.read(rho)
-    penalty = 0.5 * float((w.eta_counts * np.maximum(diagonal, 0.0)).cumsum()[-1])
-    return w.prefactor * (bracket - penalty)
+    penalty = 0.5 * np.add.accumulate((w.eta_counts * np.maximum(diagonal, 0.0).T).T)[-1]
+    return _value(w.prefactor * (bracket - penalty))
+
+
+def _value(value: np.ndarray) -> float | np.ndarray:
+    """A Python float for one state, the array for a stack."""
+    return value if value.ndim else float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,45 @@ def test_threshold_sweep_gathers_each_witness_once(monkeypatch, capsys, singlet_
     assert len(gathers) == 2
 
 
+def test_threshold_sweep_in_small_stacks_prints_each_points_own_values(
+    monkeypatch, capsys, singlet_r_file
+):
+    """Read a few grid points per stack, the sweep prints what one evaluate
+    and one q_witness call per point give."""
+    from gmebound import indices
+    from gmebound.dicke_witness import DickeWitnessSpec, q_witness
+    from gmebound.states import NoisyPureState, make_singlet4
+    from gmebound.witness import evaluate
+
+    monkeypatch.setattr(indices, "CHUNK_ENTRIES", 200)
+    assert main(["threshold", "--preset", "singlet4", "--r-set", singlet_r_file,
+                 "--compare-dicke", "--m", "2", "--p-grid", "0:1:41"]) == 0
+    target, spec = make_singlet4(), DickeWitnessSpec(4, 2, 2)
+    w = compile_witness(PairSet.from_strings(SINGLET_R, 4, 2))
+    want = ["p,witness,q"]
+    for p in cli._parse_grid("0:1:41"):
+        rho = NoisyPureState(target, p)
+        want.append(",".join(f"{v:.12g}" for v in (p, evaluate(w, rho), q_witness(spec, rho))))
+    assert capsys.readouterr().out.splitlines() == want
+
+
+@pytest.mark.parametrize(
+    "grid, bad", [("0.2,1.5,nan", "1.5"), ("0.2,nan,1.5", "nan"), ("-0.5:1:4", "-0.5")]
+)
+def test_threshold_sweep_refuses_its_first_weight_outside_0_1(
+    tmp_path, capsys, singlet_r_file, grid, bad
+):
+    """The first grid point outside [0, 1] in grid order, NaN included, is
+    refused with exit 2 and nothing written."""
+    out = tmp_path / "sweep.csv"
+    code = main(["threshold", "--preset", "singlet4", "--r-set", singlet_r_file,
+                 "--compare-dicke", "--m", "2", f"--p-grid={grid}", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: mixing weight p={bad} outside [0, 1]\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_threshold_nondetecting_exits_1(capsys, tmp_path):
     # the W selection cannot detect GHZ: analysis error, exit code 1
     path = tmp_path / "rw.json"

@@ -666,6 +666,90 @@ def test_refusing_the_last_entry_stays_within_the_loader_bound(tmp_path):
     assert _traced_peak(refuse) < path.stat().st_size + 16 * 4**9 + 1e6
 
 
+def _whole_file_refusal(path, text: str) -> str:
+    """The loader's words for what ``json.loads`` of the whole file says."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"state file {path} is not valid JSON: {exc}"
+    raise AssertionError("the file is JSON")
+
+
+def test_refusing_a_bad_rest_builds_no_lists_of_the_matrix(tmp_path):
+    """A dense GHZ n = 9 file whose closing "}" became ",}" is refused with
+    the whole-file parse's message, within the loader's bound; that parse
+    peaked at 77 MB (ru_maxrss) against 38 MB for the valid file."""
+    text = _dense_ghz_text(9)[:-1] + ",}"
+    path = tmp_path / "ghz9_rest.json"
+    path.write_text(text)
+    want = _whole_file_refusal(path, text)
+    del text
+
+    def refuse():
+        with pytest.raises(InvalidInputError) as refusal:
+            load_state_json(path)
+        assert str(refusal.value) == want
+
+    assert _traced_peak(refuse) < path.stat().st_size + 16 * 4**9 + 1e6
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[:-1] + ",}",
+        lambda text: text.replace('"d": 2', '"d": 2,', 1),
+        lambda text: text.replace('"n"', '"note": "éé", "n"', 1)[:-1] + ", 7}",
+        lambda text: text.replace("1.0", "0.x", 1)[:-1] + ",}",
+        lambda text: text.replace("1.0", "1e400", 1)[:-1] + ",}",
+        lambda text: text.replace("1.0", "1 0", 1)[:-1] + ",}",
+    ],
+    ids=["after-the-matrix", "before-the-matrix", "after-non-ascii", "matrix-not-json-first",
+         "matrix-json-reads", "matrix-json-refuses"],
+)
+def test_a_bad_rest_is_refused_as_the_whole_file_parse_refuses_it(tmp_path, indent, edit):
+    """Where the rest of the object is not JSON, the message is the whole
+    file's, line and column included, whether or not the matrix is."""
+    text = edit(_mixed_text({}, indent=indent))
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidInputError) as refusal:
+        load_state_json(path)
+    assert str(refusal.value) == _whole_file_refusal(path, text)
+
+
+def test_a_key_repeated_after_the_matrix_is_named(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(_mixed_text({})[:-1] + ', "n": 2}')
+    with pytest.raises(InvalidInputError, match=r"repeats the key 'n'$"):
+        load_state_json(path)
+
+
+def test_the_matrix_end_at_the_file_tail_stands_only_where_the_walk_closes(tmp_path):
+    """A file that ends with "]]]" and "}" has that end taken as the
+    matrix's only once the walk closes the matrix there: a matrix followed by
+    other arrays still loads, or is refused as the first "]]]" after its key
+    says."""
+    want = np.zeros((4, 4), dtype=complex)
+    want[2, 2] = 1.0
+    meta = ', "meta": [[[1]]]}'
+    for k, text in enumerate([_mixed_text({})[:-1] + meta, _mixed_text({})[:-1] + ', "meta": [[[1]], [[2]]]}']):
+        path = tmp_path / f"loads{k}.json"
+        path.write_text(text)
+        assert _same_bits(load_state_json(path).matrix, want)
+    path = tmp_path / "bad_entry.json"
+    path.write_text(_mixed_text({(3, 1): "[0.0 0.0]"})[:-1] + meta)
+    with pytest.raises(InvalidInputError, match=re.escape(f"row 3, column 1 {NOT_A_PAIR}")):
+        load_state_json(path)
+    # the first "]]]" closes a valid matrix, and a stray "]" follows it
+    text = _mixed_text({(3, 3): "[0.0, 0.0]]]], "})[:-1] + meta[2:]
+    path = tmp_path / "bad_rest.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as refusal:
+        load_state_json(path)
+    assert str(refusal.value) == _whole_file_refusal(path, text)
+
+
 NOT_A_PAIR = "is not [re, im] with two JSON numbers"
 
 
@@ -692,10 +776,18 @@ def _mixed_text(entries: dict[tuple[int, int], str], indent=None) -> str:
         (_mixed_text({(0, 2): "[1e400, 0.0]", (3, 0): "[NaN, 1]"}), "row 3, column 0 is not a finite number"),
         (_mixed_text({(1, 1): "[01, 0.0]", (2, 0): "[0.0, 0.0] 7"}), f"row 2, column 0 {NOT_A_PAIR}"),
         (_mixed_text({(1, 2): "[1e400, 0.0]", (3, 3): "[-1e400, 0.0]"}), "row 1, column 2 is not a finite number"),
+        # cut after the entry's comma, "]0" or "0[" opens a slice; cut after
+        # the next comma, "0[" ends one
+        (_mixed_text({(1, 2): "[0.0,] 0.0"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 2): "7 [, 0.0]"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 2): "0.0 [, 0.0]"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({}).replace("]]]", "] ]\n]"), None),
+        (_mixed_text({})[:-1] + ', "meta": [[[1]]]}', None),
     ],
     ids=["whitespace-in-entries", "number-after-bracket", "number-before-bracket",
          "json-number-then-skeleton", "skeleton-then-stray", "infinite-then-json-number",
-         "infinite-then-nan", "json-number-then-moved", "two-infinite"],
+         "infinite-then-nan", "json-number-then-moved", "two-infinite", "bracket-then-number",
+         "digit-then-bracket", "number-then-bracket", "spaced-close", "arrays-after-the-matrix"],
 )
 def test_refusals_do_not_depend_on_where_slices_are_cut(tmp_path, monkeypatch, text, problem):
     """Every slice length from one byte up gives the verdict of the walk in

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -642,6 +643,55 @@ def test_white_noise_family_reads_bit_for_bit(n, d, size, seed, variant, delta, 
         want = q_witness(spec, _PointwiseNoise(target, p)).hex()
         assert q_witness(spec, q_family.at(p)).hex() == want
         assert q_witness(spec, NoisyPureState(target, p)).hex() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 3),
+    st.integers(1, 8),
+    st.integers(0, 2**31),
+    st.sampled_from(list(NRVariant)),
+    st.sampled_from(["all", "singles"]),
+    st.sampled_from(["one point", "with 0 and 1", "several stacks"]),
+    st.data(),
+)
+def test_a_stack_of_weights_reads_as_each_weight_alone(n, d, size, seed, variant, delta, grid, data):
+    """evaluate and q_witness on a family's members at an array of weights
+    give each weight's value with the bits of its own call, on random sparse
+    targets: one weight, grids holding 0 and 1, and a grid read in several
+    stacks, as a ``--p-grid`` sweep reads it."""
+    rng = np.random.default_rng(seed)
+    target = reproduce._random_sparse_pure(rng, n, d)
+    try:
+        w = compile_witness(PairSet.from_strings(_random_selection(n, d, size, rng), n, d), variant)
+    except DegenerateSelectionError:
+        return
+    spec = DickeWitnessSpec(n, d, 1 + seed % (n - 1), delta_subsets=delta)
+    width = len(w.reads.rows) + len(spec.reads.rows)
+    if grid == "one point":
+        weights = [data.draw(st.floats(0.0, 1.0))]
+    elif grid == "with 0 and 1":
+        inner = data.draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+        weights = data.draw(st.permutations([0.0, 1.0] + inner))
+    else:
+        weights = np.linspace(0.0, 1.0, 2 * (indices.CHUNK_ENTRIES // width) + 3).tolist()
+    stacks = indices._chunks(len(weights), width)
+    assert len(stacks) > 2 or grid != "several stacks"
+    grid_array = np.array(weights)
+    for value, of, family in ((evaluate, w, w.reads.family(target)), (q_witness, spec, spec.reads.family(target))):
+        want = [value(of, family.at(p)).hex() for p in weights]
+        whole = value(of, family.at(grid_array))
+        assert isinstance(whole, np.ndarray) and [v.hex() for v in whole.tolist()] == want
+        stacked = np.concatenate([value(of, family.at(grid_array[rows])) for rows in stacks])
+        assert [v.hex() for v in stacked.tolist()] == want
+
+
+def test_a_stack_of_weights_is_refused_at_its_first_weight_outside_0_1():
+    family = compile_witness(auto_select_R(make_w_state(3))).reads.family(make_w_state(3))
+    for weights, bad in (([0.5, 1.5, math.nan], "1.5"), ([0.5, math.nan, -1.0], "nan")):
+        with pytest.raises(InvalidInputError, match=re.escape(f"mixing weight p={bad} outside [0, 1]")):
+            family.at(np.array(weights))
 
 
 def test_a_threshold_gathers_the_target_once(monkeypatch):
