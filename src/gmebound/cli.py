@@ -3,10 +3,13 @@
 Loads states and pair selections, runs each analysis, and writes its result
 through one writer, :func:`_emit`, to ``--output`` or stdout: JSON for every
 analysis, CSV for a ``threshold --p-grid`` sweep and a text table for
-``reproduce-paper``.  Each subcommand takes ``--output``; ``bound``,
-``threshold`` and ``measure-plan`` share ``--r-set/--nr/--tau``.  Exit codes:
-0 success, 1 analysis error (degenerate selection, witness that cannot detect
-the target, a result that is not a finite number), 2 input error.
+``reproduce-paper``.  JSON is written in pieces as it renders, large members
+column by column (:func:`_dump`), once every value has been checked, so a
+result that is not a finite number writes nothing.  Each subcommand takes
+``--output``; ``bound``, ``threshold`` and ``measure-plan`` share
+``--r-set/--nr/--tau``.  Exit codes: 0 success, 1 analysis error (degenerate
+selection, witness that cannot detect the target, a result that is not a
+finite number), 2 input error.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import accumulate, chain, groupby
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,8 +71,6 @@ MAX_GRID_POINTS = 10**6
 # a measurement plan of more tensor terms than this (GHZ n = 10 has about
 # 1.05e6) is refused before any term is built
 MAX_PLAN_TERMS = 2**22
-# _emit writes its text in slices of this many characters
-_WRITE_SLICE = 1 << 20
 # options that several subcommands take, each declared here once
 _SHARED_FLAGS: dict[str, dict[str, Any]] = {
     "--nr": dict(choices=("min", "max"), default="min",
@@ -84,9 +86,9 @@ _SHARED_FLAGS: dict[str, dict[str, Any]] = {
 class _Leaves:
     """A column of JSON leaves, or of lists of them: item i is the leaf
     ``data[i]``, or with a 2-D ``data`` the list of the leaves in row i.
-    Numbers are rendered by :func:`_scalar`, once per distinct bit pattern;
-    with ``texts``, ``data`` holds codes and ``texts(codes)`` gives their JSON
-    strings in the same shape."""
+    Numbers and strings are rendered by :func:`_scalar`, once per distinct
+    value (per bit pattern for floats); with ``texts``, ``data`` holds codes
+    and ``texts(codes)`` gives their JSON strings in the same shape."""
 
     data: np.ndarray
     texts: Callable[[np.ndarray], np.ndarray] | None = None
@@ -110,6 +112,16 @@ class _Records:
 
 
 @dataclass(frozen=True)
+class _Take:
+    """A column whose item i is item ``rows[i]`` of the column ``table``: the
+    table's items are rendered once, however many rows name them.  Each is
+    checked, so with any rows every table item must be named by one."""
+
+    table: Any
+    rows: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Column:
     """The list of a column's items or, with ``keys``, the object that maps
     each key to its item; rendered column by column, in chunks of items."""
@@ -118,19 +130,7 @@ class _Column:
     keys: Sequence[str] | None = None
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """The list of the items at ``rows`` of the column ``table``, which many
-    lists of one payload share.  ``texts`` is shared with them too: the writer
-    keeps in it the table's texts per indent, so an item is rendered once per
-    indent however many lists hold it."""
-
-    table: Any
-    texts: dict[str, tuple[np.ndarray, np.ndarray]]
-    rows: Sequence[int]
-
-
-_CONTAINERS = (dict, list, tuple, _Column, _Rows)
+_CONTAINERS = (dict, list, tuple, _Column)
 
 
 class _NotFinite(ValueError):
@@ -164,41 +164,37 @@ def _scalar(x: Any) -> str:
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _dump(obj: Any, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)`` with every float at 12
-    significant digits (stable output), in one walk.
+def _dump(obj: Any, pad: str = "") -> Iterator[str]:
+    """The pieces of ``json.dumps(obj, indent=2, allow_nan=False)``, with
+    every float at 12 significant digits (stable output), in one walk.
 
-    Dict keys are strings; tuples render as lists, a :class:`_Column` as its
-    list or object, and :class:`_Rows` as the list of its items.
+    Dict keys are strings; tuples render as lists and a :class:`_Column` as
+    its list or object.  The walk runs and every value is checked before
+    this returns; a column's chunks are rendered only as the pieces are read,
+    and the texts between columns are joined into one piece each.
     """
-    out: list[str] = []
+    out: list[str | Iterator[str]] = []
     _write(obj, pad, out)
-    return "".join(out)
+    return chain.from_iterable(
+        ["".join(run)] if text else chain.from_iterable(run)
+        for text, run in groupby(out, lambda piece: type(piece) is str)
+    )
 
 
-def _write(obj: Any, pad: str, out: list[str]) -> bool:
-    """Append the text of ``obj`` at indent ``pad`` to ``out``, and return
-    whether it holds a :class:`_Rows` list.
-
-    A container's pieces are joined into one text when it closes, so that a
-    large payload is not held as many small strings.  A container over a
-    :class:`_Rows` list keeps its pieces, most of them the table's shared
-    texts, for :func:`_dump` to join once.  Leaves are rendered in place
-    rather than through a call of their own.
-    """
-    if type(obj) is _Rows:
-        _write_rows(obj, pad, out)
-        return True
+def _write(obj: Any, pad: str, out: list[str | Iterator[str]]) -> None:
+    """Append the pieces of the text of ``obj`` at indent ``pad`` to ``out``:
+    texts, and for a column the iterator of its chunk texts.  Leaves are
+    rendered in place rather than through a call of their own."""
     if type(obj) is _Column:
-        out.append(_column_text(obj, pad))
-        return False
+        out.append(_column_chunks(obj, pad))
+        return
     if not isinstance(obj, _CONTAINERS):
         out.append(_scalar(obj))
-        return False
+        return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
-        return False
-    start, shared, inner = len(out), False, pad + "  "
+        return
+    inner = pad + "  "
     if isinstance(obj, dict):
         head = "{\n" + inner
         for k, v in obj.items():
@@ -206,7 +202,7 @@ def _write(obj: Any, pad: str, out: list[str]) -> bool:
             try:
                 if isinstance(v, _CONTAINERS):
                     out.append(key)
-                    shared |= _write(v, inner, out)
+                    _write(v, inner, out)
                 else:
                     out.append(key + _scalar(v))
             except _NotFinite as exc:
@@ -219,21 +215,18 @@ def _write(obj: Any, pad: str, out: list[str]) -> bool:
         for v in obj:
             if isinstance(v, _CONTAINERS):
                 out.append(head)
-                shared |= _write(v, inner, out)
+                _write(v, inner, out)
             else:
                 out.append(head + _scalar(v))
             head = ",\n" + inner
         out.append("\n" + pad + "]")
-    if not shared:
-        out[start:] = ["".join(out[start:])]
-    return shared
 
 
 def _numbers(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The lookup from a chunk of the float or int array ``values`` to the
-    JSON texts of its entries.  Each distinct bit pattern is rendered once,
-    so ``-0.0`` keeps a text of its own; a value that is not finite raises
-    :class:`_NotFinite` at the first item (row) that holds one."""
+    """The lookup from a chunk of the float, int or str array ``values`` to
+    the JSON texts of its entries.  Each distinct bit pattern is rendered
+    once, so ``-0.0`` keeps a text of its own; a value that is not finite
+    raises :class:`_NotFinite` at the first item (row) that holds one."""
     bits = np.dtype(f"i{values.dtype.itemsize}") if values.dtype.kind == "f" else values.dtype
     distinct = np.unique(values.view(bits))
     try:
@@ -243,11 +236,6 @@ def _numbers(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         item = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
         raise _NotFinite(float(rows[item][~np.isfinite(rows[item])][0]), item) from None
     return lambda chunk: texts[distinct.searchsorted(chunk.view(bits))]
-
-
-def _spans(start: int, stop: int, width: int) -> list[slice]:
-    """:func:`indices._chunks` over ``range(start, stop)``."""
-    return [slice(start + c.start, min(start + c.stop, stop)) for c in _chunks(stop - start, width)]
 
 
 def _render(column: Any, pad: str) -> tuple[int, int, Callable[[slice], list[str]]]:
@@ -292,7 +280,9 @@ def _render(column: Any, pad: str) -> tuple[int, int, Callable[[slice], list[str
             # each span's texts joined per group it meets
             ids = range(count)[items]
             parts: list[list[str]] = [[] for _ in ids]
-            for span in _spans(bounds[ids.start], bounds[ids.stop], width):
+            start, stop = bounds[ids.start], bounds[ids.stop]
+            for chunk in _chunks(stop - start, width):
+                span = slice(start + chunk.start, min(start + chunk.stop, stop))
                 texts, at = render(span), span.start
                 group = bisect.bisect_right(bounds, at, ids.start, ids.stop) - 1
                 while at < span.stop:
@@ -304,6 +294,22 @@ def _render(column: Any, pad: str) -> tuple[int, int, Callable[[slice], list[str
             return [head + sep.join(part) + tail if part else "[]" for part in parts]
 
         return count, max(1, width * bounds[-1] // max(count, 1)), groups
+    if type(column) is _Take:
+        rows = column.rows
+        if not len(rows):  # nothing of the table is written, so nothing is checked
+            return 0, 1, lambda items: []
+        try:
+            count, width, render = _render(column.table, pad)
+        except _NotFinite as exc:
+            named = np.flatnonzero(rows == exc.item)
+            if not len(named):
+                raise ValueError(f"table item {exc.item} is named by no row") from exc
+            exc.item = int(named[0])
+            raise
+        table = np.empty(count, dtype=object)
+        for items in _chunks(count, width):
+            table[items] = render(items)
+        return len(rows), width, lambda items: table[rows[items]].tolist()
     data = column.data
     texts = column.texts or _numbers(data)
     if data.ndim == 1:
@@ -317,8 +323,9 @@ def _render(column: Any, pad: str) -> tuple[int, int, Callable[[slice], list[str
     ]
 
 
-def _column_text(obj: _Column, pad: str) -> str:
-    """The text of a :class:`_Column` at indent ``pad``, joined chunk by chunk."""
+def _column_chunks(obj: _Column, pad: str) -> Iterator[str]:
+    """The text of a :class:`_Column` at indent ``pad``, as an iterator of
+    its chunks; its values are checked before this returns."""
     try:
         count, width, render = _render(obj.items, pad + "  ")
     except _NotFinite as exc:
@@ -327,54 +334,39 @@ def _column_text(obj: _Column, pad: str) -> str:
         raise
     opening, closing = "[]" if obj.keys is None else "{}"
     if not count:
-        return opening + closing
+        return iter([opening + closing])
     inner = pad + "  "
     sep = ",\n" + inner
-    chunks = []
-    for items in _chunks(count, width):
-        texts = render(items)
-        if obj.keys is not None:
-            keys = map(encode_basestring_ascii, obj.keys[items])
-            texts = [key + ": " + text for key, text in zip(keys, texts)]
-        chunks.append(sep.join(texts))
-    return opening + "\n" + inner + sep.join(chunks) + "\n" + pad + closing
 
-
-def _write_rows(obj: _Rows, pad: str, out: list[str]) -> None:
-    """The items at ``obj.rows``, each as its line break, indent and text,
-    then a comma for all but the last: the table's texts at this indent, in
-    both forms, are rendered once for every list over the table."""
-    rows = obj.rows
-    if not len(rows):
-        out.append("[]")
-        return
-    inner = pad + "  "
-    texts = obj.texts.get(inner)
-    if texts is None:
-        count, width, render = _render(obj.table, inner)
-        text, head = np.empty(count, dtype=object), "\n" + inner
+    def chunks() -> Iterator[str]:
+        head = opening + "\n" + inner
         for items in _chunks(count, width):
-            text[items] = [head + item for item in render(items)]
-        texts = obj.texts[inner] = (text + ",", text)
-    out.append("[")
-    out += texts[0][rows[:-1]].tolist()
-    out.append(texts[1][rows[-1]] + "\n" + pad + "]")
+            texts = render(items)
+            if obj.keys is not None:
+                keys = map(encode_basestring_ascii, obj.keys[items])
+                texts = [key + ": " + text for key, text in zip(keys, texts)]
+            yield head + sep.join(texts)
+            head = sep
+        yield "\n" + pad + closing
+
+    return chunks()
 
 
-def _emit(document: dict[str, Any] | str, output: str | None) -> None:
-    """Write a payload as JSON, or preformatted text as it is, with a newline
-    to ``output`` or stdout.  A payload is rendered whole first, so a value
-    JSON cannot hold exits 1 naming its key and nothing is written."""
-    try:
-        text = document if isinstance(document, str) else _dump(document)
-    except _NotFinite as exc:
-        where = "/".join(reversed(exc.keys))
-        raise AnalysisError(f"output value {where!r} is {exc.value!r}, not finite") from None
+def _emit(document: dict[str, Any] | list[str], output: str | None) -> None:
+    """Write a payload as JSON, or lines of preformatted text, each with a
+    newline, to ``output`` or stdout, as it renders.  A value JSON cannot
+    hold exits 1 naming its key and writes nothing (:func:`_dump` checks them
+    first); another error while rendering can leave ``output`` half written."""
+    if isinstance(document, list):
+        pieces: Iterable[str] = (line + "\n" for line in document)
+    else:
+        try:
+            pieces = chain(_dump(document), ["\n"])
+        except _NotFinite as exc:
+            where = "/".join(reversed(exc.keys))
+            raise AnalysisError(f"output value {where!r} is {exc.value!r}, not finite") from None
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
-        # in slices, so that no encoded copy of the whole text is made
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start : start + _WRITE_SLICE])
-        fh.write("\n")
+        fh.writelines(pieces)
 
 
 def _build_preset(args: argparse.Namespace) -> PureState:
@@ -523,8 +515,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     n, d = rho.n, rho.d
     indices = _index_texts(n, d)
     first, second, bounds = w.reads.images
-    images = _Groups(_Leaves(np.stack((first, second), axis=1), indices), bounds)
-    pair_keys = [f"{a}~{b}" for a, b in r.as_strings()]
+    images = np.stack((first, second), axis=1)
+    # a column per pair, so a pair's image list is written chunk by chunk
+    noise_images = {
+        f"{a}~{b}": _Column(_Leaves(images[start:stop], indices))
+        for (a, b), start, stop in zip(r.as_strings(), bounds, bounds[1:])
+    }
     payload = {
         "n": n,
         "d": d,
@@ -533,7 +529,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "n_r": w.n_r,
         "prefactor": w.prefactor,
         "n_eta": _Column(_Leaves(w.eta_counts), digit_strings(w.reads.diagonals, n, d)),
-        "noise_images": _Column(images, pair_keys),
+        "noise_images": noise_images,
         "uncounted_profile": _Column(_Leaves(w.profile), cut_labels(n)),
         "value": value,
         "detects_gme": bool(value > args.tol),
@@ -568,7 +564,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         ]
         lines = ["p,witness" if spec is None else "p,witness,q"]
         lines += [",".join(f"{v:.12g}" for v in row) for row in zip(*(c.tolist() for c in columns))]
-        _emit("\n".join(lines), args.output)
+        _emit(lines, args.output)
         return 0
 
     payload: dict[str, Any] = {
@@ -655,19 +651,22 @@ def cmd_measure_plan(args: argparse.Namespace) -> int:
     r = _resolve_pairset(args, pure, n, d)
     w = compile_witness(r, NRVariant(args.nr))
     plan = plan_settings(w, include_imag=args.include_imag, max_terms=MAX_PLAN_TERMS)
+    elements = plan.elements
     # one record per distinct (coeff, labels) term, shared by every element that has it
     table = _term_table(plan.coeffs, plan.codes, plan.alphabet)
-    texts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    terms = _Take(table, np.concatenate([el.terms for el in elements]))
+    indices = _Leaves(np.array([index for el in elements for index in el.indices]))
     payload = {
         "n": plan.n,
         "d": plan.d,
         "element_count": plan.element_count,
         "setting_count": plan.setting_count,
         "settings": plan.settings,
-        "elements": [
-            {"kind": el.kind, "indices": el.indices, "terms": _Rows(table, texts, el.terms)}
-            for el in plan.elements
-        ],
+        "elements": _Column(_Records({
+            "kind": _Leaves(np.array([el.kind for el in elements])),
+            "indices": _Groups(indices, [0, *accumulate(len(el.indices) for el in elements)]),
+            "terms": _Groups(terms, [0, *accumulate(len(el.terms) for el in elements)]),
+        })),
     }
     _emit(payload, args.output)
     return 0
@@ -698,7 +697,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             lines.append(f"        {res.details}")
     passed = sum(res.passed for res in results)
     lines.append(f"{passed}/{len(results)} criteria passed")
-    _emit("\n".join(lines), args.output)
+    _emit(lines, args.output)
     return 0 if passed == len(results) else 1
 
 

@@ -43,7 +43,8 @@ def linear_entropy_trace(psi: PureState, gamma: np.ndarray) -> float:
     for rows in _chunks(len(psi_matrix), psi_matrix.size):
         # products psi_ik * conj(psi_jk) with j innermost, then a sequential sum over k
         reduced[rows] = np.einsum("ikj->ij", psi_matrix[rows, :, None] * conj_t[None, :, :])
-    purity = float((reduced @ reduced).trace().real)
+    # Tr(R R) = sum |R_ij|**2 for the Hermitian R, in O(a**2) rather than a product
+    purity = float((reduced.real**2 + reduced.imag**2).sum())
     return 2.0 * (1.0 - purity)
 
 

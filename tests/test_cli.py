@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -834,13 +835,12 @@ PAYLOADS = st.recursive(
 @given(PAYLOADS, st.lists(st.text(), max_size=3).map(tuple))
 def test_dump_matches_stdlib_json(payload, labels):
     """One walk gives what the stdlib gives after rounding; ``labels`` and
-    lists of rows over one shared term table sit at two depths, so a record's
-    text must be kept per indent."""
+    lists of rows taken from one term table sit at two depths, so the table
+    must be rendered at each indent."""
     codes = np.tile(np.arange(len(labels)), (2, 1)).T  # (n, T): both terms carry labels
     table = cli._term_table(np.array([0.1 + 0.2, -0.0]), codes, labels)
-    texts: dict = {}
-    rows = cli._Rows(table, texts, [0, 1, 0])
-    empty = cli._Rows(table, texts, [])
+    rows = cli._Column(cli._Take(table, np.array([0, 1, 0])))
+    empty = cli._Column(cli._Take(table, np.array([], dtype=int)))
     deep = {"top": labels, "deep": [[labels, payload], labels], "records": [rows, [rows, empty]]}
     table_records = [{"coeff": 0.1 + 0.2, "labels": labels}, {"coeff": -0.0, "labels": labels}]
     records = [table_records[0], table_records[1], table_records[0]]
@@ -851,7 +851,7 @@ def test_dump_matches_stdlib_json(payload, labels):
     }
     for doc, full in ((payload, payload), (deep, expanded), (rows, records)):
         want = json.dumps(oracles.round12_oracle(full), indent=2, allow_nan=False)
-        assert cli._dump(doc) == want
+        assert "".join(cli._dump(doc)) == want
 
 
 # floats whose texts are easy to get wrong: signed zero, the smallest
@@ -937,7 +937,7 @@ def _outcome(doc, chunk=CHUNK_ENTRIES):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("gmebound.indices.CHUNK_ENTRIES", chunk)
         try:
-            return cli._dump(doc)
+            return "".join(cli._dump(doc))
         except cli._NotFinite as exc:
             return "/".join(reversed(exc.keys)), repr(exc.value)
 
@@ -978,11 +978,26 @@ def test_non_finite_in_a_group_or_record_names_its_own_key():
     assert _outcome({"member": records}) == ("member/p/y", "nan")
 
 
+def test_a_take_checks_the_table_its_rows_name():
+    """A take with no rows writes nothing of its table, so a value there that
+    is not finite is no error; with rows, such a value is named at the first
+    row that takes it, and a table item no row names is refused as a bug."""
+    table = cli._Leaves(np.array([1.0, math.nan]))
+
+    def member(rows, keys=None):
+        return {"member": cli._Column(cli._Take(table, np.array(rows, dtype=int)), keys)}
+
+    assert _outcome(member([])) == '{\n  "member": []\n}'
+    assert _outcome(member([0, 1, 1], ["a", "b", "c"])) == ("member/b", "nan")
+    with pytest.raises(ValueError, match="table item 1 is named by no row"):
+        _outcome(member([0, 0]))
+
+
 @given(st.sampled_from([2, 3, 4, 17]), st.integers(1, 4), st.data(), CHUNKS)
 def test_term_table_rows_render_as_their_records(d, n, data, chunk):
     """A plan's term table, from its coefficient column and (n, T) label
-    codes, renders at two indents as its records; a planted inf or nan
-    exits naming ``elements/terms/coeff``."""
+    codes, taken by rows at two indents renders as its records; a planted
+    inf or nan exits naming ``elements/terms/coeff``."""
     alphabet = _alphabet(d)
     count = data.draw(st.integers(1, 6))
     coeffs = data.draw(st.lists(FLOATS, min_size=count, max_size=count))
@@ -998,10 +1013,12 @@ def test_term_table_rows_render_as_their_records(d, n, data, chunk):
 
     def plan(coeff_values):
         table = cli._term_table(np.array(coeff_values, dtype=float), codes, alphabet)
-        texts: dict = {}
-        elements = [{"kind": "diag", "terms": cli._Rows(table, texts, np.array(rows, dtype=int))}
-                    for rows in lists]
-        return {"elements": elements + [[{"terms": cli._Rows(table, texts, np.array(order))}]]}
+
+        def terms(rows):
+            return cli._Column(cli._Take(table, np.array(rows, dtype=int)))
+
+        elements = [{"kind": "diag", "terms": terms(rows)} for rows in lists]
+        return {"elements": elements + [[{"terms": terms(order)}]]}
 
     elements = [{"kind": "diag", "terms": [records[r] for r in rows]} for rows in lists]
     expanded = {"elements": elements + [[{"terms": [records[r] for r in order]}]]}
@@ -1066,17 +1083,53 @@ def test_oversized_plan_is_refused_before_any_term_is_built(capsys):
 
 
 def test_non_finite_output_is_analysis_error(monkeypatch, tmp_path, capsys):
-    """A NaN in a payload exits 1 naming its key, and writes no --output file."""
+    """A NaN in a payload exits 1 naming its key, and writes nothing: no
+    --output file, no byte over one that exists, nothing on stdout, even
+    when the value comes after every column of the payload."""
     monkeypatch.setattr(cli, "evaluate", lambda w, rho: math.nan)
     out = tmp_path / "bound.json"
     assert main(["bound", "--preset", "ghz", "--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert "'value'" in captured.err and "Traceback" not in captured.err
     assert not out.exists()
+    out.write_bytes(b"earlier output\n")
+    assert main(["bound", "--preset", "ghz", "--n", "8", "--output", str(out)]) == 1
+    assert out.read_bytes() == b"earlier output\n"
+    assert main(["bound", "--preset", "ghz", "--n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'value'" in captured.err
     report = EntropyReport(3, (0.5, math.inf, 0.5), 0, 0.5)
     monkeypatch.setattr(cli, "gme_measure_pure", lambda psi, method: report)
     assert main(["entropy", "--preset", "w"]) == 1
     assert "'entropies/12|3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("narrow", [[], [["00000000000001", "00000000000010"],
+                                        ["00000000000011", "00000000000110"]]])
+def test_output_is_written_as_it_renders(monkeypatch, tmp_path, narrow):
+    """A payload of many chunks is written chunk by chunk: while ``_emit``
+    runs, the Python heap never holds more than a small part of the text,
+    also where GHZ's wide pair sits among narrow ones."""
+    from gmebound import indices
+
+    monkeypatch.setattr(indices, "CHUNK_ENTRIES", 64)
+    emit, peaks = cli._emit, []
+
+    def traced(document, output):
+        tracemalloc.start()
+        try:
+            emit(document, output)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    out, r_set = tmp_path / "bound.json", tmp_path / "r.json"
+    r_set.write_text(json.dumps([["0" * 14, "1" * 14]] + narrow))
+    argv = ["bound", "--preset", "ghz", "--n", "14", "--r-set", str(r_set)]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.stat().st_size > 800_000
+    assert peaks[0] < out.stat().st_size / 4
 
 
 def _product_state_text() -> str:
