@@ -37,7 +37,7 @@ from .dicke_witness import (
 )
 from .entropy import gme_measure_pure
 from .errors import AnalysisError, InvalidInputError, _check_nonnegative
-from .indices import _chunks, cut_labels, digit_strings
+from .indices import _chunks, cut_labels, digit_strings, rank_digits
 from .observables import plan_settings
 from .ppt import build_ppt_witness, compare_with_witness_bracket
 from .reproduce import SEED, run_all
@@ -472,11 +472,14 @@ def _parse_grid(text: str) -> list[float]:
 
 def _index_texts(n: int, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """The JSON strings of the bare digit strings of an array of ranks, in its
-    shape; digits need no escaping, so each is its text in quotes."""
+    shape; digits need no escaping, so each is its text in quotes, built as
+    one row of bytes per rank."""
 
     def texts(ranks: np.ndarray) -> np.ndarray:
-        strings = np.array(digit_strings(ranks.ravel(), n, d), dtype=object)
-        return ('"' + strings + '"').reshape(ranks.shape)
+        codes = np.full((ranks.size, n + 2), ord('"'), dtype=np.uint8)
+        # the digits' bytes written in place: no second int64 array of them
+        np.add(rank_digits(ranks.ravel(), n, d), ord("0"), out=codes[:, 1:-1], casting="unsafe")
+        return codes.view(f"S{n + 2}").astype("U").reshape(ranks.shape)
 
     return texts
 

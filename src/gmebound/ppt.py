@@ -44,10 +44,10 @@ class PptWitness:
     def operator(self) -> np.ndarray:
         """The dense ``d**n x d**n`` operator."""
         n, d = self.reads.n, self.reads.d
-        img1, img2 = self.reads.rows[1:].tolist()
+        first, second, _ = self.reads.images  # one rank each
         lam = np.zeros(d**n, dtype=complex)
-        lam[img1] = 1.0 / math.sqrt(2.0)
-        lam[img2] = -1.0 / math.sqrt(2.0)
+        lam[first] = 1.0 / math.sqrt(2.0)
+        lam[second] = -1.0 / math.sqrt(2.0)
         projector = DensityMatrix(n, d, np.outer(lam, lam.conj()), validate=False)
         return partial_transpose(projector, self.gamma)
 

@@ -425,10 +425,6 @@ _WHITESPACE = b" \t\n\r"
 # place a valid matrix closes three arrays at once.
 _MATRIX_KEY = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
 _MATRIX_END = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\]")
-# a matrix that closes the file's object: its "]]]", then "}", within the
-# file's last bytes
-_TRAILING_END = re.compile(rb"(\][ \t\n\r]*\][ \t\n\r]*\])[ \t\n\r]*\}[ \t\n\r]*\Z")
-_TAIL_BYTES = 64
 # ValueError covers JSONDecodeError, UnicodeDecodeError and ints past Python's digit limit
 _JSON_ERRORS = (ValueError, RecursionError)
 _NUMBER_BYTES = b"0123456789.eE+-"
@@ -702,31 +698,22 @@ def _refuse_rest(exc: Exception, raw: bytes, start: int, stop: int, path: str | 
     raise _not_json(path, exc) from exc
 
 
-class _UnsureSpan(Exception):
-    """A matrix end taken on trust did not give a mixed state's object."""
-
-
-def _read_state_file(
-    raw: bytes, path: str | Path, start: int | None, stop: int | None, trusted: bool
-) -> object:
+def _read_state_file(raw: bytes, path: str | Path, start: int | None, stop: int | None) -> object:
     """The JSON value in a state file's bytes, a mixed state's matrix left in
     them.
 
-    ``raw[start:stop]`` is the span of the one "matrix" array, when the file
-    has one.  The rest of the file is parsed with that array replaced by
-    null; the value of "matrix" is then ``(raw, start, stop)``.  When the
-    rest is not JSON but the span is a matrix that ``json`` reads, the rest's
-    error is refused as the whole file's (:func:`_refuse_rest`).  A file with
-    no span, or whose rest is not a mixed state's object holding it at the
-    top level, is parsed whole.  An end ``trusted`` (not yet checked) raises
-    :class:`_UnsureSpan` wherever that end decides the outcome.
+    ``raw[start:stop]`` is the span of the one "matrix" array, from its key
+    to the first "]]]" after it, when the file has one.  The rest of the file
+    is parsed with that array replaced by null; the value of "matrix" is then
+    ``(raw, start, stop)``.  When the rest is not JSON but the span is a
+    matrix that ``json`` reads, the rest's error is refused as the whole
+    file's (:func:`_refuse_rest`).  A file with no span, or whose rest is not
+    a mixed state's object holding it at the top level, is parsed whole.
     """
     if stop is not None:
         try:
             payload, holders = _decode(raw[:start] + b"null" + raw[stop:], path)
         except _JSON_ERRORS as exc:
-            if trusted:
-                raise _UnsureSpan from None
             _refuse_rest(exc, raw, start, stop, path)
             payload, holders = None, 0
         # one "matrix" key in the file, at the top level, and it held the span
@@ -734,8 +721,6 @@ def _read_state_file(
         if top_level and payload.get("kind") == "mixed" and payload.get("matrix", False) is None:
             payload["matrix"] = (raw, start, stop)
             return payload
-        if trusted:
-            raise _UnsureSpan
     try:
         return _decode(raw, path)[0]
     except InvalidInputError:
@@ -757,31 +742,16 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
 
     A mixed state's matrix is checked in the file's bytes.  It ends at the
     first "]]]" after its key, the only place a valid matrix closes three
-    arrays at once.  When the matrix closes the file's object, that end is
-    read from the file's last bytes and trusted; it is the first "]]]" once
-    the walk of the matrix closes its skeleton there, since a skeleton that
-    matches up to its close has none before.  Anything else the trusted end
-    gives stands only if the search for the first "]]]" finds the same end.
+    arrays at once, wherever in the file that is: one regex search, which
+    stops at each "]" of the matrix (a few ms for a 3 MB file; see README).
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise InvalidInputError(f"cannot read state file {path}: {exc}") from exc
     start = _matrix_start(raw)
-    state = None
-    if start is not None:
-        tail = _tail_end(raw, start)
-        if tail is not None:
-            try:
-                state = _read_state(raw, path, start, tail, trusted=True)
-            except _UnsureSpan:
-                pass
-            except InvalidInputError:
-                if _matrix_end(raw, start) == tail:
-                    raise
-    if state is None:
-        stop = None if start is None else _matrix_end(raw, start)
-        state = _read_state(raw, path, start, stop, trusted=False)
+    stop = None if start is None else _matrix_end(raw, start)
+    state = _read_state(raw, path, start, stop)
     del raw  # a mixed state's checks need only its matrix, not the file's bytes
     return state if isinstance(state, PureState) else DensityMatrix(*state)
 
@@ -793,12 +763,6 @@ def _matrix_start(raw: bytes) -> int | None:
     return keys[0].end() - 1 if len(keys) == 1 else None
 
 
-def _tail_end(raw: bytes, start: int) -> int | None:
-    """Just past the "]]]" that closes the file's object, if one does."""
-    tail = _TRAILING_END.search(raw, max(start, len(raw) - _TAIL_BYTES))
-    return None if tail is None else tail.end(1)
-
-
 def _matrix_end(raw: bytes, start: int) -> int | None:
     """Just past the first "]]]" from ``start``, if there is one."""
     end = _MATRIX_END.search(raw, start)
@@ -806,13 +770,13 @@ def _matrix_end(raw: bytes, start: int) -> int | None:
 
 
 def _read_state(
-    raw: bytes, path: str | Path, start: int | None, stop: int | None, trusted: bool
+    raw: bytes, path: str | Path, start: int | None, stop: int | None
 ) -> PureState | tuple[int, int, np.ndarray]:
     """The pure state in a file's bytes, or a mixed state's ``(n, d,
     matrix)``, its matrix span ``raw[start:stop]`` (see
     :func:`_read_state_file`); the matrix is not yet a checked
     :class:`DensityMatrix`."""
-    payload = _read_state_file(raw, path, start, stop, trusted)
+    payload = _read_state_file(raw, path, start, stop)
     try:
         n, d, kind = payload["n"], payload["d"], payload["kind"]
     except (KeyError, TypeError) as exc:

@@ -47,7 +47,7 @@ from .indices import (
     place_values,
     rank_positions,
 )
-from .states import ElementSource, PureState, WhiteNoiseFamily, complex_product
+from .states import _JSON_ERRORS, ElementSource, PureState, WhiteNoiseFamily, complex_product
 
 
 class NRVariant(Enum):
@@ -137,10 +137,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def load_pairset_json(path: str | Path, n: int, d: int) -> PairSet:
     try:
-        entries = json.loads(Path(path).read_text())
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InvalidInputError(f"cannot read pair file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise InvalidInputError(f"pair file {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise InvalidInputError(f"pair file {path} must hold a list of [a, b] entries")

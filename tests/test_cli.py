@@ -473,6 +473,10 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         ("bound --preset singlet4 --r-set NOFILE", "cannot read pair file {NOFILE}: "),
         ("bound --preset singlet4 --r-set NOTJSON",
          "pair file {NOTJSON} is not valid JSON: Expecting value"),
+        ("bound --preset singlet4 --r-set NOTUTF8",
+         "pair file {NOTUTF8} is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        ("bound --preset singlet4 --r-set DEEP",
+         "pair file {DEEP} is not valid JSON: maximum recursion depth exceeded"),
         ("bound --preset singlet4 --r-set OBJECT",
          "pair file {OBJECT} must hold a list of [a, b] entries"),
         ("bound --preset singlet4 --r-set EMPTY", "empty pair selection"),
@@ -487,7 +491,7 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
     ids=["dicke-preset-without-m", "p-on-mixed", "mixed-without-r-set", "grid-two-fields",
          "grid-one-point", "threshold-on-mixed", "compare-dicke-without-m", "dicke-without-m",
          "measure-plan-without-shape", "dicke-preset-shape-differs", "dicke-state-shape-differs",
-         "r-set-missing", "r-set-not-json", "r-set-object", "r-set-empty", "state-missing",
+         "r-set-missing", "r-set-not-json", "r-set-not-utf8", "r-set-too-deep", "r-set-object", "r-set-empty", "state-missing",
          "pure-without-amplitudes", "mixed-d-0", "entropy-one-party", "dicke-preset-m-equals-n",
          "negative-seed", "output-dir-missing"],
 )
@@ -496,6 +500,8 @@ def test_cli_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
         "MIXED": _product_state_text(),
         "R2": json.dumps([["00", "11"]]),
         "NOTJSON": "[[",
+        "NOTUTF8": b'\xff\xfe[["00", "11"]]',
+        "DEEP": "[" * 200000,
         "OBJECT": json.dumps({"pairs": [["00", "11"]]}),
         "EMPTY": "[]",
         "NOAMPS": json.dumps({"n": 2, "d": 2, "kind": "pure", "amplitudes": []}),
@@ -504,7 +510,7 @@ def test_cli_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
     }
     paths = {"NOFILE": str(tmp_path / "absent.json"), "NODIR": str(tmp_path / "absent" / "out")}
     for name, text in files.items():
-        (tmp_path / f"{name}.json").write_text(text)
+        (tmp_path / f"{name}.json").write_bytes(text if isinstance(text, bytes) else text.encode())
         paths[name] = str(tmp_path / f"{name}.json")
     assert main([paths.get(a, a) for a in argv.split()]) == 2
     captured = capsys.readouterr()

@@ -726,9 +726,9 @@ def test_a_key_repeated_after_the_matrix_is_named(tmp_path):
 
 
 def test_the_matrix_end_at_the_file_tail_stands_only_where_the_walk_closes(tmp_path):
-    """A file that ends with "]]]" and "}" has that end taken as the
-    matrix's only once the walk closes the matrix there: a matrix followed by
-    other arrays still loads, or is refused as the first "]]]" after its key
+    """A file that ends with "]]]" and "}" has its matrix end, as every file
+    does, at the first "]]]" after the key, not at the file's tail: a matrix
+    followed by other arrays still loads, or is refused as that first "]]]"
     says."""
     want = np.zeros((4, 4), dtype=complex)
     want[2, 2] = 1.0
@@ -783,11 +783,13 @@ def _mixed_text(entries: dict[tuple[int, int], str], indent=None) -> str:
         (_mixed_text({(1, 2): "0.0 [, 0.0]"}), f"row 1, column 2 {NOT_A_PAIR}"),
         (_mixed_text({}).replace("]]]", "] ]\n]"), None),
         (_mixed_text({})[:-1] + ', "meta": [[[1]]]}', None),
+        (_mixed_text({}) + "\r\n \n", None),
     ],
     ids=["whitespace-in-entries", "number-after-bracket", "number-before-bracket",
          "json-number-then-skeleton", "skeleton-then-stray", "infinite-then-json-number",
          "infinite-then-nan", "json-number-then-moved", "two-infinite", "bracket-then-number",
-         "digit-then-bracket", "number-then-bracket", "spaced-close", "arrays-after-the-matrix"],
+         "digit-then-bracket", "number-then-bracket", "spaced-close", "arrays-after-the-matrix",
+         "bytes-after-the-object"],
 )
 def test_refusals_do_not_depend_on_where_slices_are_cut(tmp_path, monkeypatch, text, problem):
     """Every slice length from one byte up gives the verdict of the walk in
