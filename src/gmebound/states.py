@@ -55,6 +55,12 @@ def complex_product(
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _check_shape(n: int, d: int) -> None:
+    """Refuse fewer than one party or fewer than two levels."""
+    if n < 1 or d < 2:
+        raise InvalidInputError(f"bad shape n={n}, d={d}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized n-qudit ket with sparse amplitudes.
@@ -73,8 +79,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         n, d = self.n, self.d
-        if n < 1 or d < 2:
-            raise InvalidInputError(f"bad shape n={n}, d={d}")
+        _check_shape(n, d)
         digits = np.asarray(self.digits, dtype=np.int64)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if not amps.size:
@@ -292,7 +297,7 @@ class DensityMatrix:
                 if not all(np.isfinite(m[rows]).all() for rows in blocks):
                     raise InvalidInputError("density matrix has a non-finite entry")
                 raise InvalidInputError("density matrix is not Hermitian")
-            tr = np.trace(m).real
+            tr = float(np.trace(m).real)
             if abs(tr - 1.0) > TRACE_ATOL:
                 raise InvalidInputError(f"density matrix has trace {tr!r}, expected 1")
             if _gershgorin_floor(m) < -PSD_MARGIN:
@@ -442,6 +447,46 @@ def _int_as_float(digits: str) -> float:
     return float(digits) + 0.0
 
 
+def _zero_tokens(listed: bytes, out: np.ndarray) -> int | None:
+    """Write the numbers of the comma list ``listed``, in brackets, to the
+    start of ``out`` as ``json.loads`` reads them and return how many, or
+    None for ``json`` to read the list whole.  A token spelled exactly
+    ``0.0`` or ``0`` is the +0.0 ``json`` reads (``0`` through
+    :func:`_int_as_float`); where such tokens are seven in eight or more,
+    ``json`` reads only the others, as one compact list.  A list with
+    whitespace inside a token, or whose others ``json`` refuses, gives None,
+    so that its refusal is the whole list's."""
+    codes = np.frombuffer(listed, np.uint8, len(listed) - 2, 1)  # inside the brackets
+    slots = np.count_nonzero(codes == ord(",")) + 1
+    # read whole at once: more than 16 bytes a slot, not mostly zero tokens
+    # written compactly, or too few "0"s before whitespace or a comma, where
+    # each zero token but the last ends
+    closing = np.count_nonzero((codes[:-1] == ord("0")) & (codes[1:] <= ord(",")))
+    if len(codes) > 16 * slots or 8 * (closing + 1) < 7 * slots:
+        return None
+    # one run of number bytes a slot: whitespace inside a token, never JSON,
+    # would join two runs in the compact list and leave a slot empty
+    digit = (codes > ord(" ")) & (codes != ord(","))
+    if np.count_nonzero(digit[1:] > digit[:-1]) + np.count_nonzero(digit[:1]) != slots:
+        return None
+    compact = listed.translate(None, _WHITESPACE)
+    marks = np.frombuffer(compact, np.uint8)
+    ends = np.flatnonzero((marks == ord(",")) | (marks == ord("]")))  # each token's end
+    size = np.diff(ends, prepend=0) - 1
+    zero = (size == 1) | (size == 3) & (marks[ends - 2] == ord(".")) & (marks[ends - 3] == ord("0"))
+    others = np.flatnonzero(~(zero & (marks[ends - 1] == ord("0"))))
+    if 8 * len(others) > slots or not size.all():  # an empty slot is json's to refuse
+        return None
+    tokens = [compact[b - k : b] for b, k in zip(ends[others].tolist(), size[others].tolist())]
+    try:
+        part = json.loads(b"[" + b",".join(tokens) + b"]", parse_int=_int_as_float)
+    except json.JSONDecodeError:
+        return None
+    out[:slots] = 0.0
+    out[others] = part
+    return slots
+
+
 # A bracket tally is (depth, rows, cols) after some prefix of an array's text:
 # how many arrays are open, how many rows have opened (a "[" that leaves two
 # open) and how many entries have opened (a "[" that leaves three open) since
@@ -528,7 +573,8 @@ def _skeleton_tally(dim: int, offset: int) -> tuple[int, int, int]:
 
 def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str | Path) -> np.ndarray:
     """The ``(dim, dim)`` complex matrix written in ``text[start:stop]``,
-    ``dim = d**n``, read by :func:`_walk_matrix`."""
+    ``dim = d**n``, read by :func:`_walk_matrix` once ``n`` and ``d`` pass
+    the shape check of a pure state."""
     # a d**n that could not fit in the text is refused before it is computed
     if n > 0 and abs(d) > 1 and n * math.log2(abs(d)) > math.log2(stop - start):
         raise InvalidInputError(
@@ -537,6 +583,7 @@ def _parse_matrix(text: bytes, start: int, stop: int, n: int, d: int, path: str 
     dim = d**n
     if not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"state file {path}: d**n = {d}**{n} is not a matrix size")
+    _check_shape(n, d)
     return _walk_matrix(text, start, stop, dim, path)
 
 
@@ -549,7 +596,11 @@ def _walk_matrix(text: bytes, start: int, stop: int, dim: int, path: str | Path)
     bytes, the bracket structure and each number's place between the
     brackets are checked; ``json`` then reads the slice's numbers as a flat
     comma list, so each entry equals ``complex(re, im)`` of the numbers
-    ``json`` reads for the whole file, and they must be finite.  A refusal
+    ``json`` reads for the whole file, and they must be finite.  Where most
+    of a slice's numbers are spelled exactly ``0.0`` or ``0``, those are set
+    to +0.0, the value ``json`` gives them, and ``json`` reads only the
+    others (:func:`_zero_tokens`); a slice where that cannot be vouched for
+    is read whole, so verdicts and messages do not change.  A refusal
     names the first fault of the first of these checks that fails anywhere
     in the array, as running each check over all of it would: a fault found
     is held until the walk ends, and only the first fault of an earlier
@@ -612,19 +663,24 @@ def _walk_matrix(text: bytes, start: int, stop: int, dim: int, path: str | Path)
             listed = b"".join((b"[", memoryview(numbers)[: len(numbers) - (cut >= 0)], b"]"))
             del numbers
             try:
-                part = json.loads(listed, parse_int=_int_as_float)
+                count = _zero_tokens(listed, values[filled:])
+                if count is None:
+                    part = json.loads(listed, parse_int=_int_as_float)
+                    count = len(part)
+                    values[filled : filled + count] = part
+                    del part
+                if not count:  # every slice holds a slot, so this one's is empty
+                    raise json.JSONDecodeError("Expecting value", "", len(chunk))
             except json.JSONDecodeError as exc:
                 row, col, _ = _entry_at(here(), chunk, exc.pos - 1)
                 fault = (3, _entry_error(path, row, col, _NOT_A_PAIR))
             else:
-                read = values[filled : filled + len(part)]
-                read[:] = part
-                del part, listed
-                finite = np.isfinite(read)
+                del listed
+                finite = np.isfinite(values[filled : filled + count])
                 if fault[0] > 4 and not finite.all():
                     row, col = divmod((filled + int(np.argmin(finite))) // 2, dim)
                     fault = (4, _entry_error(path, row, col, "is not a finite number"))
-                filled += len(read)
+                filled += count
         if tally is None:
             offset += walked
         else:
@@ -737,13 +793,16 @@ def load_state_json(path: str | Path) -> PureState | DensityMatrix:
     0 when left out, each index once; mixed states carry ``"kind": "mixed"``
     and a row-major ``"matrix"`` of ``[re, im]`` entries, each exactly two
     JSON numbers.
-    ``"n"`` and ``"d"`` are JSON integers.  A key repeated in any object is
-    refused.
+    ``"n"`` and ``"d"`` are JSON integers, ``n >= 1`` and ``d >= 2``, which a
+    mixed state's file must meet before its matrix is read.  A key repeated
+    in any object is refused.
 
     A mixed state's matrix is checked in the file's bytes.  It ends at the
     first "]]]" after its key, the only place a valid matrix closes three
     arrays at once, wherever in the file that is: one regex search, which
     stops at each "]" of the matrix (a few ms for a 3 MB file; see README).
+    Its numbers are read by ``json``, but for the ``0.0`` and ``0`` of a
+    stretch made mostly of them, which are set to +0.0 (:func:`_walk_matrix`).
     """
     try:
         raw = Path(path).read_bytes()

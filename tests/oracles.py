@@ -413,7 +413,8 @@ def round12_oracle(obj):
 
 def mixed_matrix_oracle(text: str) -> np.ndarray:
     """The matrix of a ``"kind": "mixed"`` state file, read with ``json`` and
-    the strict entry rules: no key repeated in any object, ``d**n`` rows of
+    the strict entry rules: no key repeated in any object, ``n >= 1`` and
+    ``d >= 2``, ``d**n`` rows of
     ``d**n`` entries, each entry a list of exactly two finite JSON numbers
     (``true``/``false`` are not numbers), the entry being ``complex(re, im)``.
     Raises ValueError on anything else.  Trace, hermiticity and positivity
@@ -427,6 +428,8 @@ def mixed_matrix_oracle(text: str) -> np.ndarray:
 
     payload = json.loads(text, object_pairs_hook=no_repeats)
     try:
+        if int(payload["n"]) < 1 or int(payload["d"]) < 2:
+            raise ValueError("fewer than one party or two levels")
         dim = int(payload["d"]) ** int(payload["n"])
         if payload["kind"] != "mixed":
             raise ValueError("not a mixed state")

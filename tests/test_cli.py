@@ -483,6 +483,9 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
         ("bound --state NOFILE", "cannot read state file {NOFILE}: "),
         ("bound --state NOAMPS", "state not normalized: |psi|^2 = 0"),
         ("bound --state D0", "state file {D0}: d**n = 0**2 is not a matrix size"),
+        ("bound --state N0 --r-set EMPTY", "bad shape n=0, d=2"),
+        ("bound --state D1 --r-set EMPTY", "bad shape n=2, d=1"),
+        ("bound --state TRACE --r-set R2", "density matrix has trace 1.2, expected 1"),
         ("entropy --state N1", "need at least 2 parties, got n=1"),
         ("bound --preset dicke --n 4 --d 2 --m 4", "need 1 <= m <= n-1, got m=4, n=4"),
         ("reproduce-paper --seed -1", "seed must be nonnegative, got -1"),
@@ -492,8 +495,8 @@ def test_threshold_rejects_nonsense_xtol(capsys, xtol):
          "grid-one-point", "threshold-on-mixed", "compare-dicke-without-m", "dicke-without-m",
          "measure-plan-without-shape", "dicke-preset-shape-differs", "dicke-state-shape-differs",
          "r-set-missing", "r-set-not-json", "r-set-not-utf8", "r-set-too-deep", "r-set-object", "r-set-empty", "state-missing",
-         "pure-without-amplitudes", "mixed-d-0", "entropy-one-party", "dicke-preset-m-equals-n",
-         "negative-seed", "output-dir-missing"],
+         "pure-without-amplitudes", "mixed-d-0", "mixed-n-0", "mixed-d-1", "mixed-trace", "entropy-one-party",
+         "dicke-preset-m-equals-n", "negative-seed", "output-dir-missing"],
 )
 def test_cli_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
     files = {
@@ -506,6 +509,10 @@ def test_cli_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
         "EMPTY": "[]",
         "NOAMPS": json.dumps({"n": 2, "d": 2, "kind": "pure", "amplitudes": []}),
         "D0": json.dumps({"n": 2, "d": 0, "kind": "mixed", "matrix": [[[1.0, 0.0]]]}),
+        "N0": json.dumps({"n": 0, "d": 2, "kind": "mixed", "matrix": [[[1, 0]]]}),
+        "D1": json.dumps({"n": 2, "d": 1, "kind": "mixed", "matrix": [[[1, 0]]]}),
+        "TRACE": json.dumps({"n": 2, "d": 2, "kind": "mixed",
+                             "matrix": [[[1.2 if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]}),
         "N1": json.dumps({"n": 1, "d": 2, "kind": "pure", "amplitudes": [{"index": "0", "re": 1.0}]}),
     }
     paths = {"NOFILE": str(tmp_path / "absent.json"), "NODIR": str(tmp_path / "absent" / "out")}

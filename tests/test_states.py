@@ -292,7 +292,7 @@ def _whole_matrix_refusal(m: np.ndarray) -> str | None:
     if not spread <= 1e-12:
         finite = np.isfinite(m).all()
         return "density matrix is not Hermitian" if finite else "density matrix has a non-finite entry"
-    tr = np.trace(m).real
+    tr = float(np.trace(m).real)
     if abs(tr - 1.0) > 1e-12:
         return f"density matrix has trace {tr!r}, expected 1"
     if _whole_matrix_floor(m) < -5e-11:
@@ -446,11 +446,13 @@ NUMBER_FORMATS = [repr, "{:.16e}".format, "{:.16E}".format, "{:.17g}".format]
 
 
 @st.composite
-def mixed_texts(draw):
+def mixed_texts(draw, zeros=ZERO_SPELLINGS, kinds=("zero", "tiny", "value"), most_qubits=2):
     """A density-matrix file: probabilities on the diagonal, exact Hermitian
     pairs off it (small enough to keep it positive), numbers spelled as ints,
-    exponents, -0, 5e-324 or 17 digits, and whitespace between any tokens."""
-    n = draw(st.integers(1, 2))
+    exponents, -0, 5e-324 or 17 digits, and whitespace between any tokens.
+    Zeros are spelled from ``zeros``; each pair off the diagonal is of a kind
+    drawn from ``kinds``; n is at most ``most_qubits``."""
+    n = draw(st.integers(1, most_qubits))
     dim = 2**n
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=dim, max_size=dim))
     probs = [w / sum(weights) for w in weights]
@@ -459,13 +461,13 @@ def mixed_texts(draw):
         return draw(st.sampled_from(NUMBER_FORMATS))(x)
 
     def zero():
-        return draw(st.sampled_from(ZERO_SPELLINGS))
+        return draw(st.sampled_from(zeros))
 
     entries = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         entries[i][i] = (spell(probs[i]), zero())
         for j in range(i + 1, dim):
-            kind = draw(st.sampled_from(["zero", "tiny", "value"]))
+            kind = draw(st.sampled_from(kinds))
             if kind == "zero":
                 entries[i][j] = entries[j][i] = (zero(), zero())
                 continue
@@ -504,17 +506,20 @@ def test_mixed_file_matches_oracle_bits(tmp_path_factory, text):
 MUTATION_BYTES = '[],.-+eE0 "tnNI'
 
 
-@settings(max_examples=400, deadline=None)
-@given(text=mixed_texts(), data=st.data())
-def test_single_byte_mutations_get_the_oracles_verdict(tmp_path_factory, text, data):
+def _mutate(text: str, data) -> str:
+    """``text`` with one byte substituted, inserted or deleted: among others
+    "0 .0", "0.0 0.0", "00.0", "0.", ".0" and "-0.0" from "0.0, 0.0"."""
+    pos = data.draw(st.integers(0, len(text) - 1))
+    edit = data.draw(st.sampled_from(["substitute", "insert", "delete"]))
+    new = "" if edit == "delete" else data.draw(st.sampled_from(MUTATION_BYTES))
+    return text[:pos] + new + text[pos + (edit != "insert") :]
+
+
+def _assert_oracles_verdict(path, text: str) -> None:
     """A file the oracle reads (and whose matrix is a density matrix) loads
     to the same bits; every other file is refused with InvalidInputError."""
-    pos = data.draw(st.integers(0, len(text) - 1))
-    mutated = text[:pos] + data.draw(st.sampled_from(MUTATION_BYTES)) + text[pos + 1 :]
-    path = tmp_path_factory.getbasetemp() / "mutated.json"
-    path.write_text(mutated)
     try:
-        want = oracles.mixed_matrix_oracle(mutated)
+        want = oracles.mixed_matrix_oracle(text)
     except ValueError:
         want = None
     if want is None or not oracles.density_matrix_verdict(want):
@@ -522,6 +527,75 @@ def test_single_byte_mutations_get_the_oracles_verdict(tmp_path_factory, text, d
             load_state_json(path)
     else:
         assert _same_bits(load_state_json(path).matrix, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mixed_texts(), data=st.data())
+def test_single_byte_mutations_get_the_oracles_verdict(tmp_path_factory, text, data):
+    """One byte substituted, inserted or deleted: the oracle's bits or its refusal."""
+    mutated = _mutate(text, data)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(mutated)
+    _assert_oracles_verdict(path, mutated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=mixed_texts(
+        zeros=["0.0"] * 48 + ["0"] * 24 + ["-0.0", "-0"], kinds=("zero",) * 31 + ("value",), most_qubits=3
+    ),
+    data=st.data(),
+)
+def test_zero_tokens_in_short_slices_get_the_oracles_verdict(tmp_path_factory, text, data):
+    """Files mostly of the zero tokens "0.0" and "0" (and "-0.0" and "-0",
+    which json reads, -0.0 keeping its sign), walked in slices of 1 to 40
+    bytes or of up to the whole matrix, so that a slice holds only zero
+    tokens, only other numbers or both, and maybe one byte edit: the
+    oracle's bits or its refusal."""
+    import gmebound.states as states_module
+
+    if data.draw(st.booleans()):
+        text = _mutate(text, data)
+    path = tmp_path_factory.getbasetemp() / "zeros.json"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states_module, "_SLICE_BYTES", data.draw(st.integers(1, 40) | st.integers(41, 3000)))
+        _assert_oracles_verdict(path, text)
+
+
+@pytest.mark.parametrize(
+    "spelling", ["000", "0-0", "0+0", "0e0", "0E0", "00", "0.", ".0", "0.00", "00.0", "-0.0", "-0", "0..0"]
+)
+def test_spellings_near_a_zero_token_get_the_oracles_verdict(tmp_path, spelling):
+    """A number a byte away from "0.0" or "0" among the zero tokens of a
+    file whose other numbers json does not read: the oracle's bits (-0.0
+    keeping its sign) or its refusal."""
+    text = _mixed_text({(1, 2): f"[{spelling}, 0.0]"})
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    _assert_oracles_verdict(path, text)
+
+
+def test_zero_tokens_are_not_read_by_json(tmp_path, monkeypatch):
+    """Of a dense GHZ n = 6 file json reads only the numbers that are not
+    spelled "0.0": the four 0.5 on the corners of the matrix."""
+    import gmebound.states as states_module
+
+    path = tmp_path / "ghz6.json"
+    path.write_text(_dense_ghz_text(6))
+    want = load_state_json(path).matrix
+    read = []
+    loads = states_module.json.loads
+
+    def counted(text, **kwargs):
+        value = loads(text, **kwargs)
+        if isinstance(value, list):
+            read.extend(value)
+        return value
+
+    monkeypatch.setattr(states_module.json, "loads", counted)
+    assert _same_bits(load_state_json(path).matrix, want)
+    assert read == [0.5] * 4
 
 
 @pytest.mark.parametrize(
@@ -636,17 +710,31 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def _dense_random_text(n: int, seed: int = 0) -> str:
+    """A random full-rank n-qubit density matrix as ``json.dumps`` writes
+    it: every number nonzero but the diagonal's imaginary parts."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = g @ g.conj().T
+    m = (m + m.conj().T) / (2 * np.trace(m).real)
+    rows = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    return json.dumps({"n": n, "d": 2, "kind": "mixed", "matrix": rows})
+
+
 def test_mixed_file_loader_peak_memory(tmp_path):
-    """tracemalloc peak of loading a dense GHZ file, validation included, at
-    n = 8 (0.8 MB of JSON) and n = 9 (3.2 MB): the file's bytes and the
-    matrix (16 bytes an entry) and at most 1 MB more.  Through json.loads and
-    one complex() per entry it was 13.2 MB at n = 8; with each check run over
-    the whole text 3.4 and 12.7 MB."""
-    for n in (8, 9):
-        path = tmp_path / f"ghz{n}.json"
-        path.write_text(_dense_ghz_text(n))
+    """tracemalloc peak of loading a dense file, validation included: GHZ at
+    n = 8 (0.8 MB of JSON) and n = 9 (3.2 MB), and a random matrix with no
+    zero to skip at n = 8 (3.2 MB), each the file's bytes and the matrix (16
+    bytes an entry) and at most 1 MB more.  Through json.loads and one
+    complex() per entry GHZ n = 8 was 13.2 MB; with each check run over the
+    whole text 3.4 and 12.7 MB."""
+    texts = {"ghz8": _dense_ghz_text(8), "ghz9": _dense_ghz_text(9), "random8": _dense_random_text(8)}
+    for name, text in texts.items():
+        n = int(name[-1])
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
         peak = _traced_peak(lambda: load_state_json(path))
-        assert peak < path.stat().st_size + 16 * 4**n + 1e6, n
+        assert peak < path.stat().st_size + 16 * 4**n + 1e6, name
 
 
 def test_refusing_the_last_entry_stays_within_the_loader_bound(tmp_path):
@@ -781,6 +869,12 @@ def _mixed_text(entries: dict[tuple[int, int], str], indent=None) -> str:
         (_mixed_text({(1, 2): "[0.0,] 0.0"}), f"row 1, column 2 {NOT_A_PAIR}"),
         (_mixed_text({(1, 2): "7 [, 0.0]"}), f"row 1, column 2 {NOT_A_PAIR}"),
         (_mixed_text({(1, 2): "0.0 [, 0.0]"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        # one slot holding two numbers and the next none: as many numbers as
+        # commas allow, which only json's reading of the whole slice refuses
+        (_mixed_text({(1, 2): "[1 2,]"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 2): "[0.0 0.0,]"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 2): "[, 0.0]"}), f"row 1, column 2 {NOT_A_PAIR}"),
+        (_mixed_text({(1, 2): "[0 .0,]"}), f"row 1, column 2 {NOT_A_PAIR}"),
         (_mixed_text({}).replace("]]]", "] ]\n]"), None),
         (_mixed_text({})[:-1] + ', "meta": [[[1]]]}', None),
         (_mixed_text({}) + "\r\n \n", None),
@@ -788,7 +882,8 @@ def _mixed_text(entries: dict[tuple[int, int], str], indent=None) -> str:
     ids=["whitespace-in-entries", "number-after-bracket", "number-before-bracket",
          "json-number-then-skeleton", "skeleton-then-stray", "infinite-then-json-number",
          "infinite-then-nan", "json-number-then-moved", "two-infinite", "bracket-then-number",
-         "digit-then-bracket", "number-then-bracket", "spaced-close", "arrays-after-the-matrix",
+         "digit-then-bracket", "number-then-bracket", "two-numbers-then-none", "two-zeros-then-none",
+         "no-number-then-zero", "spaced-zero-then-none", "spaced-close", "arrays-after-the-matrix",
          "bytes-after-the-object"],
 )
 def test_refusals_do_not_depend_on_where_slices_are_cut(tmp_path, monkeypatch, text, problem):
@@ -809,6 +904,25 @@ def test_refusals_do_not_depend_on_where_slices_are_cut(tmp_path, monkeypatch, t
         else:
             with pytest.raises(InvalidInputError, match=re.escape(problem)):
                 load_state_json(path)
+
+
+@pytest.mark.parametrize(
+    "entries, where",
+    [
+        ({(0, 0): "[0.0, 0.0" + " " * 66000 + "]", (0, 1): "[" + " " * 66000 + ", 0.0]"}, "row 0, column 1"),
+        ({(3, 3): "[0.0" + " " * 66000 + ", ]"}, "row 3, column 3"),
+    ],
+    ids=["cut-after", "last"],
+)
+def test_an_empty_slot_alone_in_a_slice_is_refused(tmp_path, entries, where):
+    """A slot holding only whitespace that is all of a slice's list, the
+    slice cut after its comma or the last one, is refused where json refuses
+    it.  It was read as no number at all: the matrix kept a number short, its
+    last entry unset, and the last case loaded."""
+    path = tmp_path / "state.json"
+    path.write_text(_mixed_text(entries))
+    with pytest.raises(InvalidInputError, match=re.escape(f"{where} {NOT_A_PAIR}")):
+        load_state_json(path)
 
 
 @settings(max_examples=150, deadline=None)
